@@ -13,8 +13,8 @@ import numpy as np
 from .config import AnnealSchedule, FitReport, SolverConfig
 from .data import DesignMatrix
 from .objective import PenaltyWeights
-from .solvers import MMWorkspace, SDWorkspace, _mm_step, _sd_step, _solve_subproblem
-from .sparsity import SparsityConstraint, project, sq_distance
+from .solvers import MMWorkspace, SDWorkspace, _make_step, _solve_subproblem
+from .sparsity import SparsityConstraint
 
 __all__ = ["FitError", "OuterRecord", "SOLVERS", "sv_count", "make_workspace", "prox_dist_fit"]
 
@@ -47,7 +47,7 @@ def sv_count(beta, design: DesignMatrix) -> int:
 def make_workspace(design: DesignMatrix, solver: str, cfg: SolverConfig):
     solver = solver.lower()
     if solver == "mm":
-        return MMWorkspace.from_design(design, cfg.svd_rank_tol, cfg.mm_per_value_loop)
+        return MMWorkspace.from_design(design, cfg.svd_rank_tol)
     if solver == "sd":
         return SDWorkspace.from_design(design)
     raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
@@ -80,29 +80,21 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
     norm = constraint.p - constraint.k + 1
     # the stall test needs two post-solve distances, so it first arms at outer 2
     d_prev = None
-    d_cur = sq_distance(beta, constraint) / norm
     rho = sched.rho0
     total_inner = 0
-    outer = 0
-    objective = float("nan")
-    grad_sq = float("nan")
     for outer in range(1, sched.max_outer + 1):
         weights = PenaltyWeights.for_problem(design.n, constraint, rho)
-        if solver == "mm":
-            def step(b, s, g, _w=weights):
-                return _mm_step(b, s, ws, design, constraint, _w)
-        else:
-            def step(b, s, g, _w=weights):
-                return _sd_step(b, g, ws, design, _w)
-        beta, iters, grad_sq, objective, _ = _solve_subproblem(
-            beta, design, constraint, weights, cfg, step, history)
+        ev, iters = _solve_subproblem(beta, design, constraint, weights, cfg,
+                                      _make_step(solver, ws, design, weights), history)
+        beta = ev.beta
         total_inner += iters
-        if not np.isfinite(objective):
+        if not np.isfinite(ev.objective):
             raise FitError(
                 f"objective became non-finite at outer iteration {outer} (rho={rho:g})")
-        d_cur = sq_distance(beta, constraint) / norm
+        d_cur = ev.sq_dist / norm
         if trace_hook is not None:
-            trace_hook(OuterRecord(outer, rho, iters, objective, grad_sq, d_cur, beta.copy()))
+            trace_hook(OuterRecord(outer, rho, iters, ev.objective, ev.grad_sq, d_cur,
+                                   beta.copy()))
         if d_cur <= sched.dist_tol:
             break
         if d_prev is not None and abs(d_cur - d_prev) < sched.dist_tol * (1.0 + d_prev):
@@ -110,12 +102,13 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
         d_prev = d_cur
         rho *= sched.multiplier
 
-    beta_final = project(beta, constraint)
+    # the last level's projection is the hard-projected fit
+    beta_final = ev.pm
     report = FitReport(
         outer_iters=outer,
         total_inner_iters=total_inner,
-        objective=objective,
-        grad_sq=grad_sq,
+        objective=ev.objective,
+        grad_sq=ev.grad_sq,
         distance=d_cur,
         sv_count=sv_count(beta_final, design),
         converged=bool(d_cur <= sched.dist_tol),

@@ -55,15 +55,13 @@ class SolverConfig:
     """Inner-solver tolerances and switches.
 
     ``grad_tol`` bounds the squared gradient norm; ``accel=None`` turns
-    extrapolation off; ``mm_per_value_loop`` selects the column-at-a-time
-    accumulation of the factorization update instead of the matrix form.
+    extrapolation off.
     """
 
     grad_tol: float = 1e-6
     max_inner: int = 10_000
     accel: AccelPolicy | None = field(default_factory=AccelPolicy)
     svd_rank_tol: float = 1e-12
-    mm_per_value_loop: bool = False
 
     def __post_init__(self):
         if self.grad_tol <= 0:

@@ -69,33 +69,112 @@ def save_model(path, model: OVOModel, transform: ColumnTransform | None = None) 
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
+_JSON_NAMES = {dict: "object", list: "list", str: "string", int: "integer", float: "number"}
+
+
+def _is_a(value, kind: type) -> bool:
+    """JSON type test: an integer counts as a number, a boolean as neither."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _field(obj: dict, key: str, kind: type, where: str):
+    """``obj[key]``, required to be of JSON type ``kind``."""
+    if key not in obj:
+        raise ValueError(f"{where}: missing key {key!r}")
+    value = obj[key]
+    if not _is_a(value, kind):
+        raise ValueError(f"{where}: {key!r} must be a {_JSON_NAMES[kind]}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _vector(obj: dict, key: str, where: str) -> np.ndarray:
+    values = _field(obj, key, list, where)
+    if not all(_is_a(v, float) for v in values):
+        raise ValueError(f"{where}: {key!r} must be a list of numbers")
+    return np.asarray(values, dtype=float)
+
+
+def _matrix(obj: dict, key: str, where: str) -> np.ndarray:
+    rows = _field(obj, key, list, where)
+    if not rows or not all(isinstance(r, list) and all(_is_a(v, float) for v in r) for r in rows):
+        raise ValueError(f"{where}: {key!r} must be a non-empty list of lists of numbers")
+    if len({len(r) for r in rows}) != 1:
+        raise ValueError(f"{where}: rows of {key!r} differ in length")
+    return np.asarray(rows, dtype=float)
+
+
+def _parse_transform(doc: dict) -> ColumnTransform | None:
+    tdoc = _field(doc, "transform", dict, "model")
+    kind = _field(tdoc, "kind", str, "transform")
+    if kind == "none":
+        return None
+    if kind not in ("standardized", "minmax"):
+        raise ValueError(f"transform: unknown kind {kind!r}")
+    center = _vector(tdoc, "center", "transform")
+    scale = _vector(tdoc, "scale", "transform")
+    if center.size != scale.size:
+        raise ValueError(f"transform: center has {center.size} entries, scale {scale.size}")
+    return ColumnTransform(kind, center, scale)
+
+
+def _parse_pair(pdoc, where: str, num_classes: int) -> tuple[PairClassifier, int]:
+    """The pair classifier and the number of raw features it scores."""
+    if not isinstance(pdoc, dict):
+        raise ValueError(f"{where}: must be an object, got {type(pdoc).__name__}")
+    ids = [_field(pdoc, key, int, where) for key in ("positive", "negative")]
+    if ids[0] == ids[1] or not all(0 <= i < num_classes for i in ids):
+        raise ValueError(f"{where}: class ids {ids} must be distinct and below {num_classes}")
+    if "kernel" in pdoc:
+        kwhere = f"{where}.kernel"
+        kdoc = _field(pdoc, "kernel", dict, where)
+        feats = _matrix(kdoc, "train_features", kwhere)
+        # KernelModel itself rejects a bad gamma and mismatched lengths
+        kernel = KernelModel(alpha=_vector(kdoc, "alpha", kwhere),
+                             gamma=float(_field(kdoc, "gamma", float, kwhere)),
+                             train_features=feats,
+                             train_labels=_vector(kdoc, "train_labels", kwhere))
+        return PairClassifier(ids[0], ids[1], kernel=kernel), feats.shape[1]
+    coef = _vector(pdoc, "coef", where)
+    if coef.size < 2:
+        raise ValueError(f"{where}: 'coef' needs at least one weight and an intercept")
+    return PairClassifier(ids[0], ids[1], coef=coef), coef.size - 1
+
+
+def _parse_model(doc) -> SavedModel:
+    if not isinstance(doc, dict):
+        raise ValueError(f"model must be a JSON object, got {type(doc).__name__}")
+    if doc.get("format") != MODEL_FORMAT:
+        raise ValueError(
+            f"unsupported model format {doc.get('format')!r}, expected {MODEL_FORMAT}")
+    names = _field(doc, "class_names", list, "model")
+    if len(names) < 2 or not all(isinstance(c, str) for c in names):
+        raise ValueError("model: 'class_names' must list at least two strings")
+    transform = _parse_transform(doc)
+    pdocs = _field(doc, "pairs", list, "model")
+    if not pdocs:
+        raise ValueError("model: 'pairs' is empty")
+    pairs = []
+    widths = set() if transform is None else {transform.center.size}
+    for i, pdoc in enumerate(pdocs):
+        pair, width = _parse_pair(pdoc, f"pairs[{i}]", len(names))
+        pairs.append(pair)
+        widths.add(width)
+    if len(widths) > 1:
+        raise ValueError(f"model: transform and pairs disagree on the feature count "
+                         f"({sorted(widths)})")
+    return SavedModel(ovo=OVOModel(pairs=pairs, class_names=tuple(names)), transform=transform)
+
+
 def load_model(path) -> SavedModel:
+    """Read a model file; any malformed document raises ``ValueError("<path>: ...")``."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not a valid model file: {exc}") from exc
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(
-            f"{path}: unsupported model format {doc.get('format')!r}, expected {MODEL_FORMAT}")
-    tdoc = doc["transform"]
-    transform = None
-    if tdoc["kind"] != "none":
-        transform = ColumnTransform(tdoc["kind"], np.asarray(tdoc["center"], dtype=float),
-                                    np.asarray(tdoc["scale"], dtype=float))
-    pairs = []
-    for pdoc in doc["pairs"]:
-        if "kernel" in pdoc:
-            kdoc = pdoc["kernel"]
-            kernel = KernelModel(
-                alpha=np.asarray(kdoc["alpha"], dtype=float),
-                gamma=float(kdoc["gamma"]),
-                train_features=np.asarray(kdoc["train_features"], dtype=float),
-                train_labels=np.asarray(kdoc["train_labels"], dtype=float),
-            )
-            pairs.append(PairClassifier(int(pdoc["positive"]), int(pdoc["negative"]),
-                                        kernel=kernel))
-        else:
-            pairs.append(PairClassifier(int(pdoc["positive"]), int(pdoc["negative"]),
-                                        coef=np.asarray(pdoc["coef"], dtype=float)))
-    ovo = OVOModel(pairs=pairs, class_names=tuple(doc["class_names"]))
-    return SavedModel(ovo=ovo, transform=transform)
+    try:
+        return _parse_model(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DesignMatrix
-from .sparsity import SparsityConstraint, project, sq_distance
+from .sparsity import SparsityConstraint, project
 
 __all__ = [
     "PenaltyWeights",
@@ -52,30 +52,75 @@ class ObjectiveState:
     grad: np.ndarray
 
 
-def _loss_from_margins(margins: np.ndarray) -> float:
-    slack = np.maximum(0.0, 1.0 - margins)
-    return float(slack @ slack) / (2.0 * margins.size)
+def _loss_from_slack(slack: np.ndarray) -> float:
+    return float(slack @ slack) / (2.0 * slack.size)
 
 
-def _gradient_from_scores(beta, scores, design, constraint, weights) -> np.ndarray:
-    # X^T v with v_i = -a2 * y_i * max(0, 1 - margin_i), plus the penalty pull
-    v = -weights.a2 * design.y * np.maximum(0.0, 1.0 - design.y * scores)
-    g = design.X.T @ v
-    if weights.b2 != 0.0:
-        g = g + weights.b2 * (beta - project(beta, constraint))
-    return g
+class _Eval:
+    """The penalized objective at one point, each piece computed once.
 
+    Built from ``beta`` and its scores ``X @ beta``. The projection ``pm`` and
+    the squared distance are formed eagerly when b2 > 0 (the objective needs
+    them) and on first use otherwise; the gradient is formed on first use, so
+    a point whose objective alone is asked for never pays for ``X.T @ v``.
+    """
 
-def _objective_from_scores(beta, scores, design, constraint, weights) -> float:
-    val = _loss_from_margins(design.y * scores)
-    if weights.b2 != 0.0:
-        val += 0.5 * weights.b2 * sq_distance(beta, constraint)
-    return val
+    __slots__ = ("beta", "scores", "margins", "slack", "loss", "penalty", "objective",
+                 "_design", "_constraint", "_weights", "_pm", "_sq_dist", "_grad", "_grad_sq")
+
+    def __init__(self, beta, scores, design, constraint, weights):
+        self.beta = beta
+        self.scores = scores
+        self._design = design
+        self._constraint = constraint
+        self._weights = weights
+        self._pm = None
+        self._sq_dist = None
+        self._grad = None
+        self._grad_sq = None
+        self.margins = design.y * scores
+        self.slack = np.maximum(0.0, 1.0 - self.margins)
+        self.loss = _loss_from_slack(self.slack)
+        self.penalty = 0.5 * weights.b2 * self.sq_dist if weights.b2 != 0.0 else 0.0
+        self.objective = self.loss + self.penalty
+
+    @property
+    def pm(self) -> np.ndarray:
+        """Projection of ``beta`` onto the sparsity set."""
+        if self._pm is None:
+            self._pm = project(self.beta, self._constraint)
+        return self._pm
+
+    @property
+    def sq_dist(self) -> float:
+        """Squared distance from ``beta`` to the sparsity set."""
+        if self._sq_dist is None:
+            diff = self.beta - self.pm
+            self._sq_dist = float(diff @ diff)
+        return self._sq_dist
+
+    @property
+    def grad(self) -> np.ndarray:
+        # X^T v with v_i = -a2 * y_i * max(0, 1 - margin_i), plus the penalty pull
+        if self._grad is None:
+            weights = self._weights
+            g = self._design.X.T @ (-weights.a2 * self._design.y * self.slack)
+            if weights.b2 != 0.0:
+                g = g + weights.b2 * (self.beta - self.pm)
+            self._grad = g
+        return self._grad
+
+    @property
+    def grad_sq(self) -> float:
+        if self._grad_sq is None:
+            g = self.grad
+            self._grad_sq = float(g @ g)
+        return self._grad_sq
 
 
 def hinge_loss(beta: np.ndarray, design: DesignMatrix) -> float:
     """Averaged squared hinge: (1/2n) sum_i max(0, 1 - y_i x_i' beta)^2."""
-    return _loss_from_margins(design.y * (design.X @ beta))
+    return _loss_from_slack(np.maximum(0.0, 1.0 - design.y * (design.X @ beta)))
 
 
 def working_response(beta: np.ndarray, design: DesignMatrix) -> np.ndarray:
@@ -84,21 +129,20 @@ def working_response(beta: np.ndarray, design: DesignMatrix) -> np.ndarray:
     return np.where(design.y * scores >= 1.0, scores, design.y)
 
 
+def _evaluate(beta, design, constraint, weights) -> _Eval:
+    beta = np.asarray(beta, dtype=float)
+    return _Eval(beta, design.X @ beta, design, constraint, weights)
+
+
 def gradient(beta, design: DesignMatrix, constraint: SparsityConstraint, weights: PenaltyWeights) -> np.ndarray:
     """Gradient of the penalized objective, defined wherever the projection is unique."""
-    beta = np.asarray(beta, dtype=float)
-    return _gradient_from_scores(beta, design.X @ beta, design, constraint, weights)
+    return _evaluate(beta, design, constraint, weights).grad
 
 
 def penalized_objective(beta, design, constraint, weights) -> ObjectiveState:
-    beta = np.asarray(beta, dtype=float)
-    scores = design.X @ beta
-    margins = design.y * scores
-    loss = _loss_from_margins(margins)
-    penalty = 0.5 * weights.b2 * sq_distance(beta, constraint) if weights.b2 != 0.0 else 0.0
-    grad = _gradient_from_scores(beta, scores, design, constraint, weights)
-    return ObjectiveState(margins=margins, loss=loss, penalty=penalty,
-                          objective=loss + penalty, grad=grad)
+    ev = _evaluate(beta, design, constraint, weights)
+    return ObjectiveState(margins=ev.margins, loss=ev.loss, penalty=ev.penalty,
+                          objective=ev.objective, grad=ev.grad)
 
 
 def surrogate_value(beta, anchor, design, constraint, weights) -> float:

@@ -15,12 +15,8 @@ import numpy as np
 
 from .config import AccelPolicy, FitReport, SolverConfig
 from .data import DesignMatrix, ThinSVD, thin_svd
-from .objective import (
-    PenaltyWeights,
-    _gradient_from_scores,
-    _objective_from_scores,
-)
-from .sparsity import SparsityConstraint, project, sq_distance
+from .objective import PenaltyWeights, _Eval, _evaluate
+from .sparsity import SparsityConstraint
 
 __all__ = [
     "MMWorkspace",
@@ -40,15 +36,13 @@ class MMWorkspace:
     with per-singular-value update coefficients cached for the current weights."""
 
     svd: ThinSVD
-    per_value_loop: bool = False
     _key: tuple | None = field(default=None, repr=False)
     _c1: np.ndarray | None = field(default=None, repr=False)
     _c2: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
-    def from_design(cls, design: DesignMatrix, rank_tol: float = 1e-12,
-                    per_value_loop: bool = False) -> "MMWorkspace":
-        return cls(svd=thin_svd(design.X, rank_tol), per_value_loop=per_value_loop)
+    def from_design(cls, design: DesignMatrix, rank_tol: float = 1e-12) -> "MMWorkspace":
+        return cls(svd=thin_svd(design.X, rank_tol))
 
     def coefficients(self, weights: PenaltyWeights):
         """c1_j = a2 s_j / (a2 s_j^2 + b2), c2_j = a2 s_j^2 / (a2 s_j^2 + b2)."""
@@ -75,30 +69,22 @@ class SDWorkspace:
         return cls(guard=1e-12 * (1.0 + a2 * fro2))
 
 
-def _mm_step(beta, scores, ws: MMWorkspace, design, constraint, weights) -> np.ndarray:
+def _mm_step(ev: _Eval, ws: MMWorkspace, design, weights) -> np.ndarray:
     y = design.y
-    z = np.where(y * scores >= 1.0, scores, y)
+    z = np.where(y * ev.scores >= 1.0, ev.scores, y)
     svd = ws.svd
     if weights.b2 == 0.0:
         # unpenalized system: minimum-norm least-squares solution
         return svd.V @ ((svd.U.T @ z) / svd.s)
-    pm = project(beta, constraint)
+    pm = ev.pm
     c1, c2 = ws.coefficients(weights)
-    if ws.per_value_loop:
-        out = pm.copy()
-        for j in range(svd.r):
-            uz_j = svd.U[:, j] @ z
-            vp_j = svd.V[:, j] @ pm
-            out += (c1[j] * uz_j - c2[j] * vp_j) * svd.V[:, j]
-        return out
     return pm + svd.V @ (c1 * (svd.U.T @ z) - c2 * (svd.V.T @ pm))
 
 
 def mm_update(beta, ws: MMWorkspace, design: DesignMatrix,
               constraint: SparsityConstraint, weights: PenaltyWeights) -> np.ndarray:
     """Exact minimizer of the anchored majorizer via the cached factorization."""
-    beta = np.asarray(beta, dtype=float)
-    return _mm_step(beta, design.X @ beta, ws, design, constraint, weights)
+    return _mm_step(_evaluate(beta, design, constraint, weights), ws, design, weights)
 
 
 def step_size(grad, design: DesignMatrix, weights: PenaltyWeights, guard: float) -> float:
@@ -109,16 +95,22 @@ def step_size(grad, design: DesignMatrix, weights: PenaltyWeights, guard: float)
     return gsq / (weights.a2 * float(Xg @ Xg) + weights.b2 * gsq + guard)
 
 
-def _sd_step(beta, grad, ws: SDWorkspace, design, weights) -> np.ndarray:
-    return beta - step_size(grad, design, weights, ws.guard) * grad
+def _sd_step(ev: _Eval, ws: SDWorkspace, design, weights) -> np.ndarray:
+    return ev.beta - step_size(ev.grad, design, weights, ws.guard) * ev.grad
 
 
 def sd_update(beta, ws: SDWorkspace, design: DesignMatrix,
               constraint: SparsityConstraint, weights: PenaltyWeights) -> np.ndarray:
     """One steepest-descent step with the exact surrogate line search."""
-    beta = np.asarray(beta, dtype=float)
-    grad = _gradient_from_scores(beta, design.X @ beta, design, constraint, weights)
-    return _sd_step(beta, grad, ws, design, weights)
+    return _sd_step(_evaluate(beta, design, constraint, weights), ws, design, weights)
+
+
+def _make_step(solver: str, ws, design: DesignMatrix, weights: PenaltyWeights):
+    """The update map of ``solver`` ("mm" or "sd") at fixed weights, taking an
+    evaluated point to the next iterate."""
+    if solver == "mm":
+        return lambda ev: _mm_step(ev, ws, design, weights)
+    return lambda ev: _sd_step(ev, ws, design, weights)
 
 
 def nesterov_step(beta_new, beta_old, j: int, policy: AccelPolicy,
@@ -141,86 +133,75 @@ def _solve_subproblem(beta0, design, constraint, weights, cfg: SolverConfig,
     """Iterate ``step`` until the squared gradient norm drops below
     ``cfg.grad_tol`` or ``cfg.max_inner`` updates have been taken.
 
-    Convergence is always checked at the un-extrapolated iterate; acceleration
-    only changes the point the next update expands around.
+    Each update is followed by a convergence test at the fresh iterate. If
+    that fails and acceleration is engaged, the loop extrapolates past the
+    fresh iterate and keeps the candidate unless its objective is higher and
+    ``restart_on_ascent`` is set, in which case the counter resets. A kept
+    candidate becomes the current point: the loop condition then tests the
+    candidate's own gradient, so the returned point may be an extrapolated one.
+
+    Every point is evaluated once (see ``_Eval``). Returns the evaluation at
+    the final point and the number of updates taken.
     """
     X = design.X
     beta = np.asarray(beta0, dtype=float).copy()
-    scores = X @ beta
-    grad = _gradient_from_scores(beta, scores, design, constraint, weights)
-    grad_sq = float(grad @ grad)
+    cur = _Eval(beta, X @ beta, design, constraint, weights)
     accel = cfg.accel
     j = 1
     iters = 0
-    while grad_sq >= cfg.grad_tol and iters < cfg.max_inner:
-        beta_new = step(beta, scores, grad)
-        scores_new = X @ beta_new
-        grad_new = _gradient_from_scores(beta_new, scores_new, design, constraint, weights)
-        grad_sq_new = float(grad_new @ grad_new)
+    while cur.grad_sq >= cfg.grad_tol and iters < cfg.max_inner:
+        beta_new = step(cur)
+        new = _Eval(beta_new, X @ beta_new, design, constraint, weights)
         iters += 1
         if history is not None:
-            history.append(_objective_from_scores(beta_new, scores_new, design, constraint, weights))
-        if grad_sq_new < cfg.grad_tol or iters >= cfg.max_inner:
-            beta, scores, grad, grad_sq = beta_new, scores_new, grad_new, grad_sq_new
+            history.append(new.objective)
+        if new.grad_sq < cfg.grad_tol or iters >= cfg.max_inner:
+            cur = new
             break
         if accel is not None and iters > accel.warmup:
             w = accel.weight(j)
             if w > 0.0:
-                cand = beta_new + w * (beta_new - beta)
-                scores_cand = X @ cand
-                f_new = _objective_from_scores(beta_new, scores_new, design, constraint, weights)
-                f_cand = _objective_from_scores(cand, scores_cand, design, constraint, weights)
-                if f_cand > f_new and accel.restart_on_ascent:
+                beta_cand = beta_new + w * (beta_new - cur.beta)
+                cand = _Eval(beta_cand, X @ beta_cand, design, constraint, weights)
+                if cand.objective > new.objective and accel.restart_on_ascent:
                     j = 1
                 else:
                     j += 1
-                    beta_new, scores_new = cand, scores_cand
-                    grad_new = _gradient_from_scores(cand, scores_cand, design, constraint, weights)
-                    grad_sq_new = float(grad_new @ grad_new)
+                    new = cand
             else:
                 j += 1
-        beta, scores, grad, grad_sq = beta_new, scores_new, grad_new, grad_sq_new
-    objective = _objective_from_scores(beta, scores, design, constraint, weights)
-    return beta, iters, grad_sq, objective, scores
+        cur = new
+    return cur, iters
 
 
-def _report(beta, iters, grad_sq, objective, scores, design, constraint, cfg, t0) -> FitReport:
-    norm = constraint.p - constraint.k + 1
+def _report(ev: _Eval, iters, constraint, cfg, t0) -> FitReport:
     return FitReport(
         outer_iters=0,
         total_inner_iters=iters,
-        objective=objective,
-        grad_sq=grad_sq,
-        distance=sq_distance(beta, constraint) / norm,
-        sv_count=int(np.count_nonzero(design.y * scores <= 1.0)),
-        converged=bool(grad_sq < cfg.grad_tol),
+        objective=ev.objective,
+        grad_sq=ev.grad_sq,
+        distance=ev.sq_dist / (constraint.p - constraint.k + 1),
+        sv_count=int(np.count_nonzero(ev.margins <= 1.0)),
+        converged=bool(ev.grad_sq < cfg.grad_tol),
         wall_time=time.perf_counter() - t0,
     )
+
+
+def _solve(solver, beta0, ws, design, constraint, weights, cfg, history):
+    cfg = cfg or SolverConfig()
+    t0 = time.perf_counter()
+    ev, iters = _solve_subproblem(beta0, design, constraint, weights, cfg,
+                                  _make_step(solver, ws, design, weights), history)
+    return ev.beta, _report(ev, iters, constraint, cfg, t0)
 
 
 def mm_solve(beta0, ws: MMWorkspace, design: DesignMatrix, constraint: SparsityConstraint,
              weights: PenaltyWeights, cfg: SolverConfig | None = None, history=None):
     """Run the factorization update to stationarity at fixed weights."""
-    cfg = cfg or SolverConfig()
-    t0 = time.perf_counter()
-
-    def step(beta, scores, grad):
-        return _mm_step(beta, scores, ws, design, constraint, weights)
-
-    beta, iters, grad_sq, objective, scores = _solve_subproblem(
-        beta0, design, constraint, weights, cfg, step, history)
-    return beta, _report(beta, iters, grad_sq, objective, scores, design, constraint, cfg, t0)
+    return _solve("mm", beta0, ws, design, constraint, weights, cfg, history)
 
 
 def sd_solve(beta0, ws: SDWorkspace, design: DesignMatrix, constraint: SparsityConstraint,
              weights: PenaltyWeights, cfg: SolverConfig | None = None, history=None):
     """Run guarded steepest descent to stationarity at fixed weights."""
-    cfg = cfg or SolverConfig()
-    t0 = time.perf_counter()
-
-    def step(beta, scores, grad):
-        return _sd_step(beta, grad, ws, design, weights)
-
-    beta, iters, grad_sq, objective, scores = _solve_subproblem(
-        beta0, design, constraint, weights, cfg, step, history)
-    return beta, _report(beta, iters, grad_sq, objective, scores, design, constraint, cfg, t0)
+    return _solve("sd", beta0, ws, design, constraint, weights, cfg, history)

@@ -44,16 +44,17 @@ def project(beta: np.ndarray, constraint: SparsityConstraint) -> np.ndarray:
     k, p = constraint.k, constraint.p
     if k >= p:
         return beta.copy()
-    out = np.zeros_like(beta)
+    out = np.zeros(beta.shape)
     out[p:] = beta[p:]
     if k == 0:
         return out
     mags = np.abs(beta[:p])
     kth = np.partition(mags, p - k)[p - k]
-    keep = np.flatnonzero(mags > kth)
-    short = k - keep.size
-    if short > 0:
-        keep = np.concatenate([keep, np.flatnonzero(mags == kth)[:short]])
+    keep = np.flatnonzero(mags >= kth)
+    if keep.size > k:
+        tied = mags[keep] == kth
+        above = keep[~tied]
+        keep = np.concatenate([above, keep[tied][:k - above.size]])
     out[keep] = beta[keep]
     return out
 

@@ -1,9 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 
+from sparsesvm import sparsity
 from sparsesvm.anneal import FitError, OuterRecord, prox_dist_fit, sv_count
 from sparsesvm.config import AnnealSchedule, SolverConfig
-from sparsesvm.data import DesignMatrix
+from sparsesvm.data import DesignMatrix, binarize
+from sparsesvm.multiclass import init_heuristic
 from sparsesvm.objective import PenaltyWeights, gradient
 from sparsesvm.simdata import gen_gaussian_causal
 from sparsesvm.sparsity import SparsityConstraint, sq_distance
@@ -63,7 +67,6 @@ class TestProxDistFit:
 
     def test_converged_implies_distance_below_tol(self, rng):
         ds, truth = gen_gaussian_causal(80, 20, k0=2, seed=5)
-        from sparsesvm.data import binarize
         design = binarize(ds, 1, 0)
         constraint = SparsityConstraint(k=2, p=20)
         sched = AnnealSchedule()
@@ -143,3 +146,32 @@ class TestProxDistFit:
         d = report.to_dict()
         assert d["converged"] in (True, False)
         assert d["outer_iters"] == report.outer_iters
+
+
+class TestWorkCount:
+    @pytest.mark.parametrize("solver", ["mm", "sd"])
+    def test_each_point_projected_once(self, monkeypatch, solver):
+        """Each inner iteration evaluates at most two points (the fresh iterate
+        and the extrapolated candidate), each projected once; each level adds
+        its starting point, each fit its final hard projection."""
+        calls = []
+        real = sparsity.project
+
+        def counting(beta, constraint):
+            calls.append(1)
+            return real(beta, constraint)
+
+        patched = []
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("sparsesvm") and getattr(mod, "project", None) is real:
+                monkeypatch.setattr(mod, "project", counting)
+                patched.append(name)
+        assert "sparsesvm.objective" in patched
+
+        ds, _ = gen_gaussian_causal(120, 40, 4, 5)
+        design = binarize(ds, 1, 0)
+        constraint = SparsityConstraint(k=4, p=40)
+        _, report = prox_dist_fit(design, constraint, init_heuristic(design), solver=solver)
+        assert report.total_inner_iters > 100
+        bound = 2 * report.total_inner_iters + 2 * report.outer_iters + 2
+        assert 0 < len(calls) <= bound

@@ -199,6 +199,38 @@ class TestErrors:
                   "--output", str(tmp_path / "t.csv")])
         assert err.value.code == 2
 
+    @pytest.fixture
+    def model_doc(self, tmp_path, capsys, causal_csv):
+        path = tmp_path / "m.json"
+        rc, _, _ = run_cli(capsys, "train", "--data", str(causal_csv), "--keep", "2",
+                           "--output", str(path))
+        assert rc == 0
+        return json.loads(path.read_text())
+
+    def predict_with(self, tmp_path, capsys, causal_csv, doc):
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        rc, _, err = run_cli(capsys, "predict", "--model", str(path),
+                             "--data", str(causal_csv), "--label-column", "label")
+        assert rc == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+        return lines[0]
+
+    def test_model_without_transform(self, tmp_path, capsys, causal_csv, model_doc):
+        del model_doc["transform"]
+        err = self.predict_with(tmp_path, capsys, causal_csv, model_doc)
+        assert "missing key 'transform'" in err
+
+    def test_linear_pair_without_coef(self, tmp_path, capsys, causal_csv, model_doc):
+        del model_doc["pairs"][0]["coef"]
+        err = self.predict_with(tmp_path, capsys, causal_csv, model_doc)
+        assert "missing key 'coef'" in err
+
+    def test_model_is_a_list(self, tmp_path, capsys, causal_csv, model_doc):
+        err = self.predict_with(tmp_path, capsys, causal_csv, [model_doc])
+        assert "JSON object" in err
+
     def test_unknown_flag_exit_code(self):
         proc = subprocess.run([sys.executable, "-m", "sparsesvm.cli", "train",
                                "--frobnicate"], capture_output=True, text=True)

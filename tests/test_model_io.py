@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sparsesvm.data import apply_transform
 from sparsesvm.model_io import MODEL_FORMAT, load_model, save_model
@@ -83,3 +86,57 @@ class TestFormatValidation:
         doc = json.loads(path.read_text())
         assert doc["format"] == MODEL_FORMAT
         assert doc["transform"] == {"kind": "none"}
+
+
+def _paths(node, prefix=()):
+    """Every (container path, key or index) in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _at(doc, prefix):
+    for key in prefix:
+        doc = doc[key]
+    return doc
+
+
+# a value of another JSON type than the one it replaces
+_RETYPED = {dict: [[], 1.5], list: ["x", 2.0], str: [3, None], int: ["1", [1]],
+            float: ["1.0", {}], type(None): [0, "null"], bool: ["true", {}]}
+
+
+@pytest.fixture(scope="module")
+def saved_docs(tmp_path_factory):
+    rng = np.random.default_rng(7)
+    raw = blob_dataset(rng, n_per=10)
+    ds = apply_transform(raw, "standardized")
+    out = tmp_path_factory.mktemp("docs")
+    docs = []
+    for name, model, transform in (
+            ("linear", train_ovo(ds, SparsityConstraint(k=2, p=4)), ds.transform_params),
+            ("kernel", train_ovo(raw, 0.5, kernel=GaussianKernelSpec(gamma=0.7)), None)):
+        save_model(out / f"{name}.json", model, transform=transform)
+        docs.append(json.loads((out / f"{name}.json").read_text()))
+    return docs
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_damaged_model_raises_value_error(saved_docs, tmp_path, data):
+    """Deleting any key or list entry (a whole pair aside, which leaves a
+    valid model) or retyping any value is reported as a ValueError."""
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(saved_docs))))
+    prefix, key = data.draw(st.sampled_from(list(_paths(doc))))
+    parent = _at(doc, prefix)
+    if prefix != ("pairs",) and data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(st.sampled_from(_RETYPED[type(parent[key])]))
+    path = tmp_path / "damaged.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        load_model(path)

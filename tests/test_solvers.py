@@ -1,19 +1,40 @@
 import numpy as np
 import pytest
 
-from sparsesvm.config import AccelPolicy, SolverConfig
+from sparsesvm.anneal import prox_dist_fit
+from sparsesvm.config import AccelPolicy, AnnealSchedule, SolverConfig
 from sparsesvm.data import DesignMatrix
 from sparsesvm.objective import (PenaltyWeights, gradient, penalized_objective,
                                  surrogate_value, working_response)
 from sparsesvm.solvers import (MMWorkspace, SDWorkspace, mm_solve, mm_update,
                                nesterov_step, sd_solve, sd_update, step_size)
-from sparsesvm.sparsity import SparsityConstraint, project
+from sparsesvm.sparsity import SparsityConstraint, project, sq_distance
 
 from conftest import random_problem
 
 
-def mm_workspace(design, per_value_loop=False):
-    return MMWorkspace.from_design(design, 1e-12, per_value_loop)
+def mm_workspace(design):
+    return MMWorkspace.from_design(design, 1e-12)
+
+
+def column_loop_update(beta, ws, design, constraint, weights):
+    """The factorization update accumulated one singular vector at a time."""
+    z = working_response(beta, design)
+    svd = ws.svd
+    if weights.b2 == 0.0:
+        out = np.zeros(design.X.shape[1])
+        for j in range(svd.r):
+            out += ((svd.U[:, j] @ z) / svd.s[j]) * svd.V[:, j]
+        return out
+    pm = project(beta, constraint)
+    out = pm.copy()
+    for j in range(svd.r):
+        s_j = svd.s[j]
+        denom = weights.a2 * s_j * s_j + weights.b2
+        c1 = weights.a2 * s_j / denom
+        c2 = weights.a2 * s_j * s_j / denom
+        out += (c1 * (svd.U[:, j] @ z) - c2 * (svd.V[:, j] @ pm)) * svd.V[:, j]
+    return out
 
 
 def normal_equation_oracle(beta, design, constraint, weights):
@@ -107,9 +128,9 @@ class TestMMUpdate:
             design, constraint, _ = random_problem(rng, 15, 6, 2)
             weights = PenaltyWeights.for_problem(15, constraint, rho)
             beta = rng.standard_normal(7)
-            fast = mm_update(beta, mm_workspace(design), design, constraint, weights)
-            slow = mm_update(beta, mm_workspace(design, per_value_loop=True),
-                             design, constraint, weights)
+            ws = mm_workspace(design)
+            fast = mm_update(beta, ws, design, constraint, weights)
+            slow = column_loop_update(beta, ws, design, constraint, weights)
             assert float(np.linalg.norm(fast - slow)) <= 1e-10
 
 
@@ -308,3 +329,160 @@ class TestSolveLoops:
         moved_sd = sd_update(beta, ws_sd, design, constraint, weights) - beta
         assert float(np.linalg.norm(moved_mm)) <= 1e-8
         assert float(np.linalg.norm(moved_sd)) <= 1e-8
+
+
+# Reference inner loop: evaluates every quantity afresh wherever it is used.
+# The solvers evaluate each point once; they must agree with it bit for bit.
+
+def ref_gradient_from_scores(beta, scores, design, constraint, weights):
+    v = -weights.a2 * design.y * np.maximum(0.0, 1.0 - design.y * scores)
+    g = design.X.T @ v
+    if weights.b2 != 0.0:
+        g = g + weights.b2 * (beta - project(beta, constraint))
+    return g
+
+
+def ref_objective_from_scores(beta, scores, design, constraint, weights):
+    slack = np.maximum(0.0, 1.0 - design.y * scores)
+    val = float(slack @ slack) / (2.0 * scores.size)
+    if weights.b2 != 0.0:
+        val += 0.5 * weights.b2 * sq_distance(beta, constraint)
+    return val
+
+
+def ref_step(solver, ws, design, constraint, weights):
+    def mm(beta, scores, grad):
+        y = design.y
+        z = np.where(y * scores >= 1.0, scores, y)
+        svd = ws.svd
+        if weights.b2 == 0.0:
+            return svd.V @ ((svd.U.T @ z) / svd.s)
+        pm = project(beta, constraint)
+        c1, c2 = ws.coefficients(weights)
+        return pm + svd.V @ (c1 * (svd.U.T @ z) - c2 * (svd.V.T @ pm))
+
+    def sd(beta, scores, grad):
+        return beta - step_size(grad, design, weights, ws.guard) * grad
+
+    return mm if solver == "mm" else sd
+
+
+def ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, history):
+    X = design.X
+    beta = np.asarray(beta0, dtype=float).copy()
+    scores = X @ beta
+    grad = ref_gradient_from_scores(beta, scores, design, constraint, weights)
+    grad_sq = float(grad @ grad)
+    accel = cfg.accel
+    j = 1
+    iters = 0
+    while grad_sq >= cfg.grad_tol and iters < cfg.max_inner:
+        beta_new = step(beta, scores, grad)
+        scores_new = X @ beta_new
+        grad_new = ref_gradient_from_scores(beta_new, scores_new, design, constraint, weights)
+        grad_sq_new = float(grad_new @ grad_new)
+        iters += 1
+        history.append(ref_objective_from_scores(beta_new, scores_new, design, constraint,
+                                                 weights))
+        if grad_sq_new < cfg.grad_tol or iters >= cfg.max_inner:
+            beta, scores, grad, grad_sq = beta_new, scores_new, grad_new, grad_sq_new
+            break
+        if accel is not None and iters > accel.warmup:
+            w = accel.weight(j)
+            if w > 0.0:
+                cand = beta_new + w * (beta_new - beta)
+                scores_cand = X @ cand
+                f_new = ref_objective_from_scores(beta_new, scores_new, design, constraint,
+                                                  weights)
+                f_cand = ref_objective_from_scores(cand, scores_cand, design, constraint,
+                                                   weights)
+                if f_cand > f_new and accel.restart_on_ascent:
+                    j = 1
+                else:
+                    j += 1
+                    beta_new, scores_new = cand, scores_cand
+                    grad_new = ref_gradient_from_scores(cand, scores_cand, design, constraint,
+                                                        weights)
+                    grad_sq_new = float(grad_new @ grad_new)
+            else:
+                j += 1
+        beta, scores, grad, grad_sq = beta_new, scores_new, grad_new, grad_sq_new
+    objective = ref_objective_from_scores(beta, scores, design, constraint, weights)
+    return beta, iters, grad_sq, objective
+
+
+def make_ws(solver, design):
+    return mm_workspace(design) if solver == "mm" else SDWorkspace.from_design(design)
+
+
+REFERENCE_CONFIGS = {
+    "default": SolverConfig(max_inner=400),
+    "no-accel": SolverConfig(accel=None, max_inner=400),
+    "no-restart": SolverConfig(accel=AccelPolicy(restart_on_ascent=False), max_inner=400),
+    "no-warmup": SolverConfig(accel=AccelPolicy(warmup=0), max_inner=400),
+    "small-budget": SolverConfig(accel=AccelPolicy(warmup=0), max_inner=7),
+}
+
+
+class TestMatchesReferenceLoop:
+    @pytest.mark.parametrize("cfg_name", sorted(REFERENCE_CONFIGS))
+    @pytest.mark.parametrize("solver", ["mm", "sd"])
+    def test_subproblem_bit_identical(self, rng, solver, cfg_name):
+        cfg = REFERENCE_CONFIGS[cfg_name]
+        solve = mm_solve if solver == "mm" else sd_solve
+        for rho in (0.0, 0.5, 5.0, 50.0):
+            n = int(rng.integers(6, 40))
+            p = int(rng.integers(2, 12))
+            design, constraint, weights = random_problem(
+                rng, n, p, int(rng.integers(0, p + 1)), rho=rho)
+            assert (weights.b2 == 0.0) == (rho == 0.0)
+            beta0 = rng.standard_normal(p + 1)
+            ws = make_ws(solver, design)
+            want_hist = []
+            want = ref_solve_subproblem(beta0, design, constraint, weights, cfg,
+                                        ref_step(solver, ws, design, constraint, weights),
+                                        want_hist)
+            got_hist = []
+            beta, report = solve(beta0, ws, design, constraint, weights, cfg,
+                                 history=got_hist)
+            np.testing.assert_array_equal(beta, want[0])
+            np.testing.assert_array_equal(np.asarray(got_hist), np.asarray(want_hist))
+            assert report.total_inner_iters == want[1]
+            assert report.grad_sq == want[2]
+            assert report.objective == want[3]
+            norm = constraint.p - constraint.k + 1
+            assert report.distance == sq_distance(want[0], constraint) / norm
+
+    @pytest.mark.parametrize("solver", ["mm", "sd"])
+    def test_anneal_records_bit_identical(self, rng, solver):
+        design, constraint, _ = random_problem(rng, 40, 12, 3)
+        beta0 = rng.standard_normal(13)
+        sched = AnnealSchedule(multiplier=1.5, max_outer=12)
+        cfg = SolverConfig(max_inner=300)
+        got = []
+        prox_dist_fit(design, constraint, beta0, solver=solver, sched=sched, cfg=cfg,
+                      trace_hook=got.append)
+
+        want = []
+        ws = make_ws(solver, design)
+        norm = constraint.p - constraint.k + 1
+        beta, rho, d_prev = beta0.copy(), sched.rho0, None
+        for outer in range(1, sched.max_outer + 1):
+            weights = PenaltyWeights.for_problem(design.n, constraint, rho)
+            beta, iters, grad_sq, objective = ref_solve_subproblem(
+                beta, design, constraint, weights, cfg,
+                ref_step(solver, ws, design, constraint, weights), [])
+            d_cur = sq_distance(beta, constraint) / norm
+            want.append((outer, rho, iters, objective, grad_sq, d_cur, beta.copy()))
+            if d_cur <= sched.dist_tol:
+                break
+            if d_prev is not None and abs(d_cur - d_prev) < sched.dist_tol * (1.0 + d_prev):
+                break
+            d_prev = d_cur
+            rho *= sched.multiplier
+
+        assert len(got) == len(want) > 1
+        for rec, ref in zip(got, want):
+            assert (rec.outer, rec.rho, rec.inner_iters, rec.objective, rec.grad_sq,
+                    rec.distance) == ref[:6]
+            np.testing.assert_array_equal(rec.beta, ref[6])

@@ -130,3 +130,22 @@ def test_intercept_never_touched(vec, kf):
     p = beta.size - 1
     c = SparsityConstraint(k=int(round(kf * p)), p=p)
     assert project(beta, c)[p] == beta[p]
+
+
+def stable_top_k(beta, k, p):
+    """Keep the k largest magnitudes among the first p entries, ties to the lower index."""
+    out = np.zeros(beta.size)
+    out[p:] = beta[p:]
+    keep = np.argsort(-np.abs(beta[:p]), kind="stable")[:k]
+    out[keep] = beta[keep]
+    return out
+
+
+@given(vec=st.lists(st.integers(min_value=-3, max_value=3), min_size=2, max_size=14))
+@settings(max_examples=300, deadline=None)
+def test_projection_matches_stable_sort_under_ties(vec):
+    beta = np.asarray(vec, dtype=float)
+    p = beta.size - 1
+    for k in range(p + 1):
+        got = project(beta, SparsityConstraint(k=k, p=p))
+        np.testing.assert_array_equal(got, stable_top_k(beta, k, p))
