@@ -19,7 +19,7 @@ import numpy as np
 from .anneal import prox_dist_fit
 from .config import AccelPolicy, AnnealSchedule, SolverConfig
 from .crossval import _make_problems, cross_validate
-from .data import DataError, apply_transform, load_csv, make_folds
+from .data import DataError, apply_transform, load_csv, load_features_csv, make_folds
 from .model_io import load_model, save_model
 from .multiclass import GaussianKernelSpec, init_heuristic, train_ovo
 from .simdata import SimSpec, gen_gaussian_causal, gen_spiral, gen_synthetic_corr
@@ -251,19 +251,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_feature_csv(path, has_header: bool) -> np.ndarray:
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if has_header:
-        rows = rows[1:]
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    try:
-        return np.asarray([[float(c) for c in row] for row in rows], dtype=float)
-    except ValueError as exc:
-        raise DataError(f"{path}: non-numeric feature cell: {exc}") from None
-
-
 def cmd_predict(args) -> int:
     saved = load_model(args.model)
     if args.label_column is not None:
@@ -271,7 +258,7 @@ def cmd_predict(args) -> int:
         feats = ds.features
         truth = [ds.class_names[i] for i in ds.labels]
     else:
-        feats = _read_feature_csv(args.data, has_header=not args.no_header)
+        feats = load_features_csv(args.data, has_header=not args.no_header)
         truth = None
     names = saved.predict_names(feats)
 

@@ -17,6 +17,7 @@ __all__ = [
     "ThinSVD",
     "FoldPlan",
     "load_csv",
+    "load_features_csv",
     "apply_transform",
     "binarize",
     "thin_svd",
@@ -171,37 +172,20 @@ class FoldPlan:
         return cls(int(doc["num_folds"]), np.asarray(doc["assignments"], dtype=int), int(doc["seed"]))
 
 
-def load_csv(path, label_column, has_header: bool = True) -> Dataset:
-    """Read a comma-delimited UTF-8 file into a Dataset.
+def _read_rows(path: Path) -> list[list[str]]:
+    """The non-empty rows of a comma-delimited UTF-8 file."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            return [row for row in csv.reader(fh) if row]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: malformed CSV: {exc}") from None
 
-    ``label_column`` is a header name (requires ``has_header``) or a 0-based
-    column index. Labels are factorized in first-appearance order; every other
-    cell must parse as a finite float.
-    """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = None
-    if has_header:
-        header, rows = [c.strip() for c in rows[0]], rows[1:]
-        if not rows:
-            raise DataError(f"{path}: no data rows")
-    ncol = len(header) if header is not None else len(rows[0])
 
-    if isinstance(label_column, str) and not label_column.lstrip("-").isdigit():
-        if header is None:
-            raise DataError("label column given by name but the file has no header")
-        if label_column not in header:
-            raise DataError(f"label column {label_column!r} not found in header {header}")
-        label_idx = header.index(label_column)
-    else:
-        label_idx = int(label_column)
-        if not -ncol <= label_idx < ncol:
-            raise DataError(f"label column index {label_idx} out of range for {ncol} columns")
-        label_idx %= ncol
-
+def _parse_rows(path, rows, ncol: int, label_idx: int | None = None):
+    """Feature values and raw labels of ``rows``: each row must have ``ncol``
+    cells, and each cell but the label a finite float. Rows count from 1."""
     feats = []
     raw_labels = []
     for i, row in enumerate(rows, start=1):
@@ -227,6 +211,53 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
                 raise DataError(f"{path}: non-finite value at row {i}, column {j}")
             vals.append(v)
         feats.append(vals)
+    return feats, raw_labels
+
+
+def load_features_csv(path, has_header: bool = True) -> np.ndarray:
+    """Read a comma-delimited UTF-8 file of feature cells only (no label
+    column) into an n x p array; every cell must parse as a finite float."""
+    path = Path(path)
+    rows = _read_rows(path)
+    if has_header:
+        rows = rows[1:]
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    feats, _ = _parse_rows(path, rows, len(rows[0]))
+    return np.asarray(feats, dtype=float)
+
+
+def load_csv(path, label_column, has_header: bool = True) -> Dataset:
+    """Read a comma-delimited UTF-8 file into a Dataset.
+
+    ``label_column`` is a header name (requires ``has_header``) or a 0-based
+    column index. Labels are factorized in first-appearance order; every other
+    cell must parse as a finite float.
+    """
+    path = Path(path)
+    rows = _read_rows(path)
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header = None
+    if has_header:
+        header, rows = [c.strip() for c in rows[0]], rows[1:]
+        if not rows:
+            raise DataError(f"{path}: no data rows")
+    ncol = len(header) if header is not None else len(rows[0])
+
+    if isinstance(label_column, str) and not label_column.lstrip("-").isdecimal():
+        if header is None:
+            raise DataError("label column given by name but the file has no header")
+        if label_column not in header:
+            raise DataError(f"label column {label_column!r} not found in header {header}")
+        label_idx = header.index(label_column)
+    else:
+        label_idx = int(label_column)
+        if not -ncol <= label_idx < ncol:
+            raise DataError(f"label column index {label_idx} out of range for {ncol} columns")
+        label_idx %= ncol
+
+    feats, raw_labels = _parse_rows(path, rows, ncol, label_idx)
 
     names: list[str] = []
     index: dict[str, int] = {}

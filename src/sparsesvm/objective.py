@@ -56,17 +56,42 @@ def _loss_from_slack(slack: np.ndarray) -> float:
     return float(slack @ slack) / (2.0 * slack.size)
 
 
+# Gathering rows costs about as much as a dense product over this many matrix
+# entries, besides copying them (numpy call overhead; measured with OpenBLAS on
+# a 2-vCPU x86 VM for designs from 101x101 to 600x501).
+_GATHER_COST = 40_000
+
+
+def _rows_dot(v: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """``v @ A``, read from the rows of ``A`` where ``v`` is nonzero when that
+    is the cheaper way.
+
+    A gathered row is copied before the product reads it, which costs about
+    three reads in place, so the rows are gathered only when the entries a
+    dense product would read beyond three per gathered row outnumber
+    ``_GATHER_COST``: never on small matrices, nor once a third of the rows
+    are nonzero.
+    """
+    width = A.shape[1]
+    if v.size * width > _GATHER_COST:
+        rows = np.flatnonzero(v)
+        if (v.size - 3 * rows.size) * width > _GATHER_COST:
+            return v[rows] @ A[rows]
+    return v @ A
+
+
 class _Eval:
     """The penalized objective at one point, each piece computed once.
 
-    Built from ``beta`` and its scores ``X @ beta``. The projection ``pm`` and
-    the squared distance are formed eagerly when b2 > 0 (the objective needs
-    them) and on first use otherwise; the gradient is formed on first use, so
-    a point whose objective alone is asked for never pays for ``X.T @ v``.
+    Built from ``beta`` and its scores ``X @ beta``; the margins and slack are
+    formed at once, everything else (the projection ``pm``, the squared
+    distance, loss, penalty, objective and gradient) on first use, so a point
+    whose gradient alone is asked for never pays for the loss, and one whose
+    objective alone is asked for never pays for ``X.T @ v``.
     """
 
-    __slots__ = ("beta", "scores", "margins", "slack", "loss", "penalty", "objective",
-                 "_design", "_constraint", "_weights", "_pm", "_sq_dist", "_grad", "_grad_sq")
+    __slots__ = ("beta", "scores", "margins", "slack", "_design", "_constraint", "_weights",
+                 "_pm", "_sq_dist", "_loss", "_objective", "_grad", "_grad_sq")
 
     def __init__(self, beta, scores, design, constraint, weights):
         self.beta = beta
@@ -76,13 +101,12 @@ class _Eval:
         self._weights = weights
         self._pm = None
         self._sq_dist = None
+        self._loss = None
+        self._objective = None
         self._grad = None
         self._grad_sq = None
         self.margins = design.y * scores
         self.slack = np.maximum(0.0, 1.0 - self.margins)
-        self.loss = _loss_from_slack(self.slack)
-        self.penalty = 0.5 * weights.b2 * self.sq_dist if weights.b2 != 0.0 else 0.0
-        self.objective = self.loss + self.penalty
 
     @property
     def pm(self) -> np.ndarray:
@@ -100,11 +124,29 @@ class _Eval:
         return self._sq_dist
 
     @property
+    def loss(self) -> float:
+        if self._loss is None:
+            self._loss = _loss_from_slack(self.slack)
+        return self._loss
+
+    @property
+    def penalty(self) -> float:
+        b2 = self._weights.b2
+        return 0.5 * b2 * self.sq_dist if b2 != 0.0 else 0.0
+
+    @property
+    def objective(self) -> float:
+        if self._objective is None:
+            self._objective = self.loss + self.penalty
+        return self._objective
+
+    @property
     def grad(self) -> np.ndarray:
-        # X^T v with v_i = -a2 * y_i * max(0, 1 - margin_i), plus the penalty pull
+        # X^T v with v_i = -a2 * y_i * max(0, 1 - margin_i), plus the penalty pull;
+        # v vanishes on the rows outside the margin, so only the others are read
         if self._grad is None:
             weights = self._weights
-            g = self._design.X.T @ (-weights.a2 * self._design.y * self.slack)
+            g = _rows_dot(-weights.a2 * self._design.y * self.slack, self._design.X)
             if weights.b2 != 0.0:
                 g = g + weights.b2 * (self.beta - self.pm)
             self._grad = g

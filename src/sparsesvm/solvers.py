@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import AccelPolicy, FitReport, SolverConfig
+from .config import FitReport, SolverConfig
 from .data import DesignMatrix, ThinSVD, thin_svd
-from .objective import PenaltyWeights, _Eval, _evaluate
+from .objective import PenaltyWeights, _Eval, _evaluate, _rows_dot
 from .sparsity import SparsityConstraint
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "step_size",
     "sd_update",
     "sd_solve",
-    "nesterov_step",
 ]
 
 
@@ -70,15 +69,15 @@ class SDWorkspace:
 
 
 def _mm_step(ev: _Eval, ws: MMWorkspace, design, weights) -> np.ndarray:
-    y = design.y
-    z = np.where(y * ev.scores >= 1.0, ev.scores, y)
+    z = np.where(ev.margins >= 1.0, ev.scores, design.y)
     svd = ws.svd
     if weights.b2 == 0.0:
         # unpenalized system: minimum-norm least-squares solution
         return svd.V @ ((svd.U.T @ z) / svd.s)
     pm = ev.pm
     c1, c2 = ws.coefficients(weights)
-    return pm + svd.V @ (c1 * (svd.U.T @ z) - c2 * (svd.V.T @ pm))
+    # V.T @ pm, read from the rows of V where pm is nonzero
+    return pm + svd.V @ (c1 * (svd.U.T @ z) - c2 * _rows_dot(pm, svd.V))
 
 
 def mm_update(beta, ws: MMWorkspace, design: DesignMatrix,
@@ -87,45 +86,36 @@ def mm_update(beta, ws: MMWorkspace, design: DesignMatrix,
     return _mm_step(_evaluate(beta, design, constraint, weights), ws, design, weights)
 
 
-def step_size(grad, design: DesignMatrix, weights: PenaltyWeights, guard: float) -> float:
-    """Exact minimizer of the majorizer along -grad, guarded against 0/0."""
-    grad = np.asarray(grad, dtype=float)
-    gsq = float(grad @ grad)
-    Xg = design.X @ grad
+def _exact_step(gsq: float, Xg: np.ndarray, weights: PenaltyWeights, guard: float) -> float:
     return gsq / (weights.a2 * float(Xg @ Xg) + weights.b2 * gsq + guard)
 
 
-def _sd_step(ev: _Eval, ws: SDWorkspace, design, weights) -> np.ndarray:
-    return ev.beta - step_size(ev.grad, design, weights, ws.guard) * ev.grad
+def step_size(grad, design: DesignMatrix, weights: PenaltyWeights, guard: float) -> float:
+    """Exact minimizer of the majorizer along -grad, guarded against 0/0."""
+    grad = np.asarray(grad, dtype=float)
+    return _exact_step(float(grad @ grad), design.X @ grad, weights, guard)
+
+
+def _sd_step(ev: _Eval, ws: SDWorkspace, design, weights):
+    """The descent step and, by linearity, the new iterate's scores."""
+    Xg = design.X @ ev.grad
+    eta = _exact_step(ev.grad_sq, Xg, weights, ws.guard)
+    return ev.beta - eta * ev.grad, ev.scores - eta * Xg
 
 
 def sd_update(beta, ws: SDWorkspace, design: DesignMatrix,
               constraint: SparsityConstraint, weights: PenaltyWeights) -> np.ndarray:
     """One steepest-descent step with the exact surrogate line search."""
-    return _sd_step(_evaluate(beta, design, constraint, weights), ws, design, weights)
+    return _sd_step(_evaluate(beta, design, constraint, weights), ws, design, weights)[0]
 
 
 def _make_step(solver: str, ws, design: DesignMatrix, weights: PenaltyWeights):
     """The update map of ``solver`` ("mm" or "sd") at fixed weights, taking an
-    evaluated point to the next iterate."""
+    evaluated point to the next iterate and its scores, or ``None`` where the
+    step does not hold them."""
     if solver == "mm":
-        return lambda ev: _mm_step(ev, ws, design, weights)
+        return lambda ev: (_mm_step(ev, ws, design, weights), None)
     return lambda ev: _sd_step(ev, ws, design, weights)
-
-
-def nesterov_step(beta_new, beta_old, j: int, policy: AccelPolicy,
-                  ascended: bool = False):
-    """Extrapolate past the fresh iterate; an ascent discards it and resets j.
-
-    Returns the candidate iterate and the updated counter.
-    """
-    beta_new = np.asarray(beta_new, dtype=float)
-    if ascended and policy.restart_on_ascent:
-        return beta_new.copy(), 1
-    w = policy.weight(j)
-    if w == 0.0:
-        return beta_new.copy(), j + 1
-    return beta_new + w * (beta_new - np.asarray(beta_old, dtype=float)), j + 1
 
 
 def _solve_subproblem(beta0, design, constraint, weights, cfg: SolverConfig,
@@ -140,8 +130,16 @@ def _solve_subproblem(beta0, design, constraint, weights, cfg: SolverConfig,
     candidate becomes the current point: the loop condition then tests the
     candidate's own gradient, so the returned point may be an extrapolated one.
 
-    Every point is evaluated once (see ``_Eval``). Returns the evaluation at
-    the final point and the number of updates taken.
+    Every point is evaluated once (see ``_Eval``). Scores are linear in the
+    coefficients, so a candidate's scores are extrapolated from those of the
+    two points it comes from, and a step that holds its iterate's scores hands
+    them back. An accelerated iteration thus reads the n x p design (or, for
+    ``mm``, its thin SVD factors) in full 3 times with ``mm`` (``U.T @ z``,
+    ``V @ coef`` and the new scores ``X @ beta``) and once with ``sd`` (the
+    line search's ``X @ g``), and, for the loss gradients of the new iterate
+    and of the candidate, the rows inside the margin twice (see ``_rows_dot``).
+
+    Returns the evaluation at the final point and the number of updates taken.
     """
     X = design.X
     beta = np.asarray(beta0, dtype=float).copy()
@@ -150,8 +148,10 @@ def _solve_subproblem(beta0, design, constraint, weights, cfg: SolverConfig,
     j = 1
     iters = 0
     while cur.grad_sq >= cfg.grad_tol and iters < cfg.max_inner:
-        beta_new = step(cur)
-        new = _Eval(beta_new, X @ beta_new, design, constraint, weights)
+        beta_new, scores_new = step(cur)
+        if scores_new is None:
+            scores_new = X @ beta_new
+        new = _Eval(beta_new, scores_new, design, constraint, weights)
         iters += 1
         if history is not None:
             history.append(new.objective)
@@ -161,8 +161,9 @@ def _solve_subproblem(beta0, design, constraint, weights, cfg: SolverConfig,
         if accel is not None and iters > accel.warmup:
             w = accel.weight(j)
             if w > 0.0:
-                beta_cand = beta_new + w * (beta_new - cur.beta)
-                cand = _Eval(beta_cand, X @ beta_cand, design, constraint, weights)
+                cand = _Eval(beta_new + w * (beta_new - cur.beta),
+                             scores_new + w * (scores_new - cur.scores),
+                             design, constraint, weights)
                 if cand.objective > new.objective and accel.restart_on_ascent:
                     j = 1
                 else:

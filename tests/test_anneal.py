@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from sparsesvm import sparsity
+from sparsesvm import solvers, sparsity
 from sparsesvm.anneal import FitError, OuterRecord, prox_dist_fit, sv_count
 from sparsesvm.config import AnnealSchedule, SolverConfig
 from sparsesvm.data import DesignMatrix, binarize
@@ -175,3 +175,31 @@ class TestWorkCount:
         assert report.total_inner_iters > 100
         bound = 2 * report.total_inner_iters + 2 * report.outer_iters + 2
         assert 0 < len(calls) <= bound
+
+
+class TestLinearScores:
+    @pytest.mark.parametrize("solver", ["mm", "sd"])
+    def test_scores_match_fresh_products_along_fit(self, monkeypatch, solver):
+        """Extrapolated candidates, and sd's new iterates, get their scores by
+        linearity; along a whole fit those stay within 1e-9 of X @ beta,
+        relative to its largest entry."""
+        errors = []
+
+        class Checked(solvers._Eval):
+            __slots__ = ()
+
+            def __init__(self, beta, scores, design, constraint, weights):
+                fresh = design.X @ beta
+                errors.append((float(np.max(np.abs(scores - fresh))),
+                               float(np.max(np.abs(fresh)))))
+                super().__init__(beta, scores, design, constraint, weights)
+
+        monkeypatch.setattr(solvers, "_Eval", Checked)
+        ds, _ = gen_gaussian_causal(120, 40, 4, 5)
+        design = binarize(ds, 1, 0)
+        _, report = prox_dist_fit(design, SparsityConstraint(k=4, p=40), init_heuristic(design),
+                                  solver=solver)
+        assert report.total_inner_iters > 100
+        err, scale = np.asarray(errors).T
+        assert np.count_nonzero(err) > report.total_inner_iters // 2
+        assert np.all(err <= 1e-9 * scale)

@@ -1,12 +1,16 @@
+import csv
 import json
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sparsesvm
 from sparsesvm.cli import main
@@ -231,10 +235,73 @@ class TestErrors:
         err = self.predict_with(tmp_path, capsys, causal_csv, [model_doc])
         assert "JSON object" in err
 
+    @pytest.mark.parametrize("bad,reason", [
+        ("nan", "non-finite value at row 2, column 3"),
+        ("inf", "non-finite value at row 2, column 3"),
+        (None, "row 2 has 7 cells, expected 8"),
+    ])
+    def test_feature_csv_rejects_bad_row(self, tmp_path, capsys, causal_csv, model_doc,
+                                         bad, reason):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(model_doc))
+        rows = [r.rsplit(",", 1)[0].split(",") for r in causal_csv.read_text().splitlines()]
+        if bad is None:
+            del rows[2][-1]
+        else:
+            rows[2][3] = bad
+        feats = tmp_path / "feats.csv"
+        feats.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        rc, out, err = run_cli(capsys, "predict", "--model", str(model), "--data", str(feats),
+                               "--output", str(tmp_path / "pred.csv"))
+        assert rc == 1 and out == ""
+        assert err.splitlines() == [f"error: {feats}: {reason}"]
+        assert not (tmp_path / "pred.csv").exists()
+
     def test_unknown_flag_exit_code(self):
         proc = subprocess.run([sys.executable, "-m", "sparsesvm.cli", "train",
                                "--frobnicate"], capture_output=True, text=True)
         assert proc.returncode == 2
+
+
+@pytest.fixture(scope="module")
+def fuzz_model(tmp_path_factory):
+    """A linear model on 3 features, trained once for the predict fuzzing."""
+    root = tmp_path_factory.mktemp("fuzz")
+    data, model = root / "d.csv", root / "m.json"
+    rows = ["f1,f2,f3,label"] + [f"{i % 5},{(i * 7) % 3},{i % 2},{'ab'[i % 2]}"
+                                 for i in range(20)]
+    data.write_text("\n".join(rows) + "\n")
+    assert main(["train", "--data", str(data), "--keep", "2", "--output", str(model)]) == 0
+    return model
+
+
+FEATURE_CELLS = st.one_of(st.sampled_from(["1", "-0.5", "2e1", " 3 ", "nan", "inf", "", "x"]),
+                          st.text(max_size=3))
+FEATURE_ROWS = st.one_of(st.lists(FEATURE_CELLS, min_size=3, max_size=3),
+                         st.lists(FEATURE_CELLS, min_size=1, max_size=5))
+
+
+@given(rows=st.lists(FEATURE_ROWS, min_size=1, max_size=4), header=st.booleans())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_predict_fuzzed_feature_csv(tmp_path, capsys, fuzz_model, rows, header):
+    """Any feature file gives predictions, one per row, or exit 1 with one error line."""
+    feats = tmp_path / "fuzz.csv"
+    feats.write_text("\n".join(",".join(r) for r in rows), encoding="utf-8")
+    argv = ["predict", "--model", str(fuzz_model), "--data", str(feats)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(capsys, *argv, *([] if header else ["--no-header"]))
+    if rc == 0:
+        with feats.open(newline="", encoding="utf-8") as fh:
+            parsed = [r for r in csv.reader(fh) if r][1 if header else 0:]
+        assert all(np.isfinite(float(c)) for r in parsed for c in r)
+        lines = out.splitlines()
+        assert lines[0] == "prediction" and set(lines[1:]) <= {"a", "b"}
+        assert len(lines) == 1 + len(parsed) and err == ""
+    else:
+        assert rc == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def _load_toml(path):

@@ -2,12 +2,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sparsesvm.data import (DataError, Dataset, DesignMatrix, FoldPlan,
-                            apply_transform, binarize, load_csv, make_folds,
-                            thin_svd)
+                            apply_transform, binarize, load_csv, load_features_csv,
+                            make_folds, thin_svd)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -50,6 +50,75 @@ class TestLoadCsv:
         path = write(tmp_path, "f1,label\n1.0,z\n2.0,a\n3.0,z\n4.0,m\n")
         ds = load_csv(path, "label")
         assert ds.class_names == ("z", "a", "m")
+
+
+class TestLoadFeaturesCsv:
+    def test_readback(self, tmp_path):
+        path = write(tmp_path, "f1,f2\n1.0,2.0\n3.0,4.0\n")
+        np.testing.assert_array_equal(load_features_csv(path), [[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_reports_row(self, tmp_path, cell):
+        path = write(tmp_path, f"f1,f2\n1.0,2.0\n3.0,{cell}\n")
+        with pytest.raises(DataError, match="non-finite value at row 2, column 1"):
+            load_features_csv(path)
+
+    def test_ragged_row_reported(self, tmp_path):
+        path = write(tmp_path, "1.0,2.0\n3.0\n", name="r.csv")
+        with pytest.raises(DataError, match="row 2 has 1 cells, expected 2"):
+            load_features_csv(path, has_header=False)
+
+    def test_field_over_csv_limit(self, tmp_path):
+        path = write(tmp_path, "f1\n" + "1" * 200_000 + "\n")
+        with pytest.raises(DataError, match="malformed CSV"):
+            load_features_csv(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_bytes(b"f1\n\xff\n")
+        with pytest.raises(DataError, match="not UTF-8"):
+            load_features_csv(path)
+
+
+# Cells a CSV loader meets: numbers, non-finite spellings, blanks, words and
+# arbitrary short text (quotes, separators and line breaks included).
+CSV_CELLS = st.one_of(
+    st.sampled_from(["1", "-2.5", "0", "1e3", " 7 ", "nan", "inf", "-inf", "1e999",
+                     "", " ", "a", "b", "x"]),
+    st.text(max_size=4),
+)
+CSV_TEXT = st.lists(st.lists(CSV_CELLS, min_size=1, max_size=4), max_size=6).map(
+    lambda rows: "\n".join(",".join(row) for row in rows))
+CSV_BYTES = st.one_of(CSV_TEXT.map(lambda t: t.encode("utf-8")), st.binary(max_size=40))
+FUZZ = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@given(content=CSV_BYTES, header=st.booleans(),
+       label=st.sampled_from([0, -1, 3, "1", "f1", "label", "²"]))
+@FUZZ
+def test_load_csv_gives_dataset_or_data_error(tmp_path, content, header, label):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(content)
+    try:
+        ds = load_csv(path, label, has_header=header)
+    except DataError:
+        return
+    assert ds.features.ndim == 2 and ds.n == ds.labels.size
+    assert np.all(np.isfinite(ds.features))
+
+
+@given(content=CSV_BYTES, header=st.booleans())
+@FUZZ
+def test_load_features_csv_gives_array_or_data_error(tmp_path, content, header):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(content)
+    try:
+        feats = load_features_csv(path, has_header=header)
+    except DataError:
+        return
+    assert feats.ndim == 2 and feats.shape[0] >= 1
+    assert np.all(np.isfinite(feats))
 
 
 class TestTransforms:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsesvm.data import DesignMatrix
-from sparsesvm.objective import (PenaltyWeights, gradient, hinge_loss,
+from sparsesvm.objective import (PenaltyWeights, _Eval, _rows_dot, gradient, hinge_loss,
                                  penalized_objective, surrogate_value,
                                  working_response)
 from sparsesvm.sparsity import SparsityConstraint, project, sq_distance
@@ -155,6 +157,59 @@ class TestGradient:
         v = -weights.a2 * design.y * np.maximum(0.0, 1.0 - margins)
         penalty_part = gradient(beta, design, constraint, weights) - design.X.T @ v
         assert penalty_part[-1] == pytest.approx(0.0, abs=1e-14)
+
+
+@given(large=st.booleans(), kf=st.floats(0.0, 1.0), rows=st.sampled_from(["none", "all", "mixed"]),
+       flip=st.floats(0.0, 1.0), rho=st.sampled_from([0.0, 0.5, 50.0]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_eval_gradient_matches_dense_oracle(large, kf, rows, flip, rho, seed):
+    """The gradient read from the rows inside the margin equals the dense
+    X.T @ (-a2 y slack) + b2 (beta - pm), with no, every, or some rows inside,
+    on small designs and on designs large enough to gather those rows."""
+    rng = np.random.default_rng(seed)
+    n, p = (int(rng.integers(200, 320)), int(rng.integers(150, 260))) if large else (
+        int(rng.integers(1, 31)), int(rng.integers(1, 11)))
+    design, constraint, weights = random_problem(rng, n, p, int(round(kf * p)), rho=rho)
+    X, y = design.X, design.y
+    beta = rng.standard_normal(p + 1)
+    scores = X @ beta
+    if rows == "all":
+        beta = beta * (0.5 / max(float(np.max(np.abs(scores))), 1e-300))
+    else:
+        # labels follow the scores, scaled so every margin is at least 2;
+        # "mixed" then flips a drawn share of the labels, putting those rows inside
+        y = np.where(scores >= 0.0, 1.0, -1.0)
+        beta = beta * (2.0 / max(float(np.min(np.abs(scores))), 1e-300))
+        if rows == "mixed":
+            y = np.where(rng.random(n) < flip, -y, y)
+    design = DesignMatrix(X, y)
+    scores = X @ beta
+    slack = np.maximum(0.0, 1.0 - y * scores)
+    inside = np.count_nonzero(slack)
+    assert {"none": inside == 0, "all": inside == n, "mixed": True}[rows]
+
+    got = _Eval(beta, scores, design, constraint, weights).grad
+    v = -weights.a2 * y * slack
+    pull = weights.b2 * (beta - project(beta, constraint))
+    want = X.T @ v + pull
+    bound = 1e-12 * (1.0 + np.abs(X).T @ np.abs(v) + np.abs(pull))
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def test_rows_dot_reads_only_nonzero_rows_of_large_matrices(rng):
+    """On a large matrix with few nonzero weights the zero-weight rows are never
+    read (NaN there would poison a dense product); small ones use the dense product."""
+    A = rng.standard_normal((300, 201))
+    v = np.zeros(300)
+    rows = rng.choice(300, 12, replace=False)
+    v[rows] = rng.standard_normal(12)
+    want = A.T @ v
+    A[v == 0.0] = np.nan
+    got = _rows_dot(v, A)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert np.any(v[:40] == 0.0)
+    assert np.all(np.isnan(_rows_dot(v[:40], A[:40, :20])))
 
 
 class TestSurrogate:
