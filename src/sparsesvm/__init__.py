@@ -17,7 +17,7 @@ from .kernel import (KernelModel, gram_matrix, kernel_design, kernel_predict,
                      median_bandwidth)
 from .model_io import MODEL_FORMAT, SavedModel, load_model, save_model
 from .multiclass import (GaussianKernelSpec, OVOModel, PairClassifier,
-                         init_heuristic, predict_ovo, train_ovo)
+                         PairProblem, init_heuristic, predict_ovo, train_ovo)
 from .objective import (ObjectiveState, PenaltyWeights, gradient, hinge_loss,
                         penalized_objective, surrogate_value, working_response)
 from .simdata import (PlantedModel, SimSpec, gen_gaussian_causal, gen_spiral,

@@ -44,10 +44,10 @@ def sv_count(beta, design: DesignMatrix) -> int:
     return int(np.count_nonzero(margins <= 1.0))
 
 
-def make_workspace(design: DesignMatrix, solver: str, cfg: SolverConfig):
+def make_workspace(design: DesignMatrix, solver: str):
     solver = solver.lower()
     if solver == "mm":
-        return MMWorkspace.from_design(design, cfg.svd_rank_tol)
+        return MMWorkspace.from_design(design)
     if solver == "sd":
         return SDWorkspace.from_design(design)
     raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
@@ -71,7 +71,7 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
     solver = solver.lower()
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
-    ws = workspace if workspace is not None else make_workspace(design, solver, cfg)
+    ws = workspace if workspace is not None else make_workspace(design, solver)
 
     t0 = time.perf_counter()
     beta = np.asarray(beta0, dtype=float).copy()

@@ -16,12 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .anneal import prox_dist_fit
 from .config import AccelPolicy, AnnealSchedule, SolverConfig
-from .crossval import _make_problems, cross_validate
+from .crossval import cross_validate
 from .data import DataError, apply_transform, load_csv, load_features_csv, make_folds
 from .model_io import load_model, save_model
-from .multiclass import GaussianKernelSpec, init_heuristic, train_ovo
+from .multiclass import GaussianKernelSpec, PairProblem, class_pairs, train_ovo
 from .simdata import SimSpec, gen_gaussian_causal, gen_spiral, gen_synthetic_corr
 from .sparsity import SparsityConstraint, project
 
@@ -288,6 +287,9 @@ def _stratified_split(labels: np.ndarray, fraction: float, seed: int):
 
 
 def cmd_cv(args) -> int:
+    if any(v is not None for v in (args.sparsity, args.keep, args.dual_sparsity)):
+        raise UsageError("cv sweeps the sparsity levels given by --grid; "
+                         "--sparsity/--keep/--dual-sparsity do not apply")
     raw = load_csv(args.data, args.label_column, has_header=not args.no_header)
     try:
         grid = sorted(float(tok) for tok in args.grid.split(",") if tok.strip())
@@ -305,12 +307,7 @@ def cmd_cv(args) -> int:
             holdout = replace(holdout, features=ds_cv.transform_params.apply(holdout.features),
                               transform=args.transform, transform_params=ds_cv.transform_params)
 
-    kernel = None
-    if args.kernel is not None:
-        if args.sparsity is not None or args.keep is not None:
-            raise UsageError("with --kernel the grid already controls dual sparsity; "
-                             "--sparsity/--keep do not apply")
-        kernel = GaussianKernelSpec(gamma=args.gamma)
+    kernel = GaussianKernelSpec(gamma=args.gamma) if args.kernel is not None else None
 
     folds = make_folds(ds_cv.n, args.folds, args.seed, labels=ds_cv.labels)
     table = cross_validate(ds_cv, folds, grid, solver=args.algorithm, sched=_schedule(args),
@@ -331,23 +328,18 @@ def cmd_trace(args) -> int:
     sparsity, kernel = _resolve_sparsity(args, ds.p)
     cfg = _solver_config(args)
     sched = _schedule(args)
-    problems = _make_problems(ds, args.algorithm, cfg, kernel)
 
     out_rows = []
-    for prob in problems:
-        if isinstance(sparsity, SparsityConstraint):
-            constraint = sparsity
-        else:
-            constraint = SparsityConstraint.from_sparsity(float(sparsity), prob.design.p)
+    for i, j in class_pairs(len(ds.class_names)):
+        prob = PairProblem.build(ds, i, j, kernel)
         records = []
-        prox_dist_fit(prob.design, constraint, init_heuristic(prob.design),
-                      solver=args.algorithm, sched=sched, cfg=cfg,
-                      workspace=prob.workspace, trace_hook=records.append)
+        prob.fit(sparsity, args.algorithm, sched, cfg, trace_hook=records.append)
+        constraint = prob.constraint(sparsity)
         X, y = prob.design.X, prob.design.y
         for rec in records:
             bp = project(rec.beta, constraint)
             acc = 100.0 * float(np.mean(((X @ bp) >= 0.0) == (y > 0)))
-            out_rows.append([ds.class_names[prob.positive], ds.class_names[prob.negative],
+            out_rows.append([ds.class_names[i], ds.class_names[j],
                              rec.outer, repr(rec.rho), rec.inner_iters, repr(rec.objective),
                              repr(rec.grad_sq), repr(rec.distance), repr(acc)])
 

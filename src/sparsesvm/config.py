@@ -61,15 +61,12 @@ class SolverConfig:
     grad_tol: float = 1e-6
     max_inner: int = 10_000
     accel: AccelPolicy | None = field(default_factory=AccelPolicy)
-    svd_rank_tol: float = 1e-12
 
     def __post_init__(self):
         if self.grad_tol <= 0:
             raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
         if self.max_inner < 1:
             raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
-        if self.svd_rank_tol < 0:
-            raise ValueError("svd_rank_tol must be nonnegative")
 
 
 @dataclass

@@ -7,18 +7,14 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .anneal import make_workspace, prox_dist_fit
 from .config import AnnealSchedule, SolverConfig
-from .data import Dataset, DesignMatrix, FoldPlan, binarize
-from .kernel import KernelModel, gram_matrix, kernel_design, median_bandwidth
-from .multiclass import (GaussianKernelSpec, OVOModel, PairClassifier,
-                         class_pairs, init_heuristic, predict_ovo)
-from .sparsity import SparsityConstraint
+from .data import Dataset, FoldPlan
+from .multiclass import (GaussianKernelSpec, OVOModel, PairProblem, class_pairs,
+                         ordered_map, predict_ovo)
 
 __all__ = ["SelectionMetrics", "selection_metrics", "accuracy_pct",
            "CVRow", "CVTable", "cross_validate"]
@@ -193,65 +189,19 @@ class CVTable:
         return json.dumps(doc, allow_nan=True)
 
 
-@dataclass
-class _PairProblem:
-    positive: int
-    negative: int
-    design: DesignMatrix
-    workspace: object
-    kernel_info: tuple | None
-    warm: np.ndarray | None = None
-    rho: float | None = None
-
-
-def _make_problems(ds_tr: Dataset, solver, cfg, kernel) -> list[_PairProblem]:
-    problems = []
-    for i, j in class_pairs(len(ds_tr.class_names)):
-        if kernel is None:
-            design = binarize(ds_tr, i, j)
-            kinfo = None
-        else:
-            mask = (ds_tr.labels == i) | (ds_tr.labels == j)
-            feats = ds_tr.features[mask]
-            y = np.where(ds_tr.labels[mask] == i, 1.0, -1.0)
-            gamma = kernel.gamma if kernel.gamma is not None else median_bandwidth(feats)
-            design = kernel_design(gram_matrix(feats, gamma), y)
-            kinfo = (feats, y, gamma)
-        problems.append(_PairProblem(i, j, design, make_workspace(design, solver, cfg), kinfo))
-    return problems
-
-
-def _to_pair_classifier(problem: _PairProblem, beta, report) -> PairClassifier:
-    if problem.kernel_info is None:
-        return PairClassifier(problem.positive, problem.negative, coef=beta, report=report)
-    feats, y, gamma = problem.kernel_info
-    model = KernelModel(alpha=beta, gamma=gamma, train_features=feats, train_labels=y)
-    return PairClassifier(problem.positive, problem.negative, kernel=model, report=report)
-
-
-def _run_fold(ds, folds, fold, grid, solver, sched, cfg, holdout, kernel, class_names):
+def _run_fold(ds, folds, fold, grid, solver, sched, cfg, holdout, kernel):
     tr_idx = folds.train_indices(fold)
     va_idx = folds.val_indices(fold)
     ds_tr = ds.take(tr_idx)
-    problems = _make_problems(ds_tr, solver, cfg, kernel)
+    problems = [PairProblem.build(ds_tr, i, j, kernel)
+                for i, j in class_pairs(len(ds_tr.class_names))]
     rows = []
     # the densest fit roots the warm-start chain even when 0 is not on the grid
     work_grid = grid if grid[0] == 0.0 else [0.0] + grid
     for s in work_grid:
         t0 = time.perf_counter()
-        fitted = []
         try:
-            for prob in problems:
-                constraint = SparsityConstraint.from_sparsity(s, prob.design.p)
-                beta0 = prob.warm if prob.warm is not None else init_heuristic(prob.design)
-                # the annealing penalty continues where the previous level left
-                # off, so each sparser level re-polishes instead of re-annealing
-                level = replace(sched, rho0=prob.rho) if prob.rho is not None else sched
-                beta, rep = prox_dist_fit(prob.design, constraint, beta0, solver=solver,
-                                          sched=level, cfg=cfg, workspace=prob.workspace)
-                prob.warm = beta
-                prob.rho = level.rho0 * sched.multiplier ** (rep.outer_iters - 1)
-                fitted.append((prob, beta, rep, constraint))
+            pairs = [prob.fit(s, solver, sched, cfg) for prob in problems]
         except Exception as exc:
             if s in grid:
                 rows.append(CVRow(fold, s, float("nan"), 0, 0.0, *([float("nan")] * 6),
@@ -260,22 +210,22 @@ def _run_fold(ds, folds, fold, grid, solver, sched, cfg, holdout, kernel, class_
         elapsed = time.perf_counter() - t0
         if s not in grid:
             continue
-        model = OVOModel(pairs=[_to_pair_classifier(pr, b, rep) for pr, b, rep, _ in fitted],
-                         class_names=class_names)
+        model = OVOModel(pairs=pairs, class_names=ds.class_names)
+        reports = [pair.report for pair in pairs]
         test_pct = (accuracy_pct(model, holdout.features, holdout.labels)
                     if holdout is not None else float("nan"))
         rows.append(CVRow(
             fold=fold,
             s=s,
-            k=float(np.mean([c.k for _, _, _, c in fitted])),
-            iterations=int(sum(rep.total_inner_iters for _, _, rep, _ in fitted)),
+            k=float(np.mean([prob.constraint(s).k for prob in problems])),
+            iterations=int(sum(rep.total_inner_iters for rep in reports)),
             time_s=elapsed,
-            objective=float(np.mean([rep.objective for _, _, rep, _ in fitted])),
-            sq_dist=float(np.mean([rep.distance for _, _, rep, _ in fitted])),
+            objective=float(np.mean([rep.objective for rep in reports])),
+            sq_dist=float(np.mean([rep.distance for rep in reports])),
             train_pct=accuracy_pct(model, ds_tr.features, ds_tr.labels),
             valid_pct=accuracy_pct(model, ds.features[va_idx], ds.labels[va_idx]),
             test_pct=test_pct,
-            sv=float(np.mean([rep.sv_count for _, _, rep, _ in fitted])),
+            sv=float(np.mean([rep.sv_count for rep in reports])),
         ))
     return rows
 
@@ -304,15 +254,9 @@ def cross_validate(ds: Dataset, folds: FoldPlan, sparsity_grid, solver: str = "m
         raise ValueError("fold plan does not match dataset size")
 
     def run(fold):
-        return _run_fold(ds, folds, fold, grid, solver, sched, cfg, holdout, kernel,
-                         ds.class_names)
+        return _run_fold(ds, folds, fold, grid, solver, sched, cfg, holdout, kernel)
 
-    fold_ids = list(range(folds.num_folds))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            per_fold = list(pool.map(run, fold_ids))
-    else:
-        per_fold = [run(f) for f in fold_ids]
+    per_fold = ordered_map(run, range(folds.num_folds), n_threads)
     rows = [row for rows_f in per_fold for row in rows_f]
 
     best_s = grid[0]

@@ -2,19 +2,19 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import concurrent.futures
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .anneal import prox_dist_fit
+from .anneal import make_workspace, prox_dist_fit
 from .config import AnnealSchedule, FitReport, SolverConfig
 from .data import Dataset, DesignMatrix, binarize
 from .kernel import KernelModel, gram_matrix, kernel_design, kernel_predict, median_bandwidth
 from .sparsity import SparsityConstraint
 
-__all__ = ["GaussianKernelSpec", "PairClassifier", "OVOModel", "init_heuristic",
-           "class_pairs", "train_ovo", "predict_ovo"]
+__all__ = ["GaussianKernelSpec", "PairClassifier", "OVOModel", "PairProblem",
+           "init_heuristic", "class_pairs", "ordered_map", "train_ovo", "predict_ovo"]
 
 
 @dataclass(frozen=True)
@@ -76,31 +76,76 @@ class OVOModel:
         return len(self.class_names)
 
 
-def _resolve_constraint(sparsity, p: int) -> SparsityConstraint:
-    if isinstance(sparsity, SparsityConstraint):
-        if sparsity.p != p:
-            raise ValueError(f"constraint built for p={sparsity.p}, design has p={p}")
-        return sparsity
-    return SparsityConstraint.from_sparsity(float(sparsity), p)
+def ordered_map(func, items, n_threads: int = 1) -> list:
+    """``[func(x) for x in items]``, spread over up to ``n_threads`` worker threads."""
+    items = list(items)
+    if n_threads > 1 and len(items) > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=n_threads) as pool:
+            return list(pool.map(func, items))
+    return [func(x) for x in items]
 
 
-def _fit_pair(ds, pos, neg, sparsity, solver, sched, cfg, kernel) -> PairClassifier:
-    if kernel is None:
+@dataclass
+class PairProblem:
+    """One class pair as a binary design, fitted into ``PairClassifier``s.
+
+    The design is ``binarize``'s; with a kernel it becomes [K diag(y) | 1]
+    over that design's feature rows and +/-1 labels, which the fitted
+    ``KernelModel`` keeps as its training rows. The solver workspace, the
+    last coefficients and the penalty reached persist across ``fit`` calls,
+    so each call after the first warm-starts where the previous one stopped;
+    every call of one problem uses the same solver.
+    """
+
+    positive: int
+    negative: int
+    design: DesignMatrix
+    kernel_rows: tuple[np.ndarray, np.ndarray, float] | None = None
+    warm: np.ndarray | None = None
+    rho: float | None = None
+    _workspace: object = field(default=None, repr=False)
+
+    @classmethod
+    def build(cls, ds: Dataset, pos: int, neg: int,
+              kernel: GaussianKernelSpec | None = None) -> "PairProblem":
         design = binarize(ds, pos, neg)
-        constraint = _resolve_constraint(sparsity, design.p)
-        beta, report = prox_dist_fit(design, constraint, init_heuristic(design),
-                                     solver=solver, sched=sched, cfg=cfg)
-        return PairClassifier(pos, neg, coef=beta, report=report)
-    mask = (ds.labels == pos) | (ds.labels == neg)
-    feats = ds.features[mask]
-    y = np.where(ds.labels[mask] == pos, 1.0, -1.0)
-    gamma = kernel.gamma if kernel.gamma is not None else median_bandwidth(feats)
-    design = kernel_design(gram_matrix(feats, gamma), y)
-    constraint = _resolve_constraint(sparsity, design.p)
-    alpha, report = prox_dist_fit(design, constraint, init_heuristic(design),
-                                  solver=solver, sched=sched, cfg=cfg)
-    model = KernelModel(alpha=alpha, gamma=gamma, train_features=feats, train_labels=y)
-    return PairClassifier(pos, neg, kernel=model, report=report)
+        if kernel is None:
+            return cls(pos, neg, design)
+        feats = np.ascontiguousarray(design.X[:, :-1])
+        gamma = kernel.gamma if kernel.gamma is not None else median_bandwidth(feats)
+        return cls(pos, neg, kernel_design(gram_matrix(feats, gamma), design.y),
+                   kernel_rows=(feats, design.y, gamma))
+
+    def constraint(self, sparsity) -> SparsityConstraint:
+        """A SparsityConstraint for this design's p, or a fraction of it."""
+        p = self.design.p
+        if isinstance(sparsity, SparsityConstraint):
+            if sparsity.p != p:
+                raise ValueError(f"constraint built for p={sparsity.p}, design has p={p}")
+            return sparsity
+        return SparsityConstraint.from_sparsity(float(sparsity), p)
+
+    def fit(self, sparsity, solver: str = "mm", sched: AnnealSchedule | None = None,
+            cfg: SolverConfig | None = None, trace_hook=None) -> PairClassifier:
+        """Fit at ``sparsity``: from ``init_heuristic`` at ``sched.rho0`` the first
+        time, afterwards from the last coefficients at the penalty last reached."""
+        sched = sched or AnnealSchedule()
+        constraint = self.constraint(sparsity)
+        if self._workspace is None:
+            self._workspace = make_workspace(self.design, solver)
+        beta0 = self.warm if self.warm is not None else init_heuristic(self.design)
+        # a later fit continues the penalty ladder instead of re-annealing
+        level = replace(sched, rho0=self.rho) if self.rho is not None else sched
+        beta, report = prox_dist_fit(self.design, constraint, beta0, solver=solver,
+                                     sched=level, cfg=cfg, workspace=self._workspace,
+                                     trace_hook=trace_hook)
+        self.warm = beta
+        self.rho = level.rho0 * sched.multiplier ** (report.outer_iters - 1)
+        if self.kernel_rows is None:
+            return PairClassifier(self.positive, self.negative, coef=beta, report=report)
+        feats, y, gamma = self.kernel_rows
+        model = KernelModel(alpha=beta, gamma=gamma, train_features=feats, train_labels=y)
+        return PairClassifier(self.positive, self.negative, kernel=model, report=report)
 
 
 def train_ovo(ds: Dataset, sparsity, solver: str = "mm",
@@ -111,23 +156,17 @@ def train_ovo(ds: Dataset, sparsity, solver: str = "mm",
     ``sparsity`` is either a SparsityConstraint (linear case) or a fraction in
     [0, 1); with a kernel the fraction applies to each pair's own sample count.
     """
-    pairs = class_pairs(len(ds.class_names))
-
     def fit(pair):
         i, j = pair
         try:
-            return _fit_pair(ds, i, j, sparsity, solver, sched, cfg, kernel)
+            return PairProblem.build(ds, i, j, kernel).fit(sparsity, solver, sched, cfg)
         except Exception as exc:
             raise RuntimeError(
                 f"fit failed for class pair ({ds.class_names[i]}, {ds.class_names[j]}): {exc}"
             ) from exc
 
-    if n_threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            fitted = list(pool.map(fit, pairs))
-    else:
-        fitted = [fit(pair) for pair in pairs]
-    return OVOModel(pairs=fitted, class_names=ds.class_names)
+    return OVOModel(pairs=ordered_map(fit, class_pairs(len(ds.class_names)), n_threads),
+                    class_names=ds.class_names)
 
 
 def predict_ovo(model: OVOModel, features):

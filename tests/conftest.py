@@ -1,9 +1,22 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sparsesvm.data import DesignMatrix
 from sparsesvm.objective import PenaltyWeights
 from sparsesvm.sparsity import SparsityConstraint
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture(autouse=True)
+def child_pythonpath(monkeypatch):
+    """pytest puts src/ on sys.path (pyproject.toml); interpreters a test
+    starts import the package from the same checkout."""
+    monkeypatch.setenv("PYTHONPATH",
+                       os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture

@@ -177,7 +177,58 @@ class TestTrace:
         assert a.read_bytes() == b.read_bytes()
 
 
+    @pytest.mark.parametrize("flags", [("--keep", "1"),
+                                       ("--kernel", "gaussian", "--dual-sparsity", "0.5")],
+                             ids=["linear", "kernel"])
+    def test_last_row_per_pair_matches_train_report(self, tmp_path, capsys, spiral_csv,
+                                                     flags):
+        trace = tmp_path / "trace.csv"
+        rc, _, _ = run_cli(capsys, "trace", "--data", str(spiral_csv), *flags,
+                           "--output", str(trace))
+        assert rc == 0
+        rc, out, _ = run_cli(capsys, "train", "--data", str(spiral_csv), *flags,
+                             "--output", str(tmp_path / "m.json"))
+        assert rc == 0
+        last = {}
+        with trace.open(newline="") as fh:
+            for row in csv.DictReader(fh):
+                last[row["positive"], row["negative"]] = int(row["outer"])
+        reports = json.loads(out)["pairs"]
+        assert len(reports) == len(last) == 3
+        assert list(last.values()) == [rep["outer_iters"] for rep in reports]
+
+
 class TestErrors:
+    @pytest.mark.parametrize("kernel", [(), ("--kernel", "gaussian")], ids=["linear", "kernel"])
+    @pytest.mark.parametrize("flag", [("--sparsity", "0.9"), ("--keep", "1"),
+                                      ("--dual-sparsity", "0.3")],
+                             ids=["sparsity", "keep", "dual-sparsity"])
+    def test_cv_rejects_sparsity_flags(self, tmp_path, capsys, causal_csv, kernel, flag):
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["cv", "--data", str(causal_csv), "--grid", "0,0.5", "--folds", "3",
+                  *kernel, *flag, "--output", str(out)])
+        assert err.value.code == 2
+        assert "--grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kernel", [(), ("--kernel", "gaussian")], ids=["linear", "kernel"])
+    def test_cv_class_wholly_in_holdout(self, tmp_path, capsys, kernel):
+        rng = np.random.default_rng(0)
+        rows = ["f1,f2,label"]
+        for name, count, center in (("a", 12, 0.0), ("b", 12, 3.0), ("c", 1, -3.0)):
+            for x in center + rng.standard_normal((count, 2)):
+                rows.append(f"{float(x[0])!r},{float(x[1])!r},{name}")
+        data = tmp_path / "three.csv"
+        data.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "t.json"
+        rc, stdout, err = run_cli(capsys, "cv", "--data", str(data), "--grid", "0",
+                                  "--folds", "2", "--holdout-fraction", "0.6", *kernel,
+                                  "--output", str(out))
+        assert rc == 1 and stdout == ""
+        assert err.splitlines() == ["error: class 'c' has no samples"]
+        assert not out.exists()
+
     def test_kernel_rejects_feature_sparsity(self, tmp_path, capsys, causal_csv):
         with pytest.raises(SystemExit) as err:
             main(["train", "--data", str(causal_csv), "--kernel", "gaussian",

@@ -6,7 +6,8 @@ import pytest
 from sparsesvm.crossval import (CSV_HEADERS, CVRow, CVTable, accuracy_pct,
                                 cross_validate, selection_metrics)
 from sparsesvm.data import Dataset, make_folds
-from sparsesvm.multiclass import OVOModel, PairClassifier
+from sparsesvm.multiclass import (GaussianKernelSpec, OVOModel, PairClassifier,
+                                  PairProblem, train_ovo)
 
 from test_multiclass import blob_dataset
 
@@ -169,3 +170,32 @@ class TestCrossValidate:
         bad = make_folds(ds.n + 1, 3, seed=0)
         with pytest.raises(ValueError, match="fold plan"):
             cross_validate(ds, bad, [0.0])
+
+
+@pytest.mark.parametrize("kernel", [None, GaussianKernelSpec(gamma=0.5)],
+                         ids=["linear", "kernel"])
+def test_level_zero_fold_fits_equal_train_ovo(monkeypatch, kernel):
+    ds = blob_dataset(np.random.default_rng(5), n_per=15)
+    folds = make_folds(ds.n, 3, seed=0, labels=ds.labels)
+    fitted = []
+    fit = PairProblem.fit
+
+    def recording_fit(self, *args, **kwargs):
+        fitted.append(fit(self, *args, **kwargs))
+        return fitted[-1]
+
+    monkeypatch.setattr(PairProblem, "fit", recording_fit)
+    cross_validate(ds, folds, [0.0, 0.5], kernel=kernel)
+    monkeypatch.undo()
+    # one thread: fold 0 fits its three pairs at level 0 before anything else
+    cv_pairs = fitted[:3]
+    direct = train_ovo(ds.take(folds.train_indices(0)), 0.0, kernel=kernel).pairs
+    assert len(fitted) == 3 * 3 * 2 and len(direct) == 3
+    for a, b in zip(cv_pairs, direct):
+        assert (a.positive, a.negative) == (b.positive, b.negative)
+        assert a.report.outer_iters == b.report.outer_iters
+        if kernel is None:
+            np.testing.assert_array_equal(a.coef, b.coef)
+        else:
+            np.testing.assert_array_equal(a.kernel.alpha, b.kernel.alpha)
+            np.testing.assert_array_equal(a.kernel.train_features, b.kernel.train_features)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from sparsesvm.config import AnnealSchedule, SolverConfig
-from sparsesvm.data import Dataset, DesignMatrix, binarize
+from sparsesvm.data import DataError, Dataset, DesignMatrix, binarize
 from sparsesvm.multiclass import (GaussianKernelSpec, OVOModel, PairClassifier,
-                                  class_pairs, init_heuristic, predict_ovo,
-                                  train_ovo)
+                                  PairProblem, class_pairs, init_heuristic,
+                                  predict_ovo, train_ovo)
 from sparsesvm.sparsity import SparsityConstraint
 
 
@@ -136,7 +136,48 @@ class TestTrainOVO:
         with pytest.raises(RuntimeError, match=r"\(a, b\)"):
             train_ovo(ds, SparsityConstraint(k=2, p=9))
 
+    @pytest.mark.parametrize("kernel", [None, GaussianKernelSpec(gamma=0.5)],
+                             ids=["linear", "kernel"])
+    def test_class_without_rows_fails_its_pair(self, rng, kernel):
+        ds = blob_dataset(rng, n_per=10)
+        ds = Dataset(ds.features, ds.labels, ds.class_names + ("d",))
+        with pytest.raises(RuntimeError, match=r"^fit failed for class pair \(a, d\): "
+                                               r"class 'd' has no samples$") as err:
+            train_ovo(ds, 0.0, kernel=kernel)
+        assert isinstance(err.value.__cause__, DataError)
+
     def test_default_bandwidth_recorded_on_model(self, rng):
         ds = blob_dataset(rng, classes=2, n_per=12)
         model = train_ovo(ds, 0.0, kernel=GaussianKernelSpec())
         assert model.pairs[0].kernel.gamma > 0
+
+
+class TestPairProblem:
+    def test_constraint_from_fraction_or_checked_object(self, rng):
+        prob = PairProblem.build(blob_dataset(rng, n_per=10), 0, 2)
+        assert prob.constraint(0.5) == SparsityConstraint(k=2, p=4)
+        kept = SparsityConstraint(k=1, p=4)
+        assert prob.constraint(kept) is kept
+        with pytest.raises(ValueError, match="p=5"):
+            prob.constraint(SparsityConstraint(k=1, p=5))
+
+    def test_kernel_pair_keeps_the_binarized_rows(self, rng):
+        ds = blob_dataset(rng, n_per=10)
+        prob = PairProblem.build(ds, 2, 0, GaussianKernelSpec(gamma=0.5))
+        linear = binarize(ds, 2, 0)
+        np.testing.assert_array_equal(prob.design.y, linear.y)
+        assert prob.design.p == linear.n
+        pair = prob.fit(0.5)
+        np.testing.assert_array_equal(pair.kernel.train_features, linear.X[:, :-1])
+        np.testing.assert_array_equal(pair.kernel.train_labels, linear.y)
+        assert (pair.positive, pair.negative) == (2, 0)
+
+    def test_refit_warm_starts_at_the_penalty_reached(self, rng):
+        prob = PairProblem.build(blob_dataset(rng, n_per=10), 0, 1)
+        sched = AnnealSchedule(rho0=2.0, multiplier=1.5)
+        first = prob.fit(0.0, sched=sched)
+        assert prob.rho == pytest.approx(2.0 * 1.5 ** (first.report.outer_iters - 1))
+        np.testing.assert_array_equal(prob.warm, first.coef)
+        hooked = []
+        prob.fit(0.5, sched=sched, trace_hook=hooked.append)
+        assert hooked[0].rho == pytest.approx(2.0 * 1.5 ** (first.report.outer_iters - 1))
