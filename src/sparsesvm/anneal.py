@@ -56,7 +56,7 @@ def make_workspace(design: DesignMatrix, solver: str):
 def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
                   solver: str = "mm", sched: AnnealSchedule | None = None,
                   cfg: SolverConfig | None = None, workspace=None,
-                  trace_hook=None, history=None):
+                  trace_hook=None):
     """Fit one binary classifier at sparsity level ``constraint``.
 
     Each penalty level is solved to inner stationarity, the penalty then grows
@@ -85,7 +85,7 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
     for outer in range(1, sched.max_outer + 1):
         weights = PenaltyWeights.for_problem(design.n, constraint, rho)
         ev, iters = _solve_subproblem(beta, design, constraint, weights, cfg,
-                                      _make_step(solver, ws, design, weights), history)
+                                      _make_step(solver, ws, design, weights))
         beta = ev.beta
         total_inner += iters
         if not np.isfinite(ev.objective):

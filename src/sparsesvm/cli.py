@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -25,13 +24,6 @@ from .simdata import SimSpec, gen_gaussian_causal, gen_spiral, gen_synthetic_cor
 from .sparsity import SparsityConstraint, project
 
 __all__ = ["main"]
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SPARSESVM_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _add_data_flags(sp):
@@ -70,11 +62,13 @@ def _add_fit_flags(sp):
     sp.add_argument("--warmup", type=int, default=10,
                     help="inner iterations before extrapolation engages")
     sp.add_argument("--shift", type=int, default=3, help="extrapolation shift constant")
-    sp.add_argument("--seed", type=int, default=0, help="seed for any data splitting")
-    sp.add_argument("--threads", type=int, default=_default_threads(),
-                    help="worker threads over folds/pairs (default: SPARSESVM_THREADS or 1)")
+
+
+def _add_run_flags(sp):
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker threads over folds/pairs, at least 1 (default 1)")
     sp.add_argument("--format", choices=["json", "csv"], default="json",
-                    help="stdout report format")
+                    help="format of train's stdout report or of cv's table")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,6 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("train", help="fit a model and write it to a JSON file")
     _add_data_flags(sp)
     _add_fit_flags(sp)
+    _add_run_flags(sp)
     sp.add_argument("--output", required=True, help="model file path")
     sp.set_defaults(func=cmd_train)
 
@@ -114,6 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cv", help="cross-validate a sparsity grid")
     _add_data_flags(sp)
     _add_fit_flags(sp)
+    _add_run_flags(sp)
+    sp.add_argument("--seed", type=int, default=0, help="seed of the holdout split and folds")
     sp.add_argument("--folds", type=int, default=10)
     sp.add_argument("--grid", required=True,
                     help="comma-separated ascending sparsity fractions, e.g. 0,0.5,0.9")
@@ -150,8 +147,14 @@ def _load_training_data(args):
     return ds
 
 
+def _threads(args) -> int:
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
+    return args.threads
+
+
 def _resolve_sparsity(args, p: int):
-    """Sparsity for train_ovo, or a usage error for contradictory flags."""
+    """Sparsity and kernel for train_ovo, or a usage error for contradictory flags."""
     if args.kernel is not None:
         if args.sparsity is not None or args.keep is not None:
             raise UsageError(
@@ -164,6 +167,8 @@ def _resolve_sparsity(args, p: int):
         return s, GaussianKernelSpec(gamma=args.gamma)
     if args.dual_sparsity is not None:
         raise UsageError("--dual-sparsity only applies with --kernel")
+    if args.gamma is not None:
+        raise UsageError("--gamma only applies with --kernel")
     if args.keep is not None:
         if not 0 <= args.keep <= p:
             raise UsageError(f"--keep must lie in [0, {p}], got {args.keep}")
@@ -241,10 +246,11 @@ def _print_report(docs, fmt: str) -> None:
 
 
 def cmd_train(args) -> int:
+    threads = _threads(args)
     ds = _load_training_data(args)
     sparsity, kernel = _resolve_sparsity(args, ds.p)
     model = train_ovo(ds, sparsity, solver=args.algorithm, sched=_schedule(args),
-                      cfg=_solver_config(args), kernel=kernel, n_threads=args.threads)
+                      cfg=_solver_config(args), kernel=kernel, n_threads=threads)
     save_model(args.output, model, ds.transform_params)
     _print_report(_report_docs(model), args.format)
     return 0
@@ -290,7 +296,10 @@ def cmd_cv(args) -> int:
     if any(v is not None for v in (args.sparsity, args.keep, args.dual_sparsity)):
         raise UsageError("cv sweeps the sparsity levels given by --grid; "
                          "--sparsity/--keep/--dual-sparsity do not apply")
+    threads = _threads(args)
     raw = load_csv(args.data, args.label_column, has_header=not args.no_header)
+    # the sparsity flags are rejected above, so this resolves the kernel flags
+    _, kernel = _resolve_sparsity(args, raw.p)
     try:
         grid = sorted(float(tok) for tok in args.grid.split(",") if tok.strip())
     except ValueError:
@@ -307,12 +316,10 @@ def cmd_cv(args) -> int:
             holdout = replace(holdout, features=ds_cv.transform_params.apply(holdout.features),
                               transform=args.transform, transform_params=ds_cv.transform_params)
 
-    kernel = GaussianKernelSpec(gamma=args.gamma) if args.kernel is not None else None
-
     folds = make_folds(ds_cv.n, args.folds, args.seed, labels=ds_cv.labels)
     table = cross_validate(ds_cv, folds, grid, solver=args.algorithm, sched=_schedule(args),
                            cfg=_solver_config(args), holdout=holdout, kernel=kernel,
-                           n_threads=args.threads)
+                           n_threads=threads)
     text = (table.to_json(include_timings=args.timings) + "\n"
             if args.format == "json" else table.to_csv(include_timings=args.timings))
     _write_text(args.output, text)

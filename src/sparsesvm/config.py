@@ -18,7 +18,6 @@ class AccelPolicy:
 
     shift: int = 3
     warmup: int = 10
-    restart_on_ascent: bool = True
 
     def __post_init__(self):
         if self.shift < 3:

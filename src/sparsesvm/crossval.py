@@ -74,32 +74,42 @@ def accuracy_pct(model: OVOModel, features, labels) -> float:
 
 @dataclass
 class CVRow:
-    """One (fold, sparsity) cell of the cross-validation table."""
+    """One (fold, sparsity) cell of the CV table; a failed fit keeps the defaults."""
 
     fold: int
     s: float
-    k: float
-    iterations: int
-    time_s: float
-    objective: float
-    sq_dist: float
-    train_pct: float
-    valid_pct: float
-    test_pct: float
-    sv: float
+    k: float = math.nan
+    iterations: int = 0
+    time_s: float = 0.0
+    objective: float = math.nan
+    sq_dist: float = math.nan
+    train_pct: float = math.nan
+    valid_pct: float = math.nan
+    test_pct: float = math.nan
+    sv: float = math.nan
     error: str | None = None
 
 
-CSV_HEADERS = ("fold", "s", "Iter.", "Time", "Objective", "Squared Distance",
-               "Train", "Valid.", "Test", "SV")
+# the table's per-fit statistics in output order: CVRow field, CSV header, JSON key
+_STATS = (
+    ("iterations", "Iter.", "iterations"),
+    ("time_s", "Time", "time"),
+    ("objective", "Objective", "objective"),
+    ("sq_dist", "Squared Distance", "squared_distance"),
+    ("train_pct", "Train", "train"),
+    ("valid_pct", "Valid.", "valid"),
+    ("test_pct", "Test", "test"),
+    ("sv", "SV", "sv"),
+)
 
-# summary-dict keys renamed to match the per-row JSON fields
-_JSON_KEYS = {"sq_dist": "squared_distance", "train_pct": "train",
-              "valid_pct": "valid", "test_pct": "test"}
+CSV_HEADERS = ("fold", "s") + tuple(header for _, header, _ in _STATS)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _stats(fields: dict, include_timings: bool) -> dict:
+    """A row's or a fold mean's statistics by JSON key, NaN where missing."""
+    if not include_timings:
+        fields = dict(fields, time_s=0.0)
+    return {key: fields.get(field, math.nan) for field, _, key in _STATS}
 
 
 @dataclass
@@ -112,28 +122,17 @@ class CVTable:
     fold_plan: FoldPlan | None = None
 
     def grid(self) -> list[float]:
-        seen: list[float] = []
-        for row in self.rows:
-            if row.s not in seen:
-                seen.append(row.s)
-        return sorted(seen)
+        return sorted({row.s for row in self.rows})
 
     def mean_over_folds(self, s: float) -> dict:
+        """Means over the folds whose fit at ``s`` succeeded; if none did, NaN rates."""
         rows = [r for r in self.rows if r.s == s and r.error is None]
         if not rows:
-            return {"s": s, "valid_pct": float("nan"), "test_pct": float("nan")}
-        return {
-            "s": s,
-            "k": float(np.mean([r.k for r in rows])),
-            "iterations": float(np.mean([r.iterations for r in rows])),
-            "time_s": float(np.mean([r.time_s for r in rows])),
-            "objective": float(np.mean([r.objective for r in rows])),
-            "sq_dist": float(np.mean([r.sq_dist for r in rows])),
-            "train_pct": float(np.mean([r.train_pct for r in rows])),
-            "valid_pct": float(np.mean([r.valid_pct for r in rows])),
-            "test_pct": float(np.mean([r.test_pct for r in rows])),
-            "sv": float(np.mean([r.sv for r in rows])),
-        }
+            return {"s": s, "valid_pct": math.nan, "test_pct": math.nan}
+        means = {"s": s}
+        for field in ["k"] + [field for field, _, _ in _STATS]:
+            means[field] = float(np.mean([getattr(r, field) for r in rows]))
+        return means
 
     def selected_summary(self) -> dict:
         return self.mean_over_folds(self.selected_s)
@@ -142,48 +141,21 @@ class CVTable:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADERS)
-
-        def emit(tag, s, it, t, obj, d2, tr, va, te, sv):
-            writer.writerow([tag, f"{100.0 * s:.10g}", it,
-                             _fmt(t) if include_timings else "0.0",
-                             _fmt(obj), _fmt(d2), _fmt(tr), _fmt(va), _fmt(te), _fmt(sv)])
-
-        for row in self.rows:
-            emit(row.fold, row.s, row.iterations, row.time_s, row.objective,
-                 row.sq_dist, row.train_pct, row.valid_pct, row.test_pct, row.sv)
-        sel = self.selected_summary()
-        emit("selected", sel["s"], sel.get("iterations", float("nan")),
-             sel.get("time_s", float("nan")), sel.get("objective", float("nan")),
-             sel.get("sq_dist", float("nan")), sel.get("train_pct", float("nan")),
-             sel["valid_pct"], sel["test_pct"], sel.get("sv", float("nan")))
+        lines = [(row.fold, row.s, vars(row)) for row in self.rows]
+        lines.append(("selected", self.selected_s, self.selected_summary()))
+        for tag, s, fields in lines:
+            writer.writerow([tag, f"{100.0 * s:.10g}", *_stats(fields, include_timings).values()])
         return buf.getvalue()
 
     def to_json(self, include_timings: bool = False) -> str:
-        doc = {
-            "rows": [
-                {
-                    "fold": r.fold,
-                    "s": r.s,
-                    "k": r.k,
-                    "iterations": r.iterations,
-                    "time": r.time_s if include_timings else 0.0,
-                    "objective": r.objective,
-                    "squared_distance": r.sq_dist,
-                    "train": r.train_pct,
-                    "valid": r.valid_pct,
-                    "test": r.test_pct,
-                    "sv": r.sv,
-                    "error": r.error,
-                }
-                for r in self.rows
-            ],
-            "selected": {
-                "s": self.selected_s,
-                "k": self.selected_k,
-                **{_JSON_KEYS.get(k, k): v for k, v in self.selected_summary().items()
-                   if k not in ("s", "k", "time_s")},
-            },
-        }
+        rows = [{"fold": r.fold, "s": r.s, "k": r.k, **_stats(vars(r), include_timings),
+                 "error": r.error} for r in self.rows]
+        summary = self.selected_summary()
+        selected = {"s": self.selected_s, "k": self.selected_k}
+        for field, _, key in _STATS:
+            if field in summary and field != "time_s":
+                selected[key] = summary[field]
+        doc = {"rows": rows, "selected": selected}
         if self.fold_plan is not None:
             doc["fold_plan"] = json.loads(self.fold_plan.to_json())
         return json.dumps(doc, allow_nan=True)
@@ -204,8 +176,7 @@ def _run_fold(ds, folds, fold, grid, solver, sched, cfg, holdout, kernel):
             pairs = [prob.fit(s, solver, sched, cfg) for prob in problems]
         except Exception as exc:
             if s in grid:
-                rows.append(CVRow(fold, s, float("nan"), 0, 0.0, *([float("nan")] * 6),
-                                  error=str(exc)))
+                rows.append(CVRow(fold, s, error=str(exc)))
             continue
         elapsed = time.perf_counter() - t0
         if s not in grid:
@@ -258,16 +229,14 @@ def cross_validate(ds: Dataset, folds: FoldPlan, sparsity_grid, solver: str = "m
 
     per_fold = ordered_map(run, range(folds.num_folds), n_threads)
     rows = [row for rows_f in per_fold for row in rows_f]
-
-    best_s = grid[0]
+    table = CVTable(rows=rows, selected_s=grid[-1], selected_k=math.nan, fold_plan=folds)
+    # scan from the sparsest level so ties go to it; a level that failed in
+    # every fold has a NaN mean and never wins
     best_acc = -math.inf
-    for s in grid:
-        accs = [r.valid_pct for r in rows if r.s == s and r.error is None]
-        mean_acc = float(np.mean(accs)) if accs else -math.inf
-        if mean_acc >= best_acc:
-            best_acc = mean_acc
-            best_s = s
-    ks = [r.k for r in rows if r.s == best_s and r.error is None]
-    return CVTable(rows=rows, selected_s=best_s,
-                   selected_k=float(np.mean(ks)) if ks else float("nan"),
-                   fold_plan=folds)
+    for s in reversed(grid):
+        acc = table.mean_over_folds(s)["valid_pct"]
+        if acc > best_acc:
+            best_acc = acc
+            table.selected_s = s
+    table.selected_k = table.selected_summary().get("k", math.nan)
+    return table

@@ -40,8 +40,8 @@ class MMWorkspace:
     _c2: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
-    def from_design(cls, design: DesignMatrix, rank_tol: float = 1e-12) -> "MMWorkspace":
-        return cls(svd=thin_svd(design.X, rank_tol))
+    def from_design(cls, design: DesignMatrix) -> "MMWorkspace":
+        return cls(svd=thin_svd(design.X))
 
     def coefficients(self, weights: PenaltyWeights):
         """c1_j = a2 s_j / (a2 s_j^2 + b2), c2_j = a2 s_j^2 / (a2 s_j^2 + b2)."""
@@ -125,8 +125,8 @@ def _solve_subproblem(beta0, design, constraint, weights, cfg: SolverConfig,
 
     Each update is followed by a convergence test at the fresh iterate. If
     that fails and acceleration is engaged, the loop extrapolates past the
-    fresh iterate and keeps the candidate unless its objective is higher and
-    ``restart_on_ascent`` is set, in which case the counter resets. A kept
+    fresh iterate and keeps the candidate unless its objective is higher, in
+    which case the candidate is dropped and the counter resets. A kept
     candidate becomes the current point: the loop condition then tests the
     candidate's own gradient, so the returned point may be an extrapolated one.
 
@@ -164,7 +164,7 @@ def _solve_subproblem(beta0, design, constraint, weights, cfg: SolverConfig,
                 cand = _Eval(beta_new + w * (beta_new - cur.beta),
                              scores_new + w * (scores_new - cur.scores),
                              design, constraint, weights)
-                if cand.objective > new.objective and accel.restart_on_ascent:
+                if cand.objective > new.objective:
                     j = 1
                 else:
                     j += 1

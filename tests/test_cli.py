@@ -242,6 +242,42 @@ class TestErrors:
                   "--output", str(tmp_path / "m.json")])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("command,flag", [("train", ("--seed", "99")),
+                                              ("trace", ("--seed", "4")),
+                                              ("trace", ("--threads", "8")),
+                                              ("trace", ("--format", "csv"))],
+                             ids=["train-seed", "trace-seed", "trace-threads", "trace-format"])
+    def test_flag_not_read_is_not_accepted(self, tmp_path, capsys, causal_csv, command, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main([command, "--data", str(causal_csv), "--keep", "2", *flag,
+                  "--output", str(out)])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (("train", "--gamma", "1"), "--gamma only applies with --kernel"),
+        (("trace", "--gamma", "1"), "--gamma only applies with --kernel"),
+        (("cv", "--grid", "0,0.5", "--folds", "3", "--gamma", "1"),
+         "--gamma only applies with --kernel"),
+        (("train", "--threads", "0"), "--threads must be at least 1, got 0"),
+        (("train", "--threads", "-3"), "--threads must be at least 1, got -3"),
+        (("cv", "--grid", "0,0.5", "--folds", "3", "--threads", "0"),
+         "--threads must be at least 1, got 0"),
+        (("cv", "--grid", "0,0.5", "--folds", "3", "--threads", "-3"),
+         "--threads must be at least 1, got -3"),
+    ], ids=["train-gamma", "trace-gamma", "cv-gamma", "train-threads-0", "train-threads-neg",
+            "cv-threads-0", "cv-threads-neg"])
+    def test_ignored_value_is_a_usage_error(self, tmp_path, capsys, causal_csv, argv, message):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--data", str(causal_csv), "--output", str(out)])
+        assert err.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"sparsesvm: error: {message}"]
+        assert not out.exists()
+
     def test_missing_data_file_is_reported(self, tmp_path, capsys):
         rc, _, err = run_cli(capsys, "train", "--data", str(tmp_path / "nope.csv"),
                              "--output", str(tmp_path / "m.json"))

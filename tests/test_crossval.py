@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from sparsesvm.anneal import FitError
+from sparsesvm.config import AnnealSchedule, SolverConfig
 from sparsesvm.crossval import (CSV_HEADERS, CVRow, CVTable, accuracy_pct,
                                 cross_validate, selection_metrics)
 from sparsesvm.data import Dataset, make_folds
@@ -199,3 +201,111 @@ def test_level_zero_fold_fits_equal_train_ovo(monkeypatch, kernel):
         else:
             np.testing.assert_array_equal(a.kernel.alpha, b.kernel.alpha)
             np.testing.assert_array_equal(a.kernel.train_features, b.kernel.train_features)
+
+
+# cross_validate runs whose fits fail at s=0.5 in every fold and at s=0.75 in
+# fold 0 only (see test_failed_levels_in_table): for each grid, the selected
+# level and k, then the text of to_csv() and of to_json().
+FAILED_LEVEL_TABLES = {
+    (0.0, 0.5, 0.75): (
+        0.0, 4.0,
+        "fold,s,Iter.,Time,Objective,Squared Distance,Train,Valid.,Test,SV\n"
+        "0,0,15,0.0,1.1093984538624686e-07,0.0,100.0,100.0,100.0,0.3333333333333333\n"
+        "0,50,0,0.0,nan,nan,nan,nan,nan,nan\n"
+        "0,75,0,0.0,nan,nan,nan,nan,nan,nan\n"
+        "1,0,11,0.0,9.873729124364125e-08,0.0,100.0,100.0,100.0,0.3333333333333333\n"
+        "1,50,0,0.0,nan,nan,nan,nan,nan,nan\n"
+        "1,75,469,0.0,0.05285773844261762,0.023938442748409307,46.666666666666664,20.0,33.33333333333333,10.0\n"
+        "selected,0,13.0,0.0,1.0483856831494405e-07,0.0,100.0,100.0,100.0,0.3333333333333333\n",
+        '{"rows": [{"fold": 0, "s": 0.0, "k": 4.0, "iterations": 15, "time": 0.0, '
+        '"objective": 1.1093984538624686e-07, "squared_distance": 0.0, "train": 100.0, '
+        '"valid": 100.0, "test": 100.0, "sv": 0.3333333333333333, "error": null}, {"fold": 0,'
+        ' "s": 0.5, "k": NaN, "iterations": 0, "time": 0.0, "objective": NaN, '
+        '"squared_distance": NaN, "train": NaN, "valid": NaN, "test": NaN, "sv": NaN, '
+        '"error": "no fit at s=0.5"}, {"fold": 0, "s": 0.75, "k": NaN, "iterations": 0, '
+        '"time": 0.0, "objective": NaN, "squared_distance": NaN, "train": NaN, "valid": NaN, '
+        '"test": NaN, "sv": NaN, "error": "no fit at s=0.75"}, {"fold": 1, "s": 0.0, "k": '
+        '4.0, "iterations": 11, "time": 0.0, "objective": 9.873729124364125e-08, '
+        '"squared_distance": 0.0, "train": 100.0, "valid": 100.0, "test": 100.0, "sv": '
+        '0.3333333333333333, "error": null}, {"fold": 1, "s": 0.5, "k": NaN, "iterations": 0,'
+        ' "time": 0.0, "objective": NaN, "squared_distance": NaN, "train": NaN, "valid": NaN,'
+        ' "test": NaN, "sv": NaN, "error": "no fit at s=0.5"}, {"fold": 1, "s": 0.75, "k": '
+        '1.0, "iterations": 469, "time": 0.0, "objective": 0.05285773844261762, '
+        '"squared_distance": 0.023938442748409307, "train": 46.666666666666664, "valid": '
+        '20.0, "test": 33.33333333333333, "sv": 10.0, "error": null}], "selected": {"s": 0.0,'
+        ' "k": 4.0, "iterations": 13.0, "objective": 1.0483856831494405e-07, '
+        '"squared_distance": 0.0, "train": 100.0, "valid": 100.0, "test": 100.0, "sv": '
+        '0.3333333333333333}, "fold_plan": {"num_folds": 2, "seed": 0, "assignments": [1, 1, '
+        '0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, '
+        '0]}}'
+    ),
+    (0.5,): (
+        0.5, float("nan"),
+        "fold,s,Iter.,Time,Objective,Squared Distance,Train,Valid.,Test,SV\n"
+        "0,50,0,0.0,nan,nan,nan,nan,nan,nan\n"
+        "1,50,0,0.0,nan,nan,nan,nan,nan,nan\n"
+        "selected,50,nan,0.0,nan,nan,nan,nan,nan,nan\n",
+        '{"rows": [{"fold": 0, "s": 0.5, "k": NaN, "iterations": 0, "time": 0.0, "objective":'
+        ' NaN, "squared_distance": NaN, "train": NaN, "valid": NaN, "test": NaN, "sv": NaN, '
+        '"error": "no fit at s=0.5"}, {"fold": 1, "s": 0.5, "k": NaN, "iterations": 0, '
+        '"time": 0.0, "objective": NaN, "squared_distance": NaN, "train": NaN, "valid": NaN, '
+        '"test": NaN, "sv": NaN, "error": "no fit at s=0.5"}], "selected": {"s": 0.5, "k": '
+        'NaN, "valid": NaN, "test": NaN}, "fold_plan": {"num_folds": 2, "seed": 0, '
+        '"assignments": [1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1,'
+        ' 1, 1, 0, 1, 0, 0, 0]}}'
+    ),
+    (0.5, 0.75): (
+        0.75, 1.0,
+        "fold,s,Iter.,Time,Objective,Squared Distance,Train,Valid.,Test,SV\n"
+        "0,50,0,0.0,nan,nan,nan,nan,nan,nan\n"
+        "0,75,0,0.0,nan,nan,nan,nan,nan,nan\n"
+        "1,50,0,0.0,nan,nan,nan,nan,nan,nan\n"
+        "1,75,469,0.0,0.05285773844261762,0.023938442748409307,46.666666666666664,20.0,33.33333333333333,10.0\n"
+        "selected,75,469.0,0.0,0.05285773844261762,0.023938442748409307,46.666666666666664,20.0,33.33333333333333,10.0\n",
+        '{"rows": [{"fold": 0, "s": 0.5, "k": NaN, "iterations": 0, "time": 0.0, "objective":'
+        ' NaN, "squared_distance": NaN, "train": NaN, "valid": NaN, "test": NaN, "sv": NaN, '
+        '"error": "no fit at s=0.5"}, {"fold": 0, "s": 0.75, "k": NaN, "iterations": 0, '
+        '"time": 0.0, "objective": NaN, "squared_distance": NaN, "train": NaN, "valid": NaN, '
+        '"test": NaN, "sv": NaN, "error": "no fit at s=0.75"}, {"fold": 1, "s": 0.5, "k": '
+        'NaN, "iterations": 0, "time": 0.0, "objective": NaN, "squared_distance": NaN, '
+        '"train": NaN, "valid": NaN, "test": NaN, "sv": NaN, "error": "no fit at s=0.5"}, '
+        '{"fold": 1, "s": 0.75, "k": 1.0, "iterations": 469, "time": 0.0, "objective": '
+        '0.05285773844261762, "squared_distance": 0.023938442748409307, "train": '
+        '46.666666666666664, "valid": 20.0, "test": 33.33333333333333, "sv": 10.0, "error": '
+        'null}], "selected": {"s": 0.75, "k": 1.0, "iterations": 469.0, "objective": '
+        '0.05285773844261762, "squared_distance": 0.023938442748409307, "train": '
+        '46.666666666666664, "valid": 20.0, "test": 33.33333333333333, "sv": 10.0}, '
+        '"fold_plan": {"num_folds": 2, "seed": 0, "assignments": [1, 1, 0, 0, 0, 1, 1, 1, 0, '
+        '0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 0]}}'
+    ),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(FAILED_LEVEL_TABLES), ids=str)
+def test_failed_levels_in_table(monkeypatch, grid):
+    fit = PairProblem.fit
+    failed_at_075 = []
+
+    def failing_fit(self, s, *args, **kwargs):
+        # one thread: fold 0 reaches s=0.75 first, and its first failing pair
+        # ends that level for the fold
+        if s == 0.5 or (s == 0.75 and not failed_at_075):
+            if s == 0.75:
+                failed_at_075.append(s)
+            raise FitError(f"no fit at s={s}")
+        return fit(self, s, *args, **kwargs)
+
+    monkeypatch.setattr(PairProblem, "fit", failing_fit)
+    ds = blob_dataset(np.random.default_rng(5), n_per=10)
+    holdout = blob_dataset(np.random.default_rng(99), n_per=4)
+    folds = make_folds(ds.n, 2, seed=0, labels=ds.labels)
+    table = cross_validate(ds, folds, list(grid), holdout=holdout,
+                           sched=AnnealSchedule(max_outer=8), cfg=SolverConfig(max_inner=50))
+    want_s, want_k, want_csv, want_json = FAILED_LEVEL_TABLES[grid]
+    assert table.selected_s == want_s
+    np.testing.assert_equal(table.selected_k, want_k)
+    assert table.to_csv() == want_csv
+    assert table.to_json() == want_json
+    if grid == (0.5,):
+        # every fit failed: no statistic has a fold to average over
+        assert json.loads(table.to_json())["selected"].keys() == {"s", "k", "valid", "test"}

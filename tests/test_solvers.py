@@ -14,7 +14,7 @@ from conftest import random_problem
 
 
 def mm_workspace(design):
-    return MMWorkspace.from_design(design, 1e-12)
+    return MMWorkspace.from_design(design)
 
 
 def column_loop_update(beta, ws, design, constraint, weights):
@@ -394,7 +394,7 @@ def ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, history)
                                                   weights)
                 f_cand = ref_objective_from_scores(cand, scores_cand, design, constraint,
                                                    weights)
-                if f_cand > f_new and accel.restart_on_ascent:
+                if f_cand > f_new:
                     j = 1
                 else:
                     j += 1
@@ -416,7 +416,6 @@ def make_ws(solver, design):
 REFERENCE_CONFIGS = {
     "default": SolverConfig(max_inner=400),
     "no-accel": SolverConfig(accel=None, max_inner=400),
-    "no-restart": SolverConfig(accel=AccelPolicy(restart_on_ascent=False), max_inner=400),
     "no-warmup": SolverConfig(accel=AccelPolicy(warmup=0), max_inner=400),
     "small-budget": SolverConfig(accel=AccelPolicy(warmup=0), max_inner=7),
 }
