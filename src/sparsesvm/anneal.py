@@ -13,12 +13,10 @@ import numpy as np
 from .config import AnnealSchedule, FitReport, SolverConfig
 from .data import DesignMatrix
 from .objective import PenaltyWeights
-from .solvers import MMWorkspace, SDWorkspace, _make_step, _solve_subproblem
+from .solvers import SOLVERS, _solve_subproblem, make_workspace
 from .sparsity import SparsityConstraint
 
-__all__ = ["FitError", "OuterRecord", "SOLVERS", "sv_count", "make_workspace", "prox_dist_fit"]
-
-SOLVERS = ("mm", "sd")
+__all__ = ["FitError", "OuterRecord", "sv_count", "prox_dist_fit"]
 
 
 class FitError(RuntimeError):
@@ -44,15 +42,6 @@ def sv_count(beta, design: DesignMatrix) -> int:
     return int(np.count_nonzero(margins <= 1.0))
 
 
-def make_workspace(design: DesignMatrix, solver: str):
-    solver = solver.lower()
-    if solver == "mm":
-        return MMWorkspace.from_design(design)
-    if solver == "sd":
-        return SDWorkspace.from_design(design)
-    raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
-
-
 def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
                   solver: str = "mm", sched: AnnealSchedule | None = None,
                   cfg: SolverConfig | None = None, workspace=None,
@@ -64,14 +53,15 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
     distance to the sparsity set falls below ``sched.dist_tol``, stalls, or
     the outer budget runs out; the returned coefficients are the projection of
     the last iterate, so they are always feasible. ``converged`` is set only
-    when the final distance actually met the tolerance.
+    when the final distance actually met the tolerance. A ``workspace`` given
+    must be the one ``solver`` names in ``SOLVERS``.
     """
     sched = sched or AnnealSchedule()
     cfg = cfg or SolverConfig()
-    solver = solver.lower()
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
-    ws = workspace if workspace is not None else make_workspace(design, solver)
+    if workspace is None:
+        workspace = make_workspace(design, solver)
+    elif not isinstance(workspace, SOLVERS.get(solver.lower(), ())):
+        raise ValueError(f"solver {solver!r} cannot step with a {type(workspace).__name__}")
 
     t0 = time.perf_counter()
     beta = np.asarray(beta0, dtype=float).copy()
@@ -84,8 +74,7 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
     total_inner = 0
     for outer in range(1, sched.max_outer + 1):
         weights = PenaltyWeights.for_problem(design.n, constraint, rho)
-        ev, iters = _solve_subproblem(beta, design, constraint, weights, cfg,
-                                      _make_step(solver, ws, design, weights))
+        ev, iters = _solve_subproblem(beta, workspace, design, constraint, weights, cfg)
         beta = ev.beta
         total_inner += iters
         if not np.isfinite(ev.objective):

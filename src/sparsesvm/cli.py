@@ -21,6 +21,7 @@ from .data import DataError, apply_transform, load_csv, load_features_csv, make_
 from .model_io import load_model, save_model
 from .multiclass import GaussianKernelSpec, PairProblem, class_pairs, train_ovo
 from .simdata import SimSpec, gen_gaussian_causal, gen_spiral, gen_synthetic_corr
+from .solvers import SOLVERS
 from .sparsity import SparsityConstraint, project
 
 __all__ = ["main"]
@@ -36,7 +37,8 @@ def _add_data_flags(sp):
 
 
 def _add_fit_flags(sp):
-    sp.add_argument("--algorithm", choices=["mm", "sd"], default="mm",
+    sched, cfg, accel = AnnealSchedule(), SolverConfig(), AccelPolicy()
+    sp.add_argument("--algorithm", choices=list(SOLVERS), default="mm",
                     help="inner solver (default mm)")
     sp.add_argument("--sparsity", type=float, default=None,
                     help="sparsity fraction s in [0,1); k = round((1-s) p) features kept")
@@ -48,20 +50,20 @@ def _add_fit_flags(sp):
                     help="Gaussian kernel bandwidth (default: median pairwise heuristic)")
     sp.add_argument("--dual-sparsity", type=float, default=None,
                     help="kernel mode: fraction of training samples dropped per pair")
-    sp.add_argument("--rho0", type=float, default=1.0, help="initial penalty weight")
-    sp.add_argument("--multiplier", type=float, default=1.2,
+    sp.add_argument("--rho0", type=float, default=sched.rho0, help="initial penalty weight")
+    sp.add_argument("--multiplier", type=float, default=sched.multiplier,
                     help="penalty growth factor per outer iteration")
-    sp.add_argument("--max-outer", type=int, default=100, help="outer iteration cap")
-    sp.add_argument("--max-inner", type=int, default=10_000,
+    sp.add_argument("--max-outer", type=int, default=sched.max_outer,
+                    help="outer iteration cap")
+    sp.add_argument("--max-inner", type=int, default=cfg.max_inner,
                     help="inner iteration cap per penalty level")
-    sp.add_argument("--grad-tol", type=float, default=1e-6,
+    sp.add_argument("--grad-tol", type=float, default=cfg.grad_tol,
                     help="inner stop: squared gradient norm threshold")
-    sp.add_argument("--dist-tol", type=float, default=1e-6,
+    sp.add_argument("--dist-tol", type=float, default=sched.dist_tol,
                     help="outer stop: normalized squared distance threshold")
     sp.add_argument("--no-accel", action="store_true", help="disable extrapolation")
-    sp.add_argument("--warmup", type=int, default=10,
+    sp.add_argument("--warmup", type=int, default=accel.warmup,
                     help="inner iterations before extrapolation engages")
-    sp.add_argument("--shift", type=int, default=3, help="extrapolation shift constant")
 
 
 def _add_run_flags(sp):
@@ -136,7 +138,7 @@ def _schedule(args) -> AnnealSchedule:
 
 
 def _solver_config(args) -> SolverConfig:
-    accel = None if args.no_accel else AccelPolicy(shift=args.shift, warmup=args.warmup)
+    accel = None if args.no_accel else AccelPolicy(warmup=args.warmup)
     return SolverConfig(grad_tol=args.grad_tol, max_inner=args.max_inner, accel=accel)
 
 
@@ -338,9 +340,9 @@ def cmd_trace(args) -> int:
 
     out_rows = []
     for i, j in class_pairs(len(ds.class_names)):
-        prob = PairProblem.build(ds, i, j, kernel)
+        prob = PairProblem.build(ds, i, j, kernel, args.algorithm)
         records = []
-        prob.fit(sparsity, args.algorithm, sched, cfg, trace_hook=records.append)
+        prob.fit(sparsity, sched, cfg, trace_hook=records.append)
         constraint = prob.constraint(sparsity)
         X, y = prob.design.X, prob.design.y
         for rec in records:

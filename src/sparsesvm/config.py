@@ -11,22 +11,20 @@ __all__ = ["AccelPolicy", "AnnealSchedule", "SolverConfig", "FitReport"]
 class AccelPolicy:
     """Extrapolation schedule for the inner loop.
 
-    Weight (j - 1) / (j + shift - 1) on the momentum term, engaged only after
+    Weight (j - 1) / (j + 2) on the momentum term, engaged only after
     ``warmup`` inner iterations of a subproblem. When an extrapolated point
     raises the objective it is discarded and the counter j resets to 1.
     """
 
-    shift: int = 3
     warmup: int = 10
 
     def __post_init__(self):
-        if self.shift < 3:
-            raise ValueError(f"shift must be >= 3, got {self.shift}")
         if self.warmup < 0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
 
-    def weight(self, j: int) -> float:
-        return (j - 1) / (j + self.shift - 1)
+    @staticmethod
+    def weight(j: int) -> float:
+        return (j - 1) / (j + 2)
 
 
 @dataclass(frozen=True)

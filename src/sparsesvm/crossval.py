@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .anneal import FitError
 from .config import AnnealSchedule, SolverConfig
 from .data import Dataset, FoldPlan
 from .multiclass import (GaussianKernelSpec, OVOModel, PairProblem, class_pairs,
@@ -165,7 +166,7 @@ def _run_fold(ds, folds, fold, grid, solver, sched, cfg, holdout, kernel):
     tr_idx = folds.train_indices(fold)
     va_idx = folds.val_indices(fold)
     ds_tr = ds.take(tr_idx)
-    problems = [PairProblem.build(ds_tr, i, j, kernel)
+    problems = [PairProblem.build(ds_tr, i, j, kernel, solver)
                 for i, j in class_pairs(len(ds_tr.class_names))]
     rows = []
     # the densest fit roots the warm-start chain even when 0 is not on the grid
@@ -173,8 +174,8 @@ def _run_fold(ds, folds, fold, grid, solver, sched, cfg, holdout, kernel):
     for s in work_grid:
         t0 = time.perf_counter()
         try:
-            pairs = [prob.fit(s, solver, sched, cfg) for prob in problems]
-        except Exception as exc:
+            pairs = [prob.fit(s, sched, cfg) for prob in problems]
+        except (FitError, ValueError) as exc:
             if s in grid:
                 rows.append(CVRow(fold, s, error=str(exc)))
             continue

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .anneal import make_workspace, prox_dist_fit
+from .anneal import FitError, prox_dist_fit
 from .config import AnnealSchedule, FitReport, SolverConfig
 from .data import Dataset, DesignMatrix, binarize
 from .kernel import KernelModel, gram_matrix, kernel_design, kernel_predict, median_bandwidth
+from .solvers import make_workspace
 from .sparsity import SparsityConstraint
 
 __all__ = ["GaussianKernelSpec", "PairClassifier", "OVOModel", "PairProblem",
@@ -78,6 +79,8 @@ class OVOModel:
 
 def ordered_map(func, items, n_threads: int = 1) -> list:
     """``[func(x) for x in items]``, spread over up to ``n_threads`` worker threads."""
+    if n_threads < 1:
+        raise ValueError(f"n_threads must be at least 1, got {n_threads}")
     items = list(items)
     if n_threads > 1 and len(items) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -91,30 +94,32 @@ class PairProblem:
 
     The design is ``binarize``'s; with a kernel it becomes [K diag(y) | 1]
     over that design's feature rows and +/-1 labels, which the fitted
-    ``KernelModel`` keeps as its training rows. The solver workspace, the
-    last coefficients and the penalty reached persist across ``fit`` calls,
-    so each call after the first warm-starts where the previous one stopped;
-    every call of one problem uses the same solver.
+    ``KernelModel`` keeps as its training rows. The solver and its workspace
+    are bound at ``build``; the last coefficients and the penalty reached
+    persist across ``fit`` calls, so each call after the first warm-starts
+    where the previous one stopped.
     """
 
     positive: int
     negative: int
     design: DesignMatrix
+    solver: str
+    workspace: object
     kernel_rows: tuple[np.ndarray, np.ndarray, float] | None = None
     warm: np.ndarray | None = None
     rho: float | None = None
-    _workspace: object = field(default=None, repr=False)
 
     @classmethod
     def build(cls, ds: Dataset, pos: int, neg: int,
-              kernel: GaussianKernelSpec | None = None) -> "PairProblem":
+              kernel: GaussianKernelSpec | None = None, solver: str = "mm") -> "PairProblem":
         design = binarize(ds, pos, neg)
-        if kernel is None:
-            return cls(pos, neg, design)
-        feats = np.ascontiguousarray(design.X[:, :-1])
-        gamma = kernel.gamma if kernel.gamma is not None else median_bandwidth(feats)
-        return cls(pos, neg, kernel_design(gram_matrix(feats, gamma), design.y),
-                   kernel_rows=(feats, design.y, gamma))
+        kernel_rows = None
+        if kernel is not None:
+            feats = np.ascontiguousarray(design.X[:, :-1])
+            gamma = kernel.gamma if kernel.gamma is not None else median_bandwidth(feats)
+            kernel_rows = (feats, design.y, gamma)
+            design = kernel_design(gram_matrix(feats, gamma), design.y)
+        return cls(pos, neg, design, solver, make_workspace(design, solver), kernel_rows)
 
     def constraint(self, sparsity) -> SparsityConstraint:
         """A SparsityConstraint for this design's p, or a fraction of it."""
@@ -125,19 +130,17 @@ class PairProblem:
             return sparsity
         return SparsityConstraint.from_sparsity(float(sparsity), p)
 
-    def fit(self, sparsity, solver: str = "mm", sched: AnnealSchedule | None = None,
+    def fit(self, sparsity, sched: AnnealSchedule | None = None,
             cfg: SolverConfig | None = None, trace_hook=None) -> PairClassifier:
         """Fit at ``sparsity``: from ``init_heuristic`` at ``sched.rho0`` the first
         time, afterwards from the last coefficients at the penalty last reached."""
         sched = sched or AnnealSchedule()
         constraint = self.constraint(sparsity)
-        if self._workspace is None:
-            self._workspace = make_workspace(self.design, solver)
         beta0 = self.warm if self.warm is not None else init_heuristic(self.design)
         # a later fit continues the penalty ladder instead of re-annealing
         level = replace(sched, rho0=self.rho) if self.rho is not None else sched
-        beta, report = prox_dist_fit(self.design, constraint, beta0, solver=solver,
-                                     sched=level, cfg=cfg, workspace=self._workspace,
+        beta, report = prox_dist_fit(self.design, constraint, beta0, solver=self.solver,
+                                     sched=level, cfg=cfg, workspace=self.workspace,
                                      trace_hook=trace_hook)
         self.warm = beta
         self.rho = level.rho0 * sched.multiplier ** (report.outer_iters - 1)
@@ -159,8 +162,8 @@ def train_ovo(ds: Dataset, sparsity, solver: str = "mm",
     def fit(pair):
         i, j = pair
         try:
-            return PairProblem.build(ds, i, j, kernel).fit(sparsity, solver, sched, cfg)
-        except Exception as exc:
+            return PairProblem.build(ds, i, j, kernel, solver).fit(sparsity, sched, cfg)
+        except (FitError, ValueError) as exc:
             raise RuntimeError(
                 f"fit failed for class pair ({ds.class_names[i]}, {ds.class_names[j]}): {exc}"
             ) from exc

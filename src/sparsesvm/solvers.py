@@ -4,6 +4,7 @@ exact-line-search steepest descent, sharing a restarted accelerated loop.
 Both minimize the same anchored least-squares majorizer of the penalized
 squared-hinge objective; the factorization route solves it exactly through a
 thin SVD computed once per design, the descent route never touches the SVD.
+Each solver is its workspace type (``SOLVERS``), whose ``step`` is its update.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from .sparsity import SparsityConstraint
 __all__ = [
     "MMWorkspace",
     "SDWorkspace",
+    "SOLVERS",
+    "make_workspace",
     "mm_update",
     "mm_solve",
     "step_size",
@@ -54,6 +57,34 @@ class MMWorkspace:
             self._key = key
         return self._c1, self._c2
 
+    def step(self, ev: _Eval, design: DesignMatrix, weights: PenaltyWeights):
+        """The exact minimizer of the anchored majorizer at ``ev``, without its scores."""
+        z = np.where(ev.margins >= 1.0, ev.scores, design.y)
+        svd = self.svd
+        if weights.b2 == 0.0:
+            # unpenalized system: minimum-norm least-squares solution
+            return svd.V @ ((svd.U.T @ z) / svd.s), None
+        pm = ev.pm
+        c1, c2 = self.coefficients(weights)
+        # V.T @ pm, read from the rows of V where pm is nonzero
+        return pm + svd.V @ (c1 * (svd.U.T @ z) - c2 * _rows_dot(pm, svd.V)), None
+
+
+def mm_update(beta, ws: MMWorkspace, design: DesignMatrix,
+              constraint: SparsityConstraint, weights: PenaltyWeights) -> np.ndarray:
+    """Exact minimizer of the anchored majorizer via the cached factorization."""
+    return ws.step(_evaluate(beta, design, constraint, weights), design, weights)[0]
+
+
+def _exact_step(gsq: float, Xg: np.ndarray, weights: PenaltyWeights, guard: float) -> float:
+    return gsq / (weights.a2 * float(Xg @ Xg) + weights.b2 * gsq + guard)
+
+
+def step_size(grad, design: DesignMatrix, weights: PenaltyWeights, guard: float) -> float:
+    """Exact minimizer of the majorizer along -grad, guarded against 0/0."""
+    grad = np.asarray(grad, dtype=float)
+    return _exact_step(float(grad @ grad), design.X @ grad, weights, guard)
+
 
 @dataclass
 class SDWorkspace:
@@ -67,60 +98,34 @@ class SDWorkspace:
         fro2 = float(np.sum(design.X * design.X))
         return cls(guard=1e-12 * (1.0 + a2 * fro2))
 
-
-def _mm_step(ev: _Eval, ws: MMWorkspace, design, weights) -> np.ndarray:
-    z = np.where(ev.margins >= 1.0, ev.scores, design.y)
-    svd = ws.svd
-    if weights.b2 == 0.0:
-        # unpenalized system: minimum-norm least-squares solution
-        return svd.V @ ((svd.U.T @ z) / svd.s)
-    pm = ev.pm
-    c1, c2 = ws.coefficients(weights)
-    # V.T @ pm, read from the rows of V where pm is nonzero
-    return pm + svd.V @ (c1 * (svd.U.T @ z) - c2 * _rows_dot(pm, svd.V))
-
-
-def mm_update(beta, ws: MMWorkspace, design: DesignMatrix,
-              constraint: SparsityConstraint, weights: PenaltyWeights) -> np.ndarray:
-    """Exact minimizer of the anchored majorizer via the cached factorization."""
-    return _mm_step(_evaluate(beta, design, constraint, weights), ws, design, weights)
-
-
-def _exact_step(gsq: float, Xg: np.ndarray, weights: PenaltyWeights, guard: float) -> float:
-    return gsq / (weights.a2 * float(Xg @ Xg) + weights.b2 * gsq + guard)
-
-
-def step_size(grad, design: DesignMatrix, weights: PenaltyWeights, guard: float) -> float:
-    """Exact minimizer of the majorizer along -grad, guarded against 0/0."""
-    grad = np.asarray(grad, dtype=float)
-    return _exact_step(float(grad @ grad), design.X @ grad, weights, guard)
-
-
-def _sd_step(ev: _Eval, ws: SDWorkspace, design, weights):
-    """The descent step and, by linearity, the new iterate's scores."""
-    Xg = design.X @ ev.grad
-    eta = _exact_step(ev.grad_sq, Xg, weights, ws.guard)
-    return ev.beta - eta * ev.grad, ev.scores - eta * Xg
+    def step(self, ev: _Eval, design: DesignMatrix, weights: PenaltyWeights):
+        """The descent step from ``ev`` and, by linearity, the new iterate's scores."""
+        Xg = design.X @ ev.grad
+        eta = _exact_step(ev.grad_sq, Xg, weights, self.guard)
+        return ev.beta - eta * ev.grad, ev.scores - eta * Xg
 
 
 def sd_update(beta, ws: SDWorkspace, design: DesignMatrix,
               constraint: SparsityConstraint, weights: PenaltyWeights) -> np.ndarray:
     """One steepest-descent step with the exact surrogate line search."""
-    return _sd_step(_evaluate(beta, design, constraint, weights), ws, design, weights)[0]
+    return ws.step(_evaluate(beta, design, constraint, weights), design, weights)[0]
 
 
-def _make_step(solver: str, ws, design: DesignMatrix, weights: PenaltyWeights):
-    """The update map of ``solver`` ("mm" or "sd") at fixed weights, taking an
-    evaluated point to the next iterate and its scores, or ``None`` where the
-    step does not hold them."""
-    if solver == "mm":
-        return lambda ev: (_mm_step(ev, ws, design, weights), None)
-    return lambda ev: _sd_step(ev, ws, design, weights)
+# each solver is its workspace type, whose ``step`` is the solver's update
+SOLVERS = {"mm": MMWorkspace, "sd": SDWorkspace}
 
 
-def _solve_subproblem(beta0, design, constraint, weights, cfg: SolverConfig,
-                      step, history=None):
-    """Iterate ``step`` until the squared gradient norm drops below
+def make_workspace(design: DesignMatrix, solver: str):
+    """The workspace of ``solver`` (a key of ``SOLVERS``, any case) for ``design``."""
+    kind = SOLVERS.get(solver.lower())
+    if kind is None:
+        raise ValueError(f"unknown solver {solver!r}; expected one of {tuple(SOLVERS)}")
+    return kind.from_design(design)
+
+
+def _solve_subproblem(beta0, ws, design, constraint, weights, cfg: SolverConfig,
+                      history=None):
+    """Iterate ``ws.step`` until the squared gradient norm drops below
     ``cfg.grad_tol`` or ``cfg.max_inner`` updates have been taken.
 
     Each update is followed by a convergence test at the fresh iterate. If
@@ -148,7 +153,7 @@ def _solve_subproblem(beta0, design, constraint, weights, cfg: SolverConfig,
     j = 1
     iters = 0
     while cur.grad_sq >= cfg.grad_tol and iters < cfg.max_inner:
-        beta_new, scores_new = step(cur)
+        beta_new, scores_new = ws.step(cur, design, weights)
         if scores_new is None:
             scores_new = X @ beta_new
         new = _Eval(beta_new, scores_new, design, constraint, weights)
@@ -188,21 +193,20 @@ def _report(ev: _Eval, iters, constraint, cfg, t0) -> FitReport:
     )
 
 
-def _solve(solver, beta0, ws, design, constraint, weights, cfg, history):
+def _solve(beta0, ws, design, constraint, weights, cfg, history):
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
-    ev, iters = _solve_subproblem(beta0, design, constraint, weights, cfg,
-                                  _make_step(solver, ws, design, weights), history)
+    ev, iters = _solve_subproblem(beta0, ws, design, constraint, weights, cfg, history)
     return ev.beta, _report(ev, iters, constraint, cfg, t0)
 
 
 def mm_solve(beta0, ws: MMWorkspace, design: DesignMatrix, constraint: SparsityConstraint,
              weights: PenaltyWeights, cfg: SolverConfig | None = None, history=None):
     """Run the factorization update to stationarity at fixed weights."""
-    return _solve("mm", beta0, ws, design, constraint, weights, cfg, history)
+    return _solve(beta0, ws, design, constraint, weights, cfg, history)
 
 
 def sd_solve(beta0, ws: SDWorkspace, design: DesignMatrix, constraint: SparsityConstraint,
              weights: PenaltyWeights, cfg: SolverConfig | None = None, history=None):
     """Run guarded steepest descent to stationarity at fixed weights."""
-    return _solve("sd", beta0, ws, design, constraint, weights, cfg, history)
+    return _solve(beta0, ws, design, constraint, weights, cfg, history)

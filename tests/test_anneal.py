@@ -116,6 +116,14 @@ class TestProxDistFit:
         with pytest.raises(ValueError, match="unknown solver"):
             prox_dist_fit(design, constraint, np.zeros(5), solver="newton")
 
+    @pytest.mark.parametrize("solver,other", [("mm", solvers.SDWorkspace),
+                                              ("sd", solvers.MMWorkspace)])
+    def test_workspace_of_other_solver_rejected(self, rng, solver, other):
+        design, constraint, _ = random_problem(rng, 10, 4, 2)
+        with pytest.raises(ValueError, match=f"'{solver}'.*{other.__name__}"):
+            prox_dist_fit(design, constraint, np.zeros(5), solver=solver,
+                          workspace=other.from_design(design))
+
     def test_solver_name_case_insensitive(self, rng):
         design, constraint, _ = random_problem(rng, 10, 4, 2)
         b1, _ = prox_dist_fit(design, constraint, np.zeros(5), solver="MM")

@@ -309,3 +309,26 @@ def test_failed_levels_in_table(monkeypatch, grid):
     if grid == (0.5,):
         # every fit failed: no statistic has a fold to average over
         assert json.loads(table.to_json())["selected"].keys() == {"s", "k", "valid", "test"}
+
+
+def test_programming_error_in_a_fit_propagates(monkeypatch):
+    def broken_fit(self, *args, **kwargs):
+        raise TypeError("broken fit")
+
+    monkeypatch.setattr(PairProblem, "fit", broken_fit)
+    ds = blob_dataset(np.random.default_rng(5), n_per=10)
+    folds = make_folds(ds.n, 2, seed=0, labels=ds.labels)
+    with pytest.raises(TypeError, match="broken fit"):
+        cross_validate(ds, folds, [0.0, 0.5])
+    with pytest.raises(TypeError, match="broken fit"):
+        train_ovo(ds, 0.5)
+
+
+@pytest.mark.parametrize("n_threads", [0, -3])
+def test_thread_count_below_one_rejected(n_threads):
+    ds = blob_dataset(np.random.default_rng(5), n_per=10)
+    folds = make_folds(ds.n, 2, seed=0, labels=ds.labels)
+    with pytest.raises(ValueError, match="n_threads must be at least 1"):
+        cross_validate(ds, folds, [0.0], n_threads=n_threads)
+    with pytest.raises(ValueError, match="n_threads must be at least 1"):
+        train_ovo(ds, 0.0, n_threads=n_threads)

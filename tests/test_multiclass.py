@@ -6,6 +6,7 @@ from sparsesvm.data import DataError, Dataset, DesignMatrix, binarize
 from sparsesvm.multiclass import (GaussianKernelSpec, OVOModel, PairClassifier,
                                   PairProblem, class_pairs, init_heuristic,
                                   predict_ovo, train_ovo)
+from sparsesvm.solvers import SOLVERS
 from sparsesvm.sparsity import SparsityConstraint
 
 
@@ -171,6 +172,17 @@ class TestPairProblem:
         np.testing.assert_array_equal(pair.kernel.train_features, linear.X[:, :-1])
         np.testing.assert_array_equal(pair.kernel.train_labels, linear.y)
         assert (pair.positive, pair.negative) == (2, 0)
+
+    @pytest.mark.parametrize("solver", ["mm", "sd"])
+    def test_build_binds_the_solver(self, rng, solver):
+        prob = PairProblem.build(blob_dataset(rng, n_per=10), 0, 1, solver=solver)
+        assert isinstance(prob.workspace, SOLVERS[solver])
+        prob.fit(0.0)
+        prob.fit(0.5)
+
+    def test_build_rejects_unknown_solver(self, rng):
+        with pytest.raises(ValueError, match="unknown solver"):
+            PairProblem.build(blob_dataset(rng, n_per=10), 0, 1, solver="newton")
 
     def test_refit_warm_starts_at_the_penalty_reached(self, rng):
         prob = PairProblem.build(blob_dataset(rng, n_per=10), 0, 1)

@@ -236,13 +236,9 @@ class TestSDUpdate:
 
 class TestNesterov:
     def test_weight_formula(self):
-        policy = AccelPolicy(shift=3)
+        policy = AccelPolicy()
         assert policy.weight(1) == 0.0
         assert policy.weight(3) == pytest.approx(2.0 / 5.0)
-
-    def test_shift_below_three_rejected(self):
-        with pytest.raises(ValueError):
-            AccelPolicy(shift=2)
 
 
 def run_history(solver_fn, ws, design, constraint, weights, beta0, cfg):
