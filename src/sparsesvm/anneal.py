@@ -13,7 +13,7 @@ import numpy as np
 from .config import AnnealSchedule, FitReport, SolverConfig
 from .data import DesignMatrix
 from .objective import PenaltyWeights
-from .solvers import SOLVERS, _solve_subproblem, make_workspace
+from .solvers import _solve_subproblem, make_workspace
 from .sparsity import SparsityConstraint
 
 __all__ = ["FitError", "OuterRecord", "sv_count", "prox_dist_fit"]
@@ -43,9 +43,8 @@ def sv_count(beta, design: DesignMatrix) -> int:
 
 
 def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
-                  solver: str = "mm", sched: AnnealSchedule | None = None,
-                  cfg: SolverConfig | None = None, workspace=None,
-                  trace_hook=None):
+                  solver="mm", sched: AnnealSchedule | None = None,
+                  cfg: SolverConfig | None = None, trace_hook=None):
     """Fit one binary classifier at sparsity level ``constraint``.
 
     Each penalty level is solved to inner stationarity, the penalty then grows
@@ -53,15 +52,13 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
     distance to the sparsity set falls below ``sched.dist_tol``, stalls, or
     the outer budget runs out; the returned coefficients are the projection of
     the last iterate, so they are always feasible. ``converged`` is set only
-    when the final distance actually met the tolerance. A ``workspace`` given
-    must be the one ``solver`` names in ``SOLVERS``.
+    when the final distance actually met the tolerance. ``solver`` is a key of
+    ``solvers.SOLVERS`` or a workspace ``solvers.make_workspace`` built for
+    ``design``, which can then be reused across fits.
     """
     sched = sched or AnnealSchedule()
     cfg = cfg or SolverConfig()
-    if workspace is None:
-        workspace = make_workspace(design, solver)
-    elif not isinstance(workspace, SOLVERS.get(solver.lower(), ())):
-        raise ValueError(f"solver {solver!r} cannot step with a {type(workspace).__name__}")
+    workspace = make_workspace(design, solver) if isinstance(solver, str) else solver
 
     t0 = time.perf_counter()
     beta = np.asarray(beta0, dtype=float).copy()
@@ -95,6 +92,7 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
     beta_final = ev.pm
     report = FitReport(
         outer_iters=outer,
+        rho=weights.rho,
         total_inner_iters=total_inner,
         objective=ev.objective,
         grad_sq=ev.grad_sq,

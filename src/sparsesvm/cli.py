@@ -40,10 +40,11 @@ def _add_fit_flags(sp):
     sched, cfg, accel = AnnealSchedule(), SolverConfig(), AccelPolicy()
     sp.add_argument("--algorithm", choices=list(SOLVERS), default="mm",
                     help="inner solver (default mm)")
-    sp.add_argument("--sparsity", type=float, default=None,
-                    help="sparsity fraction s in [0,1); k = round((1-s) p) features kept")
-    sp.add_argument("--keep", type=int, default=None,
-                    help="number of features kept; wins over --sparsity when both given")
+    level = sp.add_mutually_exclusive_group()
+    level.add_argument("--sparsity", type=float, default=None,
+                       help="sparsity fraction s in [0,1); k = round((1-s) p) features kept")
+    level.add_argument("--keep", type=int, default=None,
+                       help="number of features kept (instead of --sparsity)")
     sp.add_argument("--kernel", choices=["gaussian"], default=None,
                     help="train in the kernel representation")
     sp.add_argument("--gamma", type=float, default=None,

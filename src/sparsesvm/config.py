@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 __all__ = ["AccelPolicy", "AnnealSchedule", "SolverConfig", "FitReport"]
@@ -37,14 +38,14 @@ class AnnealSchedule:
     dist_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.rho0 <= 0:
-            raise ValueError(f"rho0 must be positive, got {self.rho0}")
-        if self.multiplier <= 1.0:
-            raise ValueError(f"multiplier must exceed 1, got {self.multiplier}")
+        if not 0 < self.rho0 < math.inf:
+            raise ValueError(f"rho0 must be positive and finite, got {self.rho0}")
+        if not 1.0 < self.multiplier < math.inf:
+            raise ValueError(f"multiplier must exceed 1 and be finite, got {self.multiplier}")
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
-        if self.dist_tol <= 0:
-            raise ValueError(f"dist_tol must be positive, got {self.dist_tol}")
+        if not 0 < self.dist_tol < math.inf:
+            raise ValueError(f"dist_tol must be positive and finite, got {self.dist_tol}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,8 @@ class SolverConfig:
     accel: AccelPolicy | None = field(default_factory=AccelPolicy)
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         if self.max_inner < 1:
             raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
 
@@ -71,6 +72,7 @@ class FitReport:
     """Diagnostics of one fit: iteration counts, final objective pieces, timing."""
 
     outer_iters: int = 0
+    rho: float = float("nan")  # penalty of the last level solved
     total_inner_iters: int = 0
     objective: float = float("nan")
     grad_sq: float = float("nan")

@@ -8,6 +8,7 @@ training samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def gram_matrix(features: np.ndarray, gamma: float) -> np.ndarray:
     """K_ij = exp(-gamma ||x_i - x_j||^2), symmetric with unit diagonal."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     X = np.asarray(features, dtype=float)
     K = np.exp(-gamma * _sq_dists(X, X))
     K = 0.5 * (K + K.T)
@@ -67,8 +68,8 @@ class KernelModel:
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
         object.__setattr__(self, "train_features", np.asarray(self.train_features, dtype=float))
         object.__setattr__(self, "train_labels", np.asarray(self.train_labels, dtype=float))
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.alpha.shape != (self.train_features.shape[0] + 1,):
             raise ValueError("alpha must have one entry per training sample plus an intercept")
         if self.train_labels.shape != (self.train_features.shape[0],):

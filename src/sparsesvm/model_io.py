@@ -90,11 +90,18 @@ def _field(obj: dict, key: str, kind: type, where: str):
     return value
 
 
+def _finite(arr: np.ndarray, key: str, where: str) -> np.ndarray:
+    """``arr``, which must hold no NaN or infinity (JSON's ``NaN``, ``Infinity``)."""
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{where}: {key!r} holds a non-finite number")
+    return arr
+
+
 def _vector(obj: dict, key: str, where: str) -> np.ndarray:
     values = _field(obj, key, list, where)
     if not all(_is_a(v, float) for v in values):
         raise ValueError(f"{where}: {key!r} must be a list of numbers")
-    return np.asarray(values, dtype=float)
+    return _finite(np.asarray(values, dtype=float), key, where)
 
 
 def _matrix(obj: dict, key: str, where: str) -> np.ndarray:
@@ -103,7 +110,7 @@ def _matrix(obj: dict, key: str, where: str) -> np.ndarray:
         raise ValueError(f"{where}: {key!r} must be a non-empty list of lists of numbers")
     if len({len(r) for r in rows}) != 1:
         raise ValueError(f"{where}: rows of {key!r} differ in length")
-    return np.asarray(rows, dtype=float)
+    return _finite(np.asarray(rows, dtype=float), key, where)
 
 
 def _parse_transform(doc: dict) -> ColumnTransform | None:
@@ -176,5 +183,5 @@ def load_model(path) -> SavedModel:
         raise ValueError(f"{path}: not a valid model file: {exc}") from exc
     try:
         return _parse_model(doc)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # an integer too large for a float overflows
         raise ValueError(f"{path}: {exc}") from exc

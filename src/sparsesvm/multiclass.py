@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,8 +26,8 @@ class GaussianKernelSpec:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
 
 
 def init_heuristic(design: DesignMatrix) -> np.ndarray:
@@ -94,16 +95,15 @@ class PairProblem:
 
     The design is ``binarize``'s; with a kernel it becomes [K diag(y) | 1]
     over that design's feature rows and +/-1 labels, which the fitted
-    ``KernelModel`` keeps as its training rows. The solver and its workspace
-    are bound at ``build``; the last coefficients and the penalty reached
-    persist across ``fit`` calls, so each call after the first warm-starts
-    where the previous one stopped.
+    ``KernelModel`` keeps as its training rows. The solver's workspace is
+    built at ``build``; the last coefficients and the penalty of the last
+    level solved persist across ``fit`` calls, so each call after the first
+    warm-starts where the previous one stopped.
     """
 
     positive: int
     negative: int
     design: DesignMatrix
-    solver: str
     workspace: object
     kernel_rows: tuple[np.ndarray, np.ndarray, float] | None = None
     warm: np.ndarray | None = None
@@ -119,7 +119,7 @@ class PairProblem:
             gamma = kernel.gamma if kernel.gamma is not None else median_bandwidth(feats)
             kernel_rows = (feats, design.y, gamma)
             design = kernel_design(gram_matrix(feats, gamma), design.y)
-        return cls(pos, neg, design, solver, make_workspace(design, solver), kernel_rows)
+        return cls(pos, neg, design, make_workspace(design, solver), kernel_rows)
 
     def constraint(self, sparsity) -> SparsityConstraint:
         """A SparsityConstraint for this design's p, or a fraction of it."""
@@ -133,17 +133,16 @@ class PairProblem:
     def fit(self, sparsity, sched: AnnealSchedule | None = None,
             cfg: SolverConfig | None = None, trace_hook=None) -> PairClassifier:
         """Fit at ``sparsity``: from ``init_heuristic`` at ``sched.rho0`` the first
-        time, afterwards from the last coefficients at the penalty last reached."""
+        time, afterwards from the last coefficients at the last penalty solved."""
         sched = sched or AnnealSchedule()
         constraint = self.constraint(sparsity)
         beta0 = self.warm if self.warm is not None else init_heuristic(self.design)
         # a later fit continues the penalty ladder instead of re-annealing
         level = replace(sched, rho0=self.rho) if self.rho is not None else sched
-        beta, report = prox_dist_fit(self.design, constraint, beta0, solver=self.solver,
-                                     sched=level, cfg=cfg, workspace=self.workspace,
-                                     trace_hook=trace_hook)
+        beta, report = prox_dist_fit(self.design, constraint, beta0, solver=self.workspace,
+                                     sched=level, cfg=cfg, trace_hook=trace_hook)
         self.warm = beta
-        self.rho = level.rho0 * sched.multiplier ** (report.outer_iters - 1)
+        self.rho = report.rho
         if self.kernel_rows is None:
             return PairClassifier(self.positive, self.negative, coef=beta, report=report)
         feats, y, gamma = self.kernel_rows

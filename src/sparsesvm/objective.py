@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,20 +37,9 @@ class PenaltyWeights:
     def for_problem(cls, n: int, constraint: SparsityConstraint, rho: float) -> "PenaltyWeights":
         if n < 1:
             raise ValueError("n must be positive")
-        if rho < 0:
-            raise ValueError(f"rho must be nonnegative, got {rho}")
+        if not 0 <= rho < math.inf:
+            raise ValueError(f"rho must be nonnegative and finite, got {rho}")
         return cls(a2=1.0 / n, b2=rho / (constraint.p - constraint.k + 1), rho=float(rho))
-
-
-@dataclass
-class ObjectiveState:
-    """One evaluation of the penalized objective with cached margins."""
-
-    margins: np.ndarray
-    loss: float
-    penalty: float
-    objective: float
-    grad: np.ndarray
 
 
 def _loss_from_slack(slack: np.ndarray) -> float:
@@ -80,14 +70,14 @@ def _rows_dot(v: np.ndarray, A: np.ndarray) -> np.ndarray:
     return v @ A
 
 
-class _Eval:
+class ObjectiveState:
     """The penalized objective at one point, each piece computed once.
 
-    Built from ``beta`` and its scores ``X @ beta``; the margins and slack are
-    formed at once, everything else (the projection ``pm``, the squared
-    distance, loss, penalty, objective and gradient) on first use, so a point
-    whose gradient alone is asked for never pays for the loss, and one whose
-    objective alone is asked for never pays for ``X.T @ v``.
+    Built from ``beta`` and its scores ``X @ beta``, which ``at`` computes; the
+    margins and slack are formed at once, everything else (the projection
+    ``pm``, the squared distance, loss, penalty, objective and gradient) on
+    first use, so a point whose gradient alone is asked for never pays for the
+    loss, and one whose objective alone never pays for ``X.T @ v``.
     """
 
     __slots__ = ("beta", "scores", "margins", "slack", "_design", "_constraint", "_weights",
@@ -107,6 +97,13 @@ class _Eval:
         self._grad_sq = None
         self.margins = design.y * scores
         self.slack = np.maximum(0.0, 1.0 - self.margins)
+
+    @classmethod
+    def at(cls, beta, design: DesignMatrix, constraint: SparsityConstraint,
+           weights: PenaltyWeights) -> ObjectiveState:
+        """The state at ``beta``, its scores computed from the design."""
+        beta = np.asarray(beta, dtype=float)
+        return cls(beta, design.X @ beta, design, constraint, weights)
 
     @property
     def pm(self) -> np.ndarray:
@@ -171,20 +168,16 @@ def working_response(beta: np.ndarray, design: DesignMatrix) -> np.ndarray:
     return np.where(design.y * scores >= 1.0, scores, design.y)
 
 
-def _evaluate(beta, design, constraint, weights) -> _Eval:
-    beta = np.asarray(beta, dtype=float)
-    return _Eval(beta, design.X @ beta, design, constraint, weights)
-
-
 def gradient(beta, design: DesignMatrix, constraint: SparsityConstraint, weights: PenaltyWeights) -> np.ndarray:
     """Gradient of the penalized objective, defined wherever the projection is unique."""
-    return _evaluate(beta, design, constraint, weights).grad
+    return ObjectiveState.at(beta, design, constraint, weights).grad
 
 
 def penalized_objective(beta, design, constraint, weights) -> ObjectiveState:
-    ev = _evaluate(beta, design, constraint, weights)
-    return ObjectiveState(margins=ev.margins, loss=ev.loss, penalty=ev.penalty,
-                          objective=ev.objective, grad=ev.grad)
+    """The state at ``beta`` with its objective and gradient already evaluated."""
+    state = ObjectiveState.at(beta, design, constraint, weights)
+    state.objective, state.grad  # forces both lazy pieces
+    return state
 
 
 def surrogate_value(beta, anchor, design, constraint, weights) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import FitReport, SolverConfig
 from .data import DesignMatrix, ThinSVD, thin_svd
-from .objective import PenaltyWeights, _Eval, _evaluate, _rows_dot
+from .objective import ObjectiveState, PenaltyWeights, _rows_dot
 from .sparsity import SparsityConstraint
 
 __all__ = [
@@ -57,7 +57,7 @@ class MMWorkspace:
             self._key = key
         return self._c1, self._c2
 
-    def step(self, ev: _Eval, design: DesignMatrix, weights: PenaltyWeights):
+    def step(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights):
         """The exact minimizer of the anchored majorizer at ``ev``, without its scores."""
         z = np.where(ev.margins >= 1.0, ev.scores, design.y)
         svd = self.svd
@@ -73,7 +73,7 @@ class MMWorkspace:
 def mm_update(beta, ws: MMWorkspace, design: DesignMatrix,
               constraint: SparsityConstraint, weights: PenaltyWeights) -> np.ndarray:
     """Exact minimizer of the anchored majorizer via the cached factorization."""
-    return ws.step(_evaluate(beta, design, constraint, weights), design, weights)[0]
+    return ws.step(ObjectiveState.at(beta, design, constraint, weights), design, weights)[0]
 
 
 def _exact_step(gsq: float, Xg: np.ndarray, weights: PenaltyWeights, guard: float) -> float:
@@ -98,7 +98,7 @@ class SDWorkspace:
         fro2 = float(np.sum(design.X * design.X))
         return cls(guard=1e-12 * (1.0 + a2 * fro2))
 
-    def step(self, ev: _Eval, design: DesignMatrix, weights: PenaltyWeights):
+    def step(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights):
         """The descent step from ``ev`` and, by linearity, the new iterate's scores."""
         Xg = design.X @ ev.grad
         eta = _exact_step(ev.grad_sq, Xg, weights, self.guard)
@@ -108,7 +108,7 @@ class SDWorkspace:
 def sd_update(beta, ws: SDWorkspace, design: DesignMatrix,
               constraint: SparsityConstraint, weights: PenaltyWeights) -> np.ndarray:
     """One steepest-descent step with the exact surrogate line search."""
-    return ws.step(_evaluate(beta, design, constraint, weights), design, weights)[0]
+    return ws.step(ObjectiveState.at(beta, design, constraint, weights), design, weights)[0]
 
 
 # each solver is its workspace type, whose ``step`` is the solver's update
@@ -135,10 +135,10 @@ def _solve_subproblem(beta0, ws, design, constraint, weights, cfg: SolverConfig,
     candidate becomes the current point: the loop condition then tests the
     candidate's own gradient, so the returned point may be an extrapolated one.
 
-    Every point is evaluated once (see ``_Eval``). Scores are linear in the
-    coefficients, so a candidate's scores are extrapolated from those of the
-    two points it comes from, and a step that holds its iterate's scores hands
-    them back. An accelerated iteration thus reads the n x p design (or, for
+    Every point is evaluated once (see ``ObjectiveState``). Scores are linear
+    in the coefficients, so a candidate's scores are extrapolated from those of
+    the two points it comes from, and a step that holds its iterate's scores
+    hands them back. An accelerated iteration thus reads the n x p design (or, for
     ``mm``, its thin SVD factors) in full 3 times with ``mm`` (``U.T @ z``,
     ``V @ coef`` and the new scores ``X @ beta``) and once with ``sd`` (the
     line search's ``X @ g``), and, for the loss gradients of the new iterate
@@ -148,7 +148,7 @@ def _solve_subproblem(beta0, ws, design, constraint, weights, cfg: SolverConfig,
     """
     X = design.X
     beta = np.asarray(beta0, dtype=float).copy()
-    cur = _Eval(beta, X @ beta, design, constraint, weights)
+    cur = ObjectiveState(beta, X @ beta, design, constraint, weights)
     accel = cfg.accel
     j = 1
     iters = 0
@@ -156,7 +156,7 @@ def _solve_subproblem(beta0, ws, design, constraint, weights, cfg: SolverConfig,
         beta_new, scores_new = ws.step(cur, design, weights)
         if scores_new is None:
             scores_new = X @ beta_new
-        new = _Eval(beta_new, scores_new, design, constraint, weights)
+        new = ObjectiveState(beta_new, scores_new, design, constraint, weights)
         iters += 1
         if history is not None:
             history.append(new.objective)
@@ -166,9 +166,9 @@ def _solve_subproblem(beta0, ws, design, constraint, weights, cfg: SolverConfig,
         if accel is not None and iters > accel.warmup:
             w = accel.weight(j)
             if w > 0.0:
-                cand = _Eval(beta_new + w * (beta_new - cur.beta),
-                             scores_new + w * (scores_new - cur.scores),
-                             design, constraint, weights)
+                cand = ObjectiveState(beta_new + w * (beta_new - cur.beta),
+                                      scores_new + w * (scores_new - cur.scores),
+                                      design, constraint, weights)
                 if cand.objective > new.objective:
                     j = 1
                 else:
@@ -180,9 +180,10 @@ def _solve_subproblem(beta0, ws, design, constraint, weights, cfg: SolverConfig,
     return cur, iters
 
 
-def _report(ev: _Eval, iters, constraint, cfg, t0) -> FitReport:
+def _report(ev: ObjectiveState, iters, constraint, weights, cfg, t0) -> FitReport:
     return FitReport(
         outer_iters=0,
+        rho=weights.rho,
         total_inner_iters=iters,
         objective=ev.objective,
         grad_sq=ev.grad_sq,
@@ -197,7 +198,7 @@ def _solve(beta0, ws, design, constraint, weights, cfg, history):
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
     ev, iters = _solve_subproblem(beta0, ws, design, constraint, weights, cfg, history)
-    return ev.beta, _report(ev, iters, constraint, cfg, t0)
+    return ev.beta, _report(ev, iters, constraint, weights, cfg, t0)
 
 
 def mm_solve(beta0, ws: MMWorkspace, design: DesignMatrix, constraint: SparsityConstraint,

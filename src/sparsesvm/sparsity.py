@@ -27,10 +27,6 @@ class SparsityConstraint:
             raise ValueError(f"sparsity fraction must lie in [0, 1), got {s}")
         return cls(int(round((1.0 - s) * p)), int(p))
 
-    @property
-    def sparsity(self) -> float:
-        return 1.0 - self.k / self.p
-
 
 def project(beta: np.ndarray, constraint: SparsityConstraint) -> np.ndarray:
     """Zero all but the k largest-magnitude entries among the first p coordinates.

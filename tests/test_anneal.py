@@ -108,21 +108,29 @@ class TestProxDistFit:
     def test_outer_budget_respected(self, rng):
         design, constraint, _ = random_problem(rng, 30, 8, 2)
         sched = AnnealSchedule(max_outer=3)
-        _, report = prox_dist_fit(design, constraint, rng.standard_normal(9), sched=sched)
+        records = []
+        _, report = prox_dist_fit(design, constraint, rng.standard_normal(9), sched=sched,
+                                  trace_hook=records.append)
         assert report.outer_iters <= 3
+        # the budget ends the ladder after a level is solved, not above it
+        assert report.rho == records[-1].rho
 
     def test_unknown_solver_rejected(self, rng):
         design, constraint, _ = random_problem(rng, 10, 4, 2)
         with pytest.raises(ValueError, match="unknown solver"):
             prox_dist_fit(design, constraint, np.zeros(5), solver="newton")
 
-    @pytest.mark.parametrize("solver,other", [("mm", solvers.SDWorkspace),
-                                              ("sd", solvers.MMWorkspace)])
-    def test_workspace_of_other_solver_rejected(self, rng, solver, other):
-        design, constraint, _ = random_problem(rng, 10, 4, 2)
-        with pytest.raises(ValueError, match=f"'{solver}'.*{other.__name__}"):
-            prox_dist_fit(design, constraint, np.zeros(5), solver=solver,
-                          workspace=other.from_design(design))
+    @pytest.mark.parametrize("solver", ["mm", "sd"])
+    def test_workspace_fits_like_its_solver_name(self, rng, solver):
+        design, constraint, _ = random_problem(rng, 30, 8, 2)
+        beta0 = rng.standard_normal(9)
+        ws = solvers.make_workspace(design, solver)
+        b1, r1 = prox_dist_fit(design, constraint, beta0, solver=ws)
+        b2, r2 = prox_dist_fit(design, constraint, beta0, solver=ws)
+        b3, r3 = prox_dist_fit(design, constraint, beta0, solver=solver)
+        np.testing.assert_array_equal(b1, b3)
+        np.testing.assert_array_equal(b2, b3)
+        assert r1.total_inner_iters == r2.total_inner_iters == r3.total_inner_iters
 
     def test_solver_name_case_insensitive(self, rng):
         design, constraint, _ = random_problem(rng, 10, 4, 2)
@@ -193,7 +201,7 @@ class TestLinearScores:
         relative to its largest entry."""
         errors = []
 
-        class Checked(solvers._Eval):
+        class Checked(solvers.ObjectiveState):
             __slots__ = ()
 
             def __init__(self, beta, scores, design, constraint, weights):
@@ -202,7 +210,7 @@ class TestLinearScores:
                                float(np.max(np.abs(fresh)))))
                 super().__init__(beta, scores, design, constraint, weights)
 
-        monkeypatch.setattr(solvers, "_Eval", Checked)
+        monkeypatch.setattr(solvers, "ObjectiveState", Checked)
         ds, _ = gen_gaussian_causal(120, 40, 4, 5)
         design = binarize(ds, 1, 0)
         _, report = prox_dist_fit(design, SparsityConstraint(k=4, p=40), init_heuristic(design),

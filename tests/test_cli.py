@@ -85,13 +85,6 @@ class TestTrainPredict:
         assert scored["n"] == 80
         assert scored["accuracy_pct"] >= 95.0
 
-    def test_keep_beats_sparsity_flag(self, tmp_path, capsys, causal_csv):
-        model_path = tmp_path / "m.json"
-        run_cli(capsys, "train", "--data", str(causal_csv), "--keep", "2",
-                "--sparsity", "0.0", "--output", str(model_path))
-        coef = load_model(model_path).ovo.pairs[0].coef
-        assert int(np.count_nonzero(coef[:-1])) <= 2
-
     def test_predict_writes_feature_only_csv(self, tmp_path, capsys, causal_csv):
         model_path = tmp_path / "m.json"
         run_cli(capsys, "train", "--data", str(causal_csv), "--output", str(model_path))
@@ -278,6 +271,32 @@ class TestErrors:
         assert errors == [f"sparsesvm: error: {message}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "trace"])
+    def test_keep_and_sparsity_are_exclusive(self, tmp_path, capsys, causal_csv, command):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main([command, "--data", str(causal_csv), "--keep", "2", "--sparsity", "0.5",
+                  "--output", str(out)])
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--grad-tol", "nan"), "grad_tol must be positive and finite, got nan"),
+        (("--dist-tol", "nan"), "dist_tol must be positive and finite, got nan"),
+        (("--rho0", "inf"), "rho0 must be positive and finite, got inf"),
+        (("--multiplier", "nan"), "multiplier must exceed 1 and be finite, got nan"),
+        (("--kernel", "gaussian", "--gamma", "nan"), "gamma must be positive and finite, got nan"),
+    ], ids=["grad-tol", "dist-tol", "rho0", "multiplier", "gamma"])
+    def test_non_finite_fit_value_rejected(self, tmp_path, capsys, causal_csv, flags, message):
+        out = tmp_path / "m.json"
+        sparsity = () if "--kernel" in flags else ("--keep", "3")
+        rc, stdout, err = run_cli(capsys, "train", "--data", str(causal_csv), *sparsity,
+                                  *flags, "--output", str(out))
+        assert rc == 1 and stdout == ""
+        assert err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_missing_data_file_is_reported(self, tmp_path, capsys):
         rc, _, err = run_cli(capsys, "train", "--data", str(tmp_path / "nope.csv"),
                              "--output", str(tmp_path / "m.json"))
@@ -317,6 +336,11 @@ class TestErrors:
         del model_doc["pairs"][0]["coef"]
         err = self.predict_with(tmp_path, capsys, causal_csv, model_doc)
         assert "missing key 'coef'" in err
+
+    def test_model_with_non_finite_coefficient(self, tmp_path, capsys, causal_csv, model_doc):
+        model_doc["pairs"][0]["coef"][0] = float("nan")
+        err = self.predict_with(tmp_path, capsys, causal_csv, model_doc)
+        assert "'coef' holds a non-finite number" in err
 
     def test_model_is_a_list(self, tmp_path, capsys, causal_csv, model_doc):
         err = self.predict_with(tmp_path, capsys, causal_csv, [model_doc])

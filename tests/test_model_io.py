@@ -78,6 +78,16 @@ class TestFormatValidation:
         with pytest.raises(ValueError, match="not a valid model file"):
             load_model(path)
 
+    def test_integer_too_large_for_a_float(self, rng, tmp_path):
+        ds = blob_dataset(rng, n_per=8, classes=2)
+        path = tmp_path / "m.json"
+        save_model(path, train_ovo(ds, SparsityConstraint(k=1, p=4)))
+        doc = json.loads(path.read_text())
+        doc["pairs"][0]["coef"][0] = 10 ** 400
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="too large"):
+            load_model(path)
+
     def test_format_marker_written(self, rng, tmp_path):
         ds = blob_dataset(rng, n_per=8, classes=2)
         model = train_ovo(ds, SparsityConstraint(k=1, p=4))
@@ -128,12 +138,16 @@ def saved_docs(tmp_path_factory):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_damaged_model_raises_value_error(saved_docs, tmp_path, data):
     """Deleting any key or list entry (a whole pair aside, which leaves a
-    valid model) or retyping any value is reported as a ValueError."""
+    valid model), retyping any value or making it NaN or an infinity (JSON's
+    ``NaN``, ``Infinity``) is reported as a ValueError."""
     doc = json.loads(json.dumps(data.draw(st.sampled_from(saved_docs))))
     prefix, key = data.draw(st.sampled_from(list(_paths(doc))))
     parent = _at(doc, prefix)
-    if prefix != ("pairs",) and data.draw(st.booleans()):
+    how = data.draw(st.sampled_from(["delete", "retype", "non-finite"]))
+    if how == "delete" and prefix != ("pairs",):
         del parent[key]
+    elif how == "non-finite":
+        parent[key] = data.draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
     else:
         parent[key] = data.draw(st.sampled_from(_RETYPED[type(parent[key])]))
     path = tmp_path / "damaged.json"

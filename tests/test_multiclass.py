@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from sparsesvm.config import AnnealSchedule, SolverConfig
 from sparsesvm.data import DataError, Dataset, DesignMatrix, binarize
 from sparsesvm.multiclass import (GaussianKernelSpec, OVOModel, PairClassifier,
                                   PairProblem, class_pairs, init_heuristic,
@@ -185,11 +184,13 @@ class TestPairProblem:
             PairProblem.build(blob_dataset(rng, n_per=10), 0, 1, solver="newton")
 
     def test_refit_warm_starts_at_the_penalty_reached(self, rng):
+        """The refit resumes on the exact rung the first fit solved last; after
+        this first fit's 46 levels of 1.2, rho0 * 1.2 ** 45 is an ulp off it."""
         prob = PairProblem.build(blob_dataset(rng, n_per=10), 0, 1)
-        sched = AnnealSchedule(rho0=2.0, multiplier=1.5)
-        first = prob.fit(0.0, sched=sched)
-        assert prob.rho == pytest.approx(2.0 * 1.5 ** (first.report.outer_iters - 1))
+        first_levels, hooked = [], []
+        first = prob.fit(0.75, trace_hook=first_levels.append)
         np.testing.assert_array_equal(prob.warm, first.coef)
-        hooked = []
-        prob.fit(0.5, sched=sched, trace_hook=hooked.append)
-        assert hooked[0].rho == pytest.approx(2.0 * 1.5 ** (first.report.outer_iters - 1))
+        prob.fit(0.9, trace_hook=hooked.append)
+        assert len(first_levels) == first.report.outer_iters == 46
+        assert hooked[0].rho == first_levels[-1].rho
+        assert first.report.rho == first_levels[-1].rho

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsesvm.data import DesignMatrix
-from sparsesvm.objective import (PenaltyWeights, _Eval, _rows_dot, gradient, hinge_loss,
+from sparsesvm.objective import (ObjectiveState, PenaltyWeights, _rows_dot, gradient, hinge_loss,
                                  penalized_objective, surrogate_value,
                                  working_response)
 from sparsesvm.sparsity import SparsityConstraint, project, sq_distance
@@ -189,7 +189,7 @@ def test_eval_gradient_matches_dense_oracle(large, kf, rows, flip, rho, seed):
     inside = np.count_nonzero(slack)
     assert {"none": inside == 0, "all": inside == n, "mixed": True}[rows]
 
-    got = _Eval(beta, scores, design, constraint, weights).grad
+    got = ObjectiveState(beta, scores, design, constraint, weights).grad
     v = -weights.a2 * y * slack
     pull = weights.b2 * (beta - project(beta, constraint))
     want = X.T @ v + pull

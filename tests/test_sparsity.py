@@ -86,8 +86,9 @@ def test_from_sparsity_rounding():
 
 
 def test_sparsity_round_trip():
-    c = SparsityConstraint(k=5, p=50)
-    assert c.sparsity == pytest.approx(0.9)
+    for p in (1, 7, 50, 500):
+        for k in range(1, p + 1):
+            assert SparsityConstraint.from_sparsity(1.0 - k / p, p) == SparsityConstraint(k, p)
 
 
 finite_vectors = st.lists(
