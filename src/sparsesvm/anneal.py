@@ -18,6 +18,12 @@ from .sparsity import SparsityConstraint
 
 __all__ = ["FitError", "OuterRecord", "sv_count", "prox_dist_fit"]
 
+# Relative accuracy of each level's inner solve: a level ends once the gradient
+# is below this share of the distance penalty's pull (or below grad_tol). Every
+# level but the last is only a warm start for the next; 0.1 lowered the
+# holdout accuracy of the correlated-pair CV.
+TAU = 0.03
+
 
 class FitError(RuntimeError):
     """A fit diverged or could not be carried out."""
@@ -47,8 +53,10 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
                   cfg: SolverConfig | None = None, trace_hook=None):
     """Fit one binary classifier at sparsity level ``constraint``.
 
-    Each penalty level is solved to inner stationarity, the penalty then grows
-    by ``sched.multiplier``. The loop halts when the normalized squared
+    Each penalty level is solved until its squared gradient norm is below
+    ``cfg.grad_tol`` or ``TAU**2`` times the squared pull of the distance
+    penalty, whichever is larger; the penalty then grows by
+    ``sched.multiplier``. The loop halts when the normalized squared
     distance to the sparsity set falls below ``sched.dist_tol``, stalls, or
     the outer budget runs out; the returned coefficients are the projection of
     the last iterate, so they are always feasible. ``converged`` is set only
@@ -71,7 +79,8 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
     total_inner = 0
     for outer in range(1, sched.max_outer + 1):
         weights = PenaltyWeights.for_problem(design.n, constraint, rho)
-        ev, iters = _solve_subproblem(beta, workspace, design, constraint, weights, cfg)
+        ev, iters = _solve_subproblem(beta, workspace, design, constraint, weights, cfg,
+                                      pull_tol=TAU)
         beta = ev.beta
         total_inner += iters
         if not np.isfinite(ev.objective):

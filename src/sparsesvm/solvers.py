@@ -70,10 +70,19 @@ class MMWorkspace:
         return pm + svd.V @ (c1 * (svd.U.T @ z) - c2 * _rows_dot(pm, svd.V)), None
 
 
+def _require(ws, kind):
+    """``ws``, checked to be a ``kind``: each solver entry point steps only with
+    its own workspace."""
+    if not isinstance(ws, kind):
+        raise ValueError(f"expected {kind.__name__}, got {type(ws).__name__}")
+    return ws
+
+
 def mm_update(beta, ws: MMWorkspace, design: DesignMatrix,
               constraint: SparsityConstraint, weights: PenaltyWeights) -> np.ndarray:
     """Exact minimizer of the anchored majorizer via the cached factorization."""
-    return ws.step(ObjectiveState.at(beta, design, constraint, weights), design, weights)[0]
+    ev = ObjectiveState.at(beta, design, constraint, weights)
+    return _require(ws, MMWorkspace).step(ev, design, weights)[0]
 
 
 def _exact_step(gsq: float, Xg: np.ndarray, weights: PenaltyWeights, guard: float) -> float:
@@ -108,7 +117,8 @@ class SDWorkspace:
 def sd_update(beta, ws: SDWorkspace, design: DesignMatrix,
               constraint: SparsityConstraint, weights: PenaltyWeights) -> np.ndarray:
     """One steepest-descent step with the exact surrogate line search."""
-    return ws.step(ObjectiveState.at(beta, design, constraint, weights), design, weights)[0]
+    ev = ObjectiveState.at(beta, design, constraint, weights)
+    return _require(ws, SDWorkspace).step(ev, design, weights)[0]
 
 
 # each solver is its workspace type, whose ``step`` is the solver's update
@@ -124,9 +134,15 @@ def make_workspace(design: DesignMatrix, solver: str):
 
 
 def _solve_subproblem(beta0, ws, design, constraint, weights, cfg: SolverConfig,
-                      history=None):
+                      history=None, pull_tol: float = 0.0):
     """Iterate ``ws.step`` until the squared gradient norm drops below
-    ``cfg.grad_tol`` or ``cfg.max_inner`` updates have been taken.
+    ``max(cfg.grad_tol, pull_tol**2 * ||b2 (beta - P(beta))||**2)`` or
+    ``cfg.max_inner`` updates have been taken.
+
+    The second term is the squared pull of the distance penalty, which at the
+    level's exact solution balances the loss gradient; ``pull_tol > 0`` thus
+    asks for that relative accuracy in the balance, with ``cfg.grad_tol`` as
+    the floor. It reads the projection the gradient has already computed.
 
     Each update is followed by a convergence test at the fresh iterate. If
     that fails and acceleration is engaged, the loop extrapolates past the
@@ -149,10 +165,16 @@ def _solve_subproblem(beta0, ws, design, constraint, weights, cfg: SolverConfig,
     X = design.X
     beta = np.asarray(beta0, dtype=float).copy()
     cur = ObjectiveState(beta, X @ beta, design, constraint, weights)
+    pull_sq = (pull_tol * weights.b2) ** 2
+
+    def small(ev):
+        grad_sq = ev.grad_sq
+        return grad_sq < cfg.grad_tol or (pull_sq > 0.0 and grad_sq < pull_sq * ev.sq_dist)
+
     accel = cfg.accel
     j = 1
     iters = 0
-    while cur.grad_sq >= cfg.grad_tol and iters < cfg.max_inner:
+    while not small(cur) and iters < cfg.max_inner:
         beta_new, scores_new = ws.step(cur, design, weights)
         if scores_new is None:
             scores_new = X @ beta_new
@@ -160,7 +182,7 @@ def _solve_subproblem(beta0, ws, design, constraint, weights, cfg: SolverConfig,
         iters += 1
         if history is not None:
             history.append(new.objective)
-        if new.grad_sq < cfg.grad_tol or iters >= cfg.max_inner:
+        if small(new) or iters >= cfg.max_inner:
             cur = new
             break
         if accel is not None and iters > accel.warmup:
@@ -204,10 +226,10 @@ def _solve(beta0, ws, design, constraint, weights, cfg, history):
 def mm_solve(beta0, ws: MMWorkspace, design: DesignMatrix, constraint: SparsityConstraint,
              weights: PenaltyWeights, cfg: SolverConfig | None = None, history=None):
     """Run the factorization update to stationarity at fixed weights."""
-    return _solve(beta0, ws, design, constraint, weights, cfg, history)
+    return _solve(beta0, _require(ws, MMWorkspace), design, constraint, weights, cfg, history)
 
 
 def sd_solve(beta0, ws: SDWorkspace, design: DesignMatrix, constraint: SparsityConstraint,
              weights: PenaltyWeights, cfg: SolverConfig | None = None, history=None):
     """Run guarded steepest descent to stationarity at fixed weights."""
-    return _solve(beta0, ws, design, constraint, weights, cfg, history)
+    return _solve(beta0, _require(ws, SDWorkspace), design, constraint, weights, cfg, history)

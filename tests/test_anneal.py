@@ -3,13 +3,13 @@ import sys
 import numpy as np
 import pytest
 
-from sparsesvm import solvers, sparsity
+from sparsesvm import anneal, solvers, sparsity
 from sparsesvm.anneal import FitError, OuterRecord, prox_dist_fit, sv_count
 from sparsesvm.config import AnnealSchedule, SolverConfig
 from sparsesvm.data import DesignMatrix, binarize
-from sparsesvm.multiclass import init_heuristic
+from sparsesvm.multiclass import GaussianKernelSpec, PairProblem, init_heuristic
 from sparsesvm.objective import PenaltyWeights, gradient
-from sparsesvm.simdata import gen_gaussian_causal
+from sparsesvm.simdata import gen_gaussian_causal, gen_spiral
 from sparsesvm.sparsity import SparsityConstraint, sq_distance
 
 from conftest import random_problem
@@ -219,3 +219,96 @@ class TestLinearScores:
         err, scale = np.asarray(errors).T
         assert np.count_nonzero(err) > report.total_inner_iters // 2
         assert np.all(err <= 1e-9 * scale)
+
+
+def record_tested_points(monkeypatch):
+    """The inner loop's tested points, in order: each point whose squared
+    gradient it read, as (grad_sq, its pull bound TAU^2 ||b2 (beta - P(beta))||^2)."""
+    tested = []
+
+    class Recording(solvers.ObjectiveState):
+        __slots__ = ()
+
+        @property
+        def grad_sq(self):
+            grad_sq = super().grad_sq
+            if not tested or tested[-1][0] is not self:
+                b2 = self._weights.b2
+                bound = (anneal.TAU * b2) ** 2 * self.sq_dist if b2 != 0.0 else 0.0
+                tested.append((self, grad_sq, bound))
+            return grad_sq
+
+    monkeypatch.setattr(solvers, "ObjectiveState", Recording)
+    return tested
+
+
+def planted_level():
+    """A planted design, its constraint, a start and one level of large pull."""
+    ds, _ = gen_gaussian_causal(120, 40, 4, 5)
+    design = binarize(ds, 1, 0)
+    constraint = SparsityConstraint(k=4, p=40)
+    return design, constraint, init_heuristic(design), AnnealSchedule(rho0=100.0, max_outer=1)
+
+
+class TestRelativeStop:
+    @pytest.mark.parametrize("solver", ["mm", "sd"])
+    def test_level_ends_at_first_point_under_pull_bound(self, monkeypatch, solver):
+        design, constraint, beta0, sched = planted_level()
+        cfg = SolverConfig()
+        tested = record_tested_points(monkeypatch)
+        records = []
+        prox_dist_fit(design, constraint, beta0, solver=solver, sched=sched, cfg=cfg,
+                      trace_hook=records.append)
+        assert len(records) == 1 and len(tested) > 2
+        *before, (_, last_sq, last_bound) = tested
+        # the pull bound, not the grad_tol floor, ended the level ...
+        assert cfg.grad_tol <= last_sq < last_bound
+        assert records[0].grad_sq == last_sq
+        # ... and no earlier tested point was under either
+        assert all(grad_sq >= max(cfg.grad_tol, bound) for _, grad_sq, bound in before)
+
+    @pytest.mark.parametrize("solver", ["mm", "sd"])
+    def test_solve_entry_points_keep_the_absolute_rule(self, solver):
+        design, constraint, beta0, sched = planted_level()
+        cfg = SolverConfig()
+        records = []
+        prox_dist_fit(design, constraint, beta0, solver=solver, sched=sched, cfg=cfg,
+                      trace_hook=records.append)
+        weights = PenaltyWeights.for_problem(design.n, constraint, sched.rho0)
+        solve = solvers.mm_solve if solver == "mm" else solvers.sd_solve
+        _, report = solve(beta0, solvers.make_workspace(design, solver), design, constraint,
+                          weights, cfg)
+        assert report.converged and report.grad_sq < cfg.grad_tol
+        assert report.total_inner_iters > records[0].inner_iters
+
+    @pytest.mark.parametrize("solver", ["mm", "sd"])
+    def test_rule_under_the_floor_changes_nothing(self, monkeypatch, solver):
+        """A kernel pair whose pull bound stays below grad_tol at every tested
+        point fits bit for bit as with the rule switched off."""
+        problem = PairProblem.build(gen_spiral(60, 30, 20, seed=0), 0, 1,
+                                    GaussianKernelSpec(gamma=1.0), solver=solver)
+        constraint = problem.constraint(0.5)
+        beta0 = init_heuristic(problem.design)
+        cfg = SolverConfig(grad_tol=1e-4)
+
+        def fit():
+            records = []
+            beta, report = prox_dist_fit(problem.design, constraint, beta0,
+                                         solver=problem.workspace, cfg=cfg,
+                                         trace_hook=records.append)
+            return beta, report, records
+
+        tested = record_tested_points(monkeypatch)
+        beta, report, records = fit()
+        assert len(records) > 1
+        assert max(bound for _, _, bound in tested) < cfg.grad_tol
+        monkeypatch.setattr(anneal, "TAU", 0.0)
+        beta_off, report_off, records_off = fit()
+        np.testing.assert_array_equal(beta, beta_off)
+        assert report.total_inner_iters == report_off.total_inner_iters
+        assert len(records) == len(records_off)
+        for rec, off in zip(records, records_off):
+            assert ((rec.outer, rec.rho, rec.inner_iters, rec.objective, rec.grad_sq,
+                     rec.distance) == (off.outer, off.rho, off.inner_iters, off.objective,
+                                       off.grad_sq, off.distance))
+            np.testing.assert_array_equal(rec.beta, off.beta)

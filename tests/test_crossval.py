@@ -215,7 +215,7 @@ FAILED_LEVEL_TABLES = {
         "0,75,0,0.0,nan,nan,nan,nan,nan,nan\n"
         "1,0,11,0.0,9.873729124364125e-08,0.0,100.0,100.0,100.0,0.3333333333333333\n"
         "1,50,0,0.0,nan,nan,nan,nan,nan,nan\n"
-        "1,75,469,0.0,0.05285773844261762,0.023938442748409307,46.666666666666664,20.0,33.33333333333333,10.0\n"
+        "1,75,272,0.0,0.05303547703370289,0.02431021396484204,46.666666666666664,20.0,33.33333333333333,10.0\n"
         "selected,0,13.0,0.0,1.0483856831494405e-07,0.0,100.0,100.0,100.0,0.3333333333333333\n",
         '{"rows": [{"fold": 0, "s": 0.0, "k": 4.0, "iterations": 15, "time": 0.0, '
         '"objective": 1.1093984538624686e-07, "squared_distance": 0.0, "train": 100.0, '
@@ -230,8 +230,8 @@ FAILED_LEVEL_TABLES = {
         '0.3333333333333333, "error": null}, {"fold": 1, "s": 0.5, "k": NaN, "iterations": 0,'
         ' "time": 0.0, "objective": NaN, "squared_distance": NaN, "train": NaN, "valid": NaN,'
         ' "test": NaN, "sv": NaN, "error": "no fit at s=0.5"}, {"fold": 1, "s": 0.75, "k": '
-        '1.0, "iterations": 469, "time": 0.0, "objective": 0.05285773844261762, '
-        '"squared_distance": 0.023938442748409307, "train": 46.666666666666664, "valid": '
+        '1.0, "iterations": 272, "time": 0.0, "objective": 0.05303547703370289, '
+        '"squared_distance": 0.02431021396484204, "train": 46.666666666666664, "valid": '
         '20.0, "test": 33.33333333333333, "sv": 10.0, "error": null}], "selected": {"s": 0.0,'
         ' "k": 4.0, "iterations": 13.0, "objective": 1.0483856831494405e-07, '
         '"squared_distance": 0.0, "train": 100.0, "valid": 100.0, "test": 100.0, "sv": '
@@ -260,8 +260,8 @@ FAILED_LEVEL_TABLES = {
         "0,50,0,0.0,nan,nan,nan,nan,nan,nan\n"
         "0,75,0,0.0,nan,nan,nan,nan,nan,nan\n"
         "1,50,0,0.0,nan,nan,nan,nan,nan,nan\n"
-        "1,75,469,0.0,0.05285773844261762,0.023938442748409307,46.666666666666664,20.0,33.33333333333333,10.0\n"
-        "selected,75,469.0,0.0,0.05285773844261762,0.023938442748409307,46.666666666666664,20.0,33.33333333333333,10.0\n",
+        "1,75,272,0.0,0.05303547703370289,0.02431021396484204,46.666666666666664,20.0,33.33333333333333,10.0\n"
+        "selected,75,272.0,0.0,0.05303547703370289,0.02431021396484204,46.666666666666664,20.0,33.33333333333333,10.0\n",
         '{"rows": [{"fold": 0, "s": 0.5, "k": NaN, "iterations": 0, "time": 0.0, "objective":'
         ' NaN, "squared_distance": NaN, "train": NaN, "valid": NaN, "test": NaN, "sv": NaN, '
         '"error": "no fit at s=0.5"}, {"fold": 0, "s": 0.75, "k": NaN, "iterations": 0, '
@@ -269,11 +269,11 @@ FAILED_LEVEL_TABLES = {
         '"test": NaN, "sv": NaN, "error": "no fit at s=0.75"}, {"fold": 1, "s": 0.5, "k": '
         'NaN, "iterations": 0, "time": 0.0, "objective": NaN, "squared_distance": NaN, '
         '"train": NaN, "valid": NaN, "test": NaN, "sv": NaN, "error": "no fit at s=0.5"}, '
-        '{"fold": 1, "s": 0.75, "k": 1.0, "iterations": 469, "time": 0.0, "objective": '
-        '0.05285773844261762, "squared_distance": 0.023938442748409307, "train": '
+        '{"fold": 1, "s": 0.75, "k": 1.0, "iterations": 272, "time": 0.0, "objective": '
+        '0.05303547703370289, "squared_distance": 0.02431021396484204, "train": '
         '46.666666666666664, "valid": 20.0, "test": 33.33333333333333, "sv": 10.0, "error": '
-        'null}], "selected": {"s": 0.75, "k": 1.0, "iterations": 469.0, "objective": '
-        '0.05285773844261762, "squared_distance": 0.023938442748409307, "train": '
+        'null}], "selected": {"s": 0.75, "k": 1.0, "iterations": 272.0, "objective": '
+        '0.05303547703370289, "squared_distance": 0.02431021396484204, "train": '
         '46.666666666666664, "valid": 20.0, "test": 33.33333333333333, "sv": 10.0}, '
         '"fold_plan": {"num_folds": 2, "seed": 0, "assignments": [1, 1, 0, 0, 0, 1, 1, 1, 0, '
         '0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 0]}}'

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparsesvm import anneal
 from sparsesvm.anneal import prox_dist_fit
 from sparsesvm.config import AccelPolicy, AnnealSchedule, SolverConfig
 from sparsesvm.data import DesignMatrix
@@ -241,6 +242,17 @@ class TestNesterov:
         assert policy.weight(3) == pytest.approx(2.0 / 5.0)
 
 
+@pytest.mark.parametrize("entry,other", [
+    (mm_update, SDWorkspace), (mm_solve, SDWorkspace),
+    (sd_update, MMWorkspace), (sd_solve, MMWorkspace),
+], ids=["mm_update", "mm_solve", "sd_update", "sd_solve"])
+def test_entry_point_rejects_other_solvers_workspace(rng, entry, other):
+    design, constraint, weights = random_problem(rng, 20, 6, 2)
+    ws = other.from_design(design)
+    with pytest.raises(ValueError, match=f"got {other.__name__}"):
+        entry(rng.standard_normal(7), ws, design, constraint, weights)
+
+
 def run_history(solver_fn, ws, design, constraint, weights, beta0, cfg):
     history = []
     beta, report = solver_fn(beta0, ws, design, constraint, weights, cfg, history=history)
@@ -361,16 +373,22 @@ def ref_step(solver, ws, design, constraint, weights):
     return mm if solver == "mm" else sd
 
 
-def ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, history):
+def ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, history, tau=0.0):
+    """``tau > 0`` adds the per-level stop of ``prox_dist_fit``: the squared
+    gradient below ``tau**2`` times the squared pull ``||b2 (beta - P(beta))||**2``."""
     X = design.X
     beta = np.asarray(beta0, dtype=float).copy()
     scores = X @ beta
     grad = ref_gradient_from_scores(beta, scores, design, constraint, weights)
     grad_sq = float(grad @ grad)
+
+    def tol(beta):
+        return max(cfg.grad_tol, (tau * weights.b2) ** 2 * sq_distance(beta, constraint))
+
     accel = cfg.accel
     j = 1
     iters = 0
-    while grad_sq >= cfg.grad_tol and iters < cfg.max_inner:
+    while grad_sq >= tol(beta) and iters < cfg.max_inner:
         beta_new = step(beta, scores, grad)
         scores_new = X @ beta_new
         grad_new = ref_gradient_from_scores(beta_new, scores_new, design, constraint, weights)
@@ -378,7 +396,7 @@ def ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, history)
         iters += 1
         history.append(ref_objective_from_scores(beta_new, scores_new, design, constraint,
                                                  weights))
-        if grad_sq_new < cfg.grad_tol or iters >= cfg.max_inner:
+        if grad_sq_new < tol(beta_new) or iters >= cfg.max_inner:
             beta, scores, grad, grad_sq = beta_new, scores_new, grad_new, grad_sq_new
             break
         if accel is not None and iters > accel.warmup:
@@ -465,7 +483,7 @@ class TestMatchesReferenceLoop:
             weights = PenaltyWeights.for_problem(design.n, constraint, rho)
             beta, iters, grad_sq, objective = ref_solve_subproblem(
                 beta, design, constraint, weights, cfg,
-                ref_step(solver, ws, design, constraint, weights), [])
+                ref_step(solver, ws, design, constraint, weights), [], tau=anneal.TAU)
             d_cur = sq_distance(beta, constraint) / norm
             want.append((outer, rho, iters, objective, grad_sq, d_cur, beta.copy()))
             if d_cur <= sched.dist_tol:
