@@ -21,7 +21,8 @@ __all__ = ["FitError", "OuterRecord", "sv_count", "prox_dist_fit"]
 # Relative accuracy of each level's inner solve: a level ends once the gradient
 # is below this share of the distance penalty's pull (or below grad_tol). Every
 # level but the last is only a warm start for the next; 0.1 lowered the
-# holdout accuracy of the correlated-pair CV.
+# holdout accuracy of the correlated-pair CV. The last level is held to the same
+# rule: finishing it to grad_tol took more inner iterations than the ladder.
 TAU = 0.03
 
 
@@ -55,12 +56,14 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
 
     Each penalty level is solved until its squared gradient norm is below
     ``cfg.grad_tol`` or ``TAU**2`` times the squared pull of the distance
-    penalty, whichever is larger; the penalty then grows by
-    ``sched.multiplier``. The loop halts when the normalized squared
-    distance to the sparsity set falls below ``sched.dist_tol``, stalls, or
-    the outer budget runs out; the returned coefficients are the projection of
-    the last iterate, so they are always feasible. ``converged`` is set only
-    when the final distance actually met the tolerance. ``solver`` is a key of
+    penalty, whichever is larger, after at least one update if the start is
+    above ``cfg.grad_tol``; the penalty then grows by ``sched.multiplier``.
+    The loop halts when the normalized squared distance to the sparsity set
+    falls below ``sched.dist_tol``, stalls, or the outer budget runs out; the
+    returned coefficients are the projection of the last iterate, so they are
+    always feasible, though that iterate's squared gradient norm is usually
+    above ``cfg.grad_tol``. ``converged`` is set only when the final distance
+    actually met the tolerance. ``solver`` is a key of
     ``solvers.SOLVERS`` or a workspace ``solvers.make_workspace`` built for
     ``design``, which can then be reused across fits.
     """

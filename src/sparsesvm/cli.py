@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .anneal import TAU
 from .config import AccelPolicy, AnnealSchedule, SolverConfig
 from .crossval import cross_validate
 from .data import DataError, apply_transform, load_csv, load_features_csv, make_folds
@@ -60,8 +59,8 @@ def _add_fit_flags(sp):
     sp.add_argument("--max-inner", type=int, default=cfg.max_inner,
                     help="inner iteration cap per penalty level")
     sp.add_argument("--grad-tol", type=float, default=cfg.grad_tol,
-                    help="inner stop: squared gradient norm floor; a penalty level "
-                         f"also stops under ({TAU:g} x the distance penalty's pull)^2")
+                    help="inner stop: squared gradient norm floor of each penalty "
+                         "level's stopping rule (see anneal.prox_dist_fit)")
     sp.add_argument("--dist-tol", type=float, default=sched.dist_tol,
                     help="outer stop: normalized squared distance threshold")
     sp.add_argument("--no-accel", action="store_true", help="disable extrapolation")

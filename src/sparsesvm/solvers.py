@@ -142,7 +142,9 @@ def _solve_subproblem(beta0, ws, design, constraint, weights, cfg: SolverConfig,
     The second term is the squared pull of the distance penalty, which at the
     level's exact solution balances the loss gradient; ``pull_tol > 0`` thus
     asks for that relative accuracy in the balance, with ``cfg.grad_tol`` as
-    the floor. It reads the projection the gradient has already computed.
+    the floor. It is tested only after the first update, so a start above
+    ``cfg.grad_tol`` always takes a step, and it reads the projection the
+    gradient has already computed.
 
     Each update is followed by a convergence test at the fresh iterate. If
     that fails and acceleration is engaged, the loop extrapolates past the
@@ -174,7 +176,10 @@ def _solve_subproblem(beta0, ws, design, constraint, weights, cfg: SolverConfig,
     accel = cfg.accel
     j = 1
     iters = 0
-    while not small(cur) and iters < cfg.max_inner:
+    # the start is held to grad_tol alone: a warm start can meet the pull bound
+    # of a barely larger penalty, and a level without an update would leave the
+    # distance where it was
+    while iters < cfg.max_inner and not (small(cur) if iters else cur.grad_sq < cfg.grad_tol):
         beta_new, scores_new = ws.step(cur, design, weights)
         if scores_new is None:
             scores_new = X @ beta_new

@@ -268,6 +268,19 @@ class TestRelativeStop:
         assert all(grad_sq >= max(cfg.grad_tol, bound) for _, grad_sq, bound in before)
 
     @pytest.mark.parametrize("solver", ["mm", "sd"])
+    def test_small_multiplier_steps_every_level(self, solver):
+        """Below a multiplier of (1 + TAU) / (1 - TAU) a level's start can already
+        meet its pull bound; each level still takes a step, so the distance
+        keeps moving and the stall test does not end the fit."""
+        design, constraint, beta0, _ = planted_level()
+        sched = AnnealSchedule(rho0=100.0, multiplier=1.02, max_outer=60, dist_tol=1e-9)
+        records = []
+        _, report = prox_dist_fit(design, constraint, beta0, solver=solver, sched=sched,
+                                  trace_hook=records.append)
+        assert all(rec.inner_iters > 0 for rec in records)
+        assert report.outer_iters == sched.max_outer
+
+    @pytest.mark.parametrize("solver", ["mm", "sd"])
     def test_solve_entry_points_keep_the_absolute_rule(self, solver):
         design, constraint, beta0, sched = planted_level()
         cfg = SolverConfig()

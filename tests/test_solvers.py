@@ -375,7 +375,8 @@ def ref_step(solver, ws, design, constraint, weights):
 
 def ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, history, tau=0.0):
     """``tau > 0`` adds the per-level stop of ``prox_dist_fit``: the squared
-    gradient below ``tau**2`` times the squared pull ``||b2 (beta - P(beta))||**2``."""
+    gradient below ``tau**2`` times the squared pull ``||b2 (beta - P(beta))||**2``,
+    tested only after the first update."""
     X = design.X
     beta = np.asarray(beta0, dtype=float).copy()
     scores = X @ beta
@@ -388,7 +389,7 @@ def ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, history,
     accel = cfg.accel
     j = 1
     iters = 0
-    while grad_sq >= tol(beta) and iters < cfg.max_inner:
+    while grad_sq >= (tol(beta) if iters else cfg.grad_tol) and iters < cfg.max_inner:
         beta_new = step(beta, scores, grad)
         scores_new = X @ beta_new
         grad_new = ref_gradient_from_scores(beta_new, scores_new, design, constraint, weights)
