@@ -22,8 +22,8 @@ from .objective import (ObjectiveState, PenaltyWeights, gradient, hinge_loss,
                         penalized_objective, surrogate_value, working_response)
 from .simdata import (PlantedModel, SimSpec, gen_gaussian_causal, gen_spiral,
                       gen_synthetic_corr)
-from .solvers import (MMWorkspace, SDWorkspace, mm_solve, mm_update, sd_solve,
-                      sd_update, step_size)
+from .solvers import (KernelMMWorkspace, MMWorkspace, SDWorkspace, mm_solve, mm_update,
+                      sd_solve, sd_update, step_size)
 from .sparsity import SparsityConstraint, project, sq_distance
 
 __version__ = "0.1.0"

@@ -59,13 +59,14 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
     penalty, whichever is larger, after at least one update if the start is
     above ``cfg.grad_tol``; the penalty then grows by ``sched.multiplier``.
     The loop halts when the normalized squared distance to the sparsity set
-    falls below ``sched.dist_tol``, stalls, or the outer budget runs out; the
-    returned coefficients are the projection of the last iterate, so they are
-    always feasible, though that iterate's squared gradient norm is usually
-    above ``cfg.grad_tol``. ``converged`` is set only when the final distance
-    actually met the tolerance. ``solver`` is a key of
-    ``solvers.SOLVERS`` or a workspace ``solvers.make_workspace`` built for
-    ``design``, which can then be reused across fits.
+    falls below ``sched.dist_tol``, stalls between two levels that took an
+    update, or the outer budget runs out; the returned coefficients are the
+    projection of the last iterate, so they are always feasible, though that
+    iterate's squared gradient norm is usually above ``cfg.grad_tol``.
+    ``converged`` is set only when the final distance actually met the
+    tolerance. ``solver`` is a key of ``solvers.SOLVERS`` or a workspace
+    ``solvers.make_workspace`` built for ``design``, which can then be reused
+    across fits.
     """
     sched = sched or AnnealSchedule()
     cfg = cfg or SolverConfig()
@@ -76,7 +77,7 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
     if beta.shape != (design.X.shape[1],):
         raise ValueError(f"beta0 has shape {beta.shape}, expected ({design.X.shape[1]},)")
     norm = constraint.p - constraint.k + 1
-    # the stall test needs two post-solve distances, so it first arms at outer 2
+    # the stall test needs the distances after two levels that took an update
     d_prev = None
     rho = sched.rho0
     total_inner = 0
@@ -95,9 +96,12 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
                                    beta.copy()))
         if d_cur <= sched.dist_tol:
             break
-        if d_prev is not None and abs(d_cur - d_prev) < sched.dist_tol * (1.0 + d_prev):
-            break
-        d_prev = d_cur
+        # a level that took no update (its start already met grad_tol) leaves
+        # the distance where it was, which says nothing about a stall
+        if iters:
+            if d_prev is not None and abs(d_cur - d_prev) < sched.dist_tol * (1.0 + d_prev):
+                break
+            d_prev = d_cur
         rho *= sched.multiplier
 
     # the last level's projection is the hard-projected fit

@@ -96,9 +96,10 @@ class PairProblem:
     The design is ``binarize``'s; with a kernel it becomes [K diag(y) | 1]
     over that design's feature rows and +/-1 labels, which the fitted
     ``KernelModel`` keeps as its training rows. The solver's workspace is
-    built at ``build``; the last coefficients and the penalty of the last
-    level solved persist across ``fit`` calls, so each call after the first
-    warm-starts where the previous one stopped.
+    built at ``build`` (for ``mm`` on a kernel pair, from the gram matrix K);
+    the last coefficients and the penalty of the last level solved persist
+    across ``fit`` calls, so each call after the first warm-starts where the
+    previous one stopped.
     """
 
     positive: int
@@ -113,13 +114,14 @@ class PairProblem:
     def build(cls, ds: Dataset, pos: int, neg: int,
               kernel: GaussianKernelSpec | None = None, solver: str = "mm") -> "PairProblem":
         design = binarize(ds, pos, neg)
-        kernel_rows = None
+        kernel_rows = gram = None
         if kernel is not None:
             feats = np.ascontiguousarray(design.X[:, :-1])
             gamma = kernel.gamma if kernel.gamma is not None else median_bandwidth(feats)
             kernel_rows = (feats, design.y, gamma)
-            design = kernel_design(gram_matrix(feats, gamma), design.y)
-        return cls(pos, neg, design, make_workspace(design, solver), kernel_rows)
+            gram = gram_matrix(feats, gamma)
+            design = kernel_design(gram, design.y)
+        return cls(pos, neg, design, make_workspace(design, solver, gram), kernel_rows)
 
     def constraint(self, sparsity) -> SparsityConstraint:
         """A SparsityConstraint for this design's p, or a fraction of it."""

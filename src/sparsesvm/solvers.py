@@ -3,8 +3,12 @@ exact-line-search steepest descent, sharing a restarted accelerated loop.
 
 Both minimize the same anchored least-squares majorizer of the penalized
 squared-hinge objective; the factorization route solves it exactly through a
-thin SVD computed once per design, the descent route never touches the SVD.
-Each solver is its workspace type (``SOLVERS``), whose ``step`` is its update.
+factorization computed once per design, the descent route never touches one.
+The factorization is a thin SVD of the design, or, for a kernel design
+[K diag(y) | 1], an eigendecomposition of the symmetric gram matrix K, with
+the intercept column solved by a one-dimensional Schur complement.
+Each solver is its workspace type (``SOLVERS``), whose ``step`` is its update;
+``make_workspace`` picks the gram form of ``mm`` when it is given K.
 """
 
 from __future__ import annotations
@@ -15,12 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import FitReport, SolverConfig
-from .data import DesignMatrix, ThinSVD, thin_svd
+from .data import DataError, DesignMatrix, ThinSVD, thin_svd
 from .objective import ObjectiveState, PenaltyWeights, _rows_dot
 from .sparsity import SparsityConstraint
 
 __all__ = [
     "MMWorkspace",
+    "KernelMMWorkspace",
     "SDWorkspace",
     "SOLVERS",
     "make_workspace",
@@ -70,19 +75,93 @@ class MMWorkspace:
         return pm + svd.V @ (c1 * (svd.U.T @ z) - c2 * _rows_dot(pm, svd.V)), None
 
 
-def _require(ws, kind):
-    """``ws``, checked to be a ``kind``: each solver entry point steps only with
-    its own workspace."""
-    if not isinstance(ws, kind):
-        raise ValueError(f"expected {kind.__name__}, got {type(ws).__name__}")
+@dataclass
+class KernelMMWorkspace:
+    """Eigendecomposition K = Q diag(lam) Q' of the gram matrix of a kernel
+    design [K diag(y) | 1], shared across penalty and sparsity levels, with the
+    update's coefficients cached for the current weights.
+
+    Eigenpairs with ``|lam| <= 1e-12 max |lam|`` are dropped, as ``thin_svd``
+    drops small singular values. ``W = diag(y) Q`` has orthonormal columns and
+    ``K diag(y) = Q diag(lam) W'``, so the normal matrix of the update is
+    diagonal in the coordinates ``u = W' beta_a`` of the dual weights but for
+    the intercept's border row and column. With the projection ``pm = (pa,
+    pm0)``, ``w = W' pa`` and ``r = a2 lam Q'z + b2 w``, the intercept ``beta0``
+    solves that border's scalar Schur complement, then
+    ``u = (r - a2 lam q1 beta0) / d``, ``beta_a = pa + W (u - w)`` and the
+    scores are ``Q (lam u) + beta0``. The Schur complement is at least ``b2``
+    and can vanish without a distance penalty, so ``b2 = 0`` is rejected.
+    """
+
+    Q: np.ndarray
+    lam: np.ndarray
+    q1: np.ndarray          # Q' 1
+    _key: tuple | None = field(default=None, repr=False)
+    _coef: tuple | None = field(default=None, repr=False)
+
+    @classmethod
+    def from_gram(cls, K: np.ndarray) -> "KernelMMWorkspace":
+        try:
+            lam, Q = np.linalg.eigh(np.asarray(K, dtype=float))
+        except np.linalg.LinAlgError as exc:
+            raise DataError(f"eigendecomposition failed to converge: {exc}") from exc
+        top = float(np.max(np.abs(lam))) if lam.size else 0.0
+        keep = np.abs(lam) > 1e-12 * top
+        Q = np.ascontiguousarray(Q[:, keep])
+        return cls(Q=Q, lam=lam[keep].copy(), q1=Q.sum(axis=0))
+
+    def coefficients(self, weights: PenaltyWeights):
+        """d = a2 lam^2 + b2, g = a2 lam q1 / d, and the intercept's Schur
+        complement a2 n + b2 - a2 sum(lam q1 g)."""
+        key = (weights.a2, weights.b2)
+        if self._key != key:
+            if weights.b2 == 0.0:
+                raise ValueError("the gram factorization needs a positive distance weight b2")
+            a2, lam = weights.a2, self.lam
+            d = a2 * lam * lam + weights.b2
+            g = a2 * lam * self.q1 / d
+            schur = a2 * self.Q.shape[0] + weights.b2 - a2 * float((lam * self.q1) @ g)
+            self._coef = (d, g, schur)
+            self._key = key
+        return self._coef
+
+    def step(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights):
+        """The exact minimizer of the anchored majorizer at ``ev`` and its scores."""
+        d, g, schur = self.coefficients(weights)
+        a2, b2, lam, Q, y = weights.a2, weights.b2, self.lam, self.Q, design.y
+        z = np.where(ev.margins >= 1.0, ev.scores, y)
+        pm = ev.pm
+        pa = pm[:-1]
+        # W' pa, read from the rows of Q where pa is nonzero
+        w = _rows_dot(y * pa, Q)
+        r = a2 * lam * (z @ Q) + b2 * w
+        beta0 = (a2 * float(z.sum()) + b2 * pm[-1] - float(g @ r)) / schur
+        u = r / d - g * beta0
+        # Q (u - w) and Q (lam u) in one pass over Q
+        prod = Q @ np.column_stack([u - w, lam * u])
+        beta = np.empty_like(pm)
+        beta[:-1] = pa + y * prod[:, 0]
+        beta[-1] = beta0
+        return beta, prod[:, 1] + beta0
+
+
+_MM_KINDS = (MMWorkspace, KernelMMWorkspace)
+
+
+def _require(ws, *kinds):
+    """``ws``, checked to be one of ``kinds``: each solver entry point steps only
+    with its own workspaces."""
+    if not isinstance(ws, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"expected {names}, got {type(ws).__name__}")
     return ws
 
 
-def mm_update(beta, ws: MMWorkspace, design: DesignMatrix,
+def mm_update(beta, ws: MMWorkspace | KernelMMWorkspace, design: DesignMatrix,
               constraint: SparsityConstraint, weights: PenaltyWeights) -> np.ndarray:
     """Exact minimizer of the anchored majorizer via the cached factorization."""
     ev = ObjectiveState.at(beta, design, constraint, weights)
-    return _require(ws, MMWorkspace).step(ev, design, weights)[0]
+    return _require(ws, *_MM_KINDS).step(ev, design, weights)[0]
 
 
 def _exact_step(gsq: float, Xg: np.ndarray, weights: PenaltyWeights, guard: float) -> float:
@@ -125,11 +204,20 @@ def sd_update(beta, ws: SDWorkspace, design: DesignMatrix,
 SOLVERS = {"mm": MMWorkspace, "sd": SDWorkspace}
 
 
-def make_workspace(design: DesignMatrix, solver: str):
-    """The workspace of ``solver`` (a key of ``SOLVERS``, any case) for ``design``."""
+def make_workspace(design: DesignMatrix, solver: str, gram=None):
+    """The workspace of ``solver`` (a key of ``SOLVERS``, any case) for ``design``.
+
+    ``gram`` is the gram matrix K of a kernel design [K diag(y) | 1]; ``mm``
+    then factors K by ``KernelMMWorkspace`` instead of the design by a thin SVD.
+    """
     kind = SOLVERS.get(solver.lower())
     if kind is None:
         raise ValueError(f"unknown solver {solver!r}; expected one of {tuple(SOLVERS)}")
+    if kind is MMWorkspace and gram is not None:
+        if np.shape(gram) != (design.n, design.p):
+            raise ValueError(f"gram matrix shape {np.shape(gram)} does not match "
+                             f"a kernel design of {design.n} rows")
+        return KernelMMWorkspace.from_gram(gram)
     return kind.from_design(design)
 
 
@@ -156,11 +244,13 @@ def _solve_subproblem(beta0, ws, design, constraint, weights, cfg: SolverConfig,
     Every point is evaluated once (see ``ObjectiveState``). Scores are linear
     in the coefficients, so a candidate's scores are extrapolated from those of
     the two points it comes from, and a step that holds its iterate's scores
-    hands them back. An accelerated iteration thus reads the n x p design (or, for
-    ``mm``, its thin SVD factors) in full 3 times with ``mm`` (``U.T @ z``,
-    ``V @ coef`` and the new scores ``X @ beta``) and once with ``sd`` (the
-    line search's ``X @ g``), and, for the loss gradients of the new iterate
-    and of the candidate, the rows inside the margin twice (see ``_rows_dot``).
+    hands them back. An accelerated iteration thus reads the n x p design (or
+    its factors) in full 3 times with ``mm`` on a thin SVD (``U.T @ z``,
+    ``V @ coef`` and the new scores ``X @ beta``), twice with ``mm`` on a gram
+    eigendecomposition (``z @ Q`` and ``Q @ [u - w, lam u]``, which holds the
+    scores) and once with ``sd`` (the line search's ``X @ g``), and, for the
+    loss gradients of the new iterate and of the candidate, the rows inside
+    the margin twice (see ``_rows_dot``).
 
     Returns the evaluation at the final point and the number of updates taken.
     """
@@ -228,10 +318,11 @@ def _solve(beta0, ws, design, constraint, weights, cfg, history):
     return ev.beta, _report(ev, iters, constraint, weights, cfg, t0)
 
 
-def mm_solve(beta0, ws: MMWorkspace, design: DesignMatrix, constraint: SparsityConstraint,
-             weights: PenaltyWeights, cfg: SolverConfig | None = None, history=None):
+def mm_solve(beta0, ws: MMWorkspace | KernelMMWorkspace, design: DesignMatrix,
+             constraint: SparsityConstraint, weights: PenaltyWeights,
+             cfg: SolverConfig | None = None, history=None):
     """Run the factorization update to stationarity at fixed weights."""
-    return _solve(beta0, _require(ws, MMWorkspace), design, constraint, weights, cfg, history)
+    return _solve(beta0, _require(ws, *_MM_KINDS), design, constraint, weights, cfg, history)
 
 
 def sd_solve(beta0, ws: SDWorkspace, design: DesignMatrix, constraint: SparsityConstraint,

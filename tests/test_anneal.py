@@ -280,6 +280,21 @@ class TestRelativeStop:
         assert all(rec.inner_iters > 0 for rec in records)
         assert report.outer_iters == sched.max_outer
 
+    def test_level_without_an_update_does_not_stall_the_fit(self):
+        """From rho0 = 1 at multiplier 1.02, mm solves the first level to
+        grad_tol and the next starts below it, so it takes no update and its
+        distance repeats. That is no stall: the ladder moves on, and the outer
+        budget, not the stall test, ends the fit."""
+        design, constraint, beta0, _ = planted_level()
+        sched = AnnealSchedule(rho0=1.0, multiplier=1.02)
+        records = []
+        _, report = prox_dist_fit(design, constraint, beta0, solver="mm", sched=sched,
+                                  trace_hook=records.append)
+        assert records[0].inner_iters > 0 and records[1].inner_iters == 0
+        assert records[1].distance == records[0].distance
+        assert report.outer_iters == sched.max_outer
+        assert report.distance < 0.2 * records[0].distance
+
     @pytest.mark.parametrize("solver", ["mm", "sd"])
     def test_solve_entry_points_keep_the_absolute_rule(self, solver):
         design, constraint, beta0, sched = planted_level()

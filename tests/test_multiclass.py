@@ -1,11 +1,14 @@
+import sys
+
 import numpy as np
 import pytest
 
+from sparsesvm import data
 from sparsesvm.data import DataError, Dataset, DesignMatrix, binarize
 from sparsesvm.multiclass import (GaussianKernelSpec, OVOModel, PairClassifier,
                                   PairProblem, class_pairs, init_heuristic,
                                   predict_ovo, train_ovo)
-from sparsesvm.solvers import SOLVERS
+from sparsesvm.solvers import SOLVERS, KernelMMWorkspace, SDWorkspace
 from sparsesvm.sparsity import SparsityConstraint
 
 
@@ -194,3 +197,43 @@ class TestPairProblem:
         assert len(first_levels) == first.report.outer_iters == 46
         assert hooked[0].rho == first_levels[-1].rho
         assert first.report.rho == first_levels[-1].rho
+
+
+class ThinSVDCalled(Exception):
+    pass
+
+
+class TestKernelFactorization:
+    """Kernel pairs under ``mm`` factor the gram matrix, never the design."""
+
+    @pytest.fixture(autouse=True)
+    def no_thin_svd(self, monkeypatch):
+        real = data.thin_svd
+
+        def refuse(*args, **kwargs):
+            raise ThinSVDCalled
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("sparsesvm") and getattr(mod, "thin_svd", None) is real:
+                monkeypatch.setattr(mod, "thin_svd", refuse)
+
+    def test_kernel_mm_builds_and_trains_without_a_thin_svd(self, rng):
+        ds = blob_dataset(rng, n_per=10)
+        kernel = GaussianKernelSpec(gamma=0.5)
+        prob = PairProblem.build(ds, 0, 1, kernel, solver="mm")
+        assert isinstance(prob.workspace, KernelMMWorkspace)
+        prob.fit(0.5)
+        model = train_ovo(ds, 0.5, solver="mm", kernel=kernel)
+        assert len(model.pairs) == 3
+        assert np.mean(predict_ovo(model, ds.features) == ds.labels) > 0.9
+
+    def test_linear_mm_still_takes_the_thin_svd(self, rng):
+        with pytest.raises(ThinSVDCalled):
+            PairProblem.build(blob_dataset(rng, n_per=10), 0, 1, solver="mm")
+
+    @pytest.mark.parametrize("kernel", [None, GaussianKernelSpec(gamma=0.5)],
+                             ids=["linear", "kernel"])
+    def test_sd_builds_are_unaffected(self, rng, kernel):
+        prob = PairProblem.build(blob_dataset(rng, n_per=10), 0, 1, kernel, solver="sd")
+        assert isinstance(prob.workspace, SDWorkspace)
+        prob.fit(0.5)

@@ -5,10 +5,11 @@ from sparsesvm import anneal
 from sparsesvm.anneal import prox_dist_fit
 from sparsesvm.config import AccelPolicy, AnnealSchedule, SolverConfig
 from sparsesvm.data import DesignMatrix
-from sparsesvm.objective import (PenaltyWeights, gradient, penalized_objective,
+from sparsesvm.kernel import gram_matrix, kernel_design
+from sparsesvm.objective import (ObjectiveState, PenaltyWeights, gradient, penalized_objective,
                                  surrogate_value, working_response)
-from sparsesvm.solvers import (MMWorkspace, SDWorkspace, mm_solve, mm_update, sd_solve,
-                               sd_update, step_size)
+from sparsesvm.solvers import (KernelMMWorkspace, MMWorkspace, SDWorkspace, make_workspace,
+                               mm_solve, mm_update, sd_solve, sd_update, step_size)
 from sparsesvm.sparsity import SparsityConstraint, project, sq_distance
 
 from conftest import random_problem
@@ -133,6 +134,80 @@ class TestMMUpdate:
             fast = mm_update(beta, ws, design, constraint, weights)
             slow = column_loop_update(beta, ws, design, constraint, weights)
             assert float(np.linalg.norm(fast - slow)) <= 1e-10
+
+
+def kernel_problem(rng, n, gamma):
+    """A gram matrix of random 2-d points and its kernel design [K diag(y) | 1]."""
+    K = gram_matrix(rng.standard_normal((n, 2)), gamma)
+    y = np.where(rng.standard_normal(n) > 0, 1.0, -1.0)
+    return K, kernel_design(K, y)
+
+
+class TestKernelMMWorkspace:
+    """The gram eigendecomposition route of ``mm`` on kernel designs; at
+    gamma = 0.01 part of K's spectrum falls under the rank cut."""
+
+    CASES = [(gamma, rho) for gamma in (0.5, 0.01) for rho in (1.0, 100.0, 1e4)]
+
+    def states(self, rng):
+        for gamma, rho in self.CASES:
+            K, design = kernel_problem(rng, 40, gamma)
+            constraint = SparsityConstraint(k=20, p=40)
+            weights = PenaltyWeights.for_problem(design.n, constraint, rho)
+            ev = ObjectiveState.at(rng.standard_normal(41), design, constraint, weights)
+            yield K, design, constraint, ev, weights
+
+    def test_rank_cut_drops_part_of_a_smooth_spectrum(self, rng):
+        ranks = [KernelMMWorkspace.from_gram(kernel_problem(rng, 40, gamma)[0]).lam.size
+                 for gamma in (0.5, 0.01)]
+        assert ranks[0] == 40 and ranks[1] < 40
+
+    def test_step_matches_normal_equations(self, rng):
+        for K, design, constraint, ev, weights in self.states(rng):
+            got, _ = KernelMMWorkspace.from_gram(K).step(ev, design, weights)
+            want = normal_equation_oracle(ev.beta, design, constraint, weights)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+
+    def test_scores_are_the_design_product(self, rng):
+        for K, design, _, ev, weights in self.states(rng):
+            beta, scores = KernelMMWorkspace.from_gram(K).step(ev, design, weights)
+            want = design.X @ beta
+            np.testing.assert_allclose(scores, want, rtol=0, atol=1e-10 * np.abs(want).max())
+
+    def test_agrees_with_thin_svd_workspace(self, rng):
+        for K, design, _, ev, weights in self.states(rng):
+            got, _ = KernelMMWorkspace.from_gram(K).step(ev, design, weights)
+            want, _ = MMWorkspace.from_design(design).step(ev, design, weights)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+
+    def test_zero_distance_weight_rejected(self, rng):
+        K, design = kernel_problem(rng, 20, 0.5)
+        constraint = SparsityConstraint(k=10, p=20)
+        weights = PenaltyWeights.for_problem(design.n, constraint, 0.0)
+        ev = ObjectiveState.at(rng.standard_normal(21), design, constraint, weights)
+        with pytest.raises(ValueError, match="positive distance weight"):
+            KernelMMWorkspace.from_gram(K).step(ev, design, weights)
+
+    def test_chosen_by_make_workspace_for_mm_given_the_gram(self, rng):
+        K, design = kernel_problem(rng, 20, 0.5)
+        assert isinstance(make_workspace(design, "mm", K), KernelMMWorkspace)
+        assert isinstance(make_workspace(design, "mm"), MMWorkspace)
+        assert isinstance(make_workspace(design, "sd", K), SDWorkspace)
+        with pytest.raises(ValueError, match="does not match"):
+            make_workspace(design, "mm", K[:-1, :-1])
+
+    def test_mm_entry_points_accept_it(self, rng):
+        K, design = kernel_problem(rng, 20, 0.5)
+        constraint = SparsityConstraint(k=10, p=20)
+        weights = PenaltyWeights.for_problem(design.n, constraint, 10.0)
+        ws, beta = KernelMMWorkspace.from_gram(K), rng.standard_normal(21)
+        np.testing.assert_array_equal(
+            mm_update(beta, ws, design, constraint, weights),
+            ws.step(ObjectiveState.at(beta, design, constraint, weights), design, weights)[0])
+        _, report = mm_solve(beta, ws, design, constraint, weights)
+        assert report.converged
+        with pytest.raises(ValueError, match="got KernelMMWorkspace"):
+            sd_update(beta, ws, design, constraint, weights)
 
 
 class TestStepSize:
@@ -489,9 +564,10 @@ class TestMatchesReferenceLoop:
             want.append((outer, rho, iters, objective, grad_sq, d_cur, beta.copy()))
             if d_cur <= sched.dist_tol:
                 break
-            if d_prev is not None and abs(d_cur - d_prev) < sched.dist_tol * (1.0 + d_prev):
-                break
-            d_prev = d_cur
+            if iters:
+                if d_prev is not None and abs(d_cur - d_prev) < sched.dist_tol * (1.0 + d_prev):
+                    break
+                d_prev = d_cur
             rho *= sched.multiplier
 
         assert len(got) == len(want) > 1
