@@ -7,7 +7,7 @@ Kernel, one-versus-one multiclass, and cross-validation layers sit on top.
 """
 
 from .anneal import FitError, OuterRecord, prox_dist_fit, sv_count
-from .config import AccelPolicy, AnnealSchedule, FitReport, SolverConfig
+from .config import AnnealSchedule, FitReport, SolverConfig
 from .crossval import (CVRow, CVTable, SelectionMetrics, accuracy_pct,
                        cross_validate, selection_metrics)
 from .data import (ColumnTransform, DataError, Dataset, DesignMatrix, FoldPlan,

@@ -10,12 +10,13 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import AccelPolicy, AnnealSchedule, SolverConfig
+from .anneal import OuterRecord
+from .config import AnnealSchedule, SolverConfig
 from .crossval import cross_validate
 from .data import DataError, apply_transform, load_csv, load_features_csv, make_folds
 from .model_io import load_model, save_model
@@ -37,7 +38,7 @@ def _add_data_flags(sp):
 
 
 def _add_fit_flags(sp):
-    sched, cfg, accel = AnnealSchedule(), SolverConfig(), AccelPolicy()
+    sched, cfg = AnnealSchedule(), SolverConfig()
     sp.add_argument("--algorithm", choices=list(SOLVERS), default="mm",
                     help="inner solver (default mm)")
     level = sp.add_mutually_exclusive_group()
@@ -63,9 +64,6 @@ def _add_fit_flags(sp):
                          "level's stopping rule (see anneal.prox_dist_fit)")
     sp.add_argument("--dist-tol", type=float, default=sched.dist_tol,
                     help="outer stop: normalized squared distance threshold")
-    sp.add_argument("--no-accel", action="store_true", help="disable extrapolation")
-    sp.add_argument("--warmup", type=int, default=accel.warmup,
-                    help="inner iterations before extrapolation engages")
 
 
 def _add_run_flags(sp):
@@ -140,8 +138,7 @@ def _schedule(args) -> AnnealSchedule:
 
 
 def _solver_config(args) -> SolverConfig:
-    accel = None if args.no_accel else AccelPolicy(warmup=args.warmup)
-    return SolverConfig(grad_tol=args.grad_tol, max_inner=args.max_inner, accel=accel)
+    return SolverConfig(grad_tol=args.grad_tol, max_inner=args.max_inner)
 
 
 def _load_training_data(args):
@@ -334,6 +331,9 @@ def cmd_cv(args) -> int:
     return 0
 
 
+_TRACE_FIELDS = tuple(f.name for f in fields(OuterRecord) if f.name != "beta")
+
+
 def cmd_trace(args) -> int:
     ds = _load_training_data(args)
     sparsity, kernel = _resolve_sparsity(args, ds.p)
@@ -351,13 +351,11 @@ def cmd_trace(args) -> int:
             bp = project(rec.beta, constraint)
             acc = 100.0 * float(np.mean(((X @ bp) >= 0.0) == (y > 0)))
             out_rows.append([ds.class_names[i], ds.class_names[j],
-                             rec.outer, repr(rec.rho), rec.inner_iters, repr(rec.objective),
-                             repr(rec.grad_sq), repr(rec.distance), repr(acc)])
+                             *(getattr(rec, name) for name in _TRACE_FIELDS), acc])
 
     with Path(args.output).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["positive", "negative", "outer", "rho", "inner_iters",
-                         "objective", "grad_sq", "distance", "train_acc"])
+        writer.writerow(["positive", "negative", *_TRACE_FIELDS, "train_acc"])
         writer.writerows(out_rows)
     print(f"wrote {args.output} ({len(out_rows)} rows)")
     return 0

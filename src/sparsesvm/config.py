@@ -3,29 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
-__all__ = ["AccelPolicy", "AnnealSchedule", "SolverConfig", "FitReport"]
-
-
-@dataclass(frozen=True)
-class AccelPolicy:
-    """Extrapolation schedule for the inner loop.
-
-    Weight (j - 1) / (j + 2) on the momentum term, engaged only after
-    ``warmup`` inner iterations of a subproblem. When an extrapolated point
-    raises the objective it is discarded and the counter j resets to 1.
-    """
-
-    warmup: int = 10
-
-    def __post_init__(self):
-        if self.warmup < 0:
-            raise ValueError(f"warmup must be >= 0, got {self.warmup}")
-
-    @staticmethod
-    def weight(j: int) -> float:
-        return (j - 1) / (j + 2)
+__all__ = ["AnnealSchedule", "SolverConfig", "FitReport"]
 
 
 @dataclass(frozen=True)
@@ -52,13 +32,13 @@ class AnnealSchedule:
 class SolverConfig:
     """Inner-solver tolerances and switches.
 
-    ``grad_tol`` bounds the squared gradient norm; ``accel=None`` turns
-    extrapolation off.
+    ``grad_tol`` bounds the squared gradient norm; a false ``accel`` (or
+    ``None``) turns extrapolation off.
     """
 
     grad_tol: float = 1e-6
     max_inner: int = 10_000
-    accel: AccelPolicy | None = field(default_factory=AccelPolicy)
+    accel: bool = True
 
     def __post_init__(self):
         if not 0 < self.grad_tol < math.inf:

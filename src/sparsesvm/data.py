@@ -312,8 +312,12 @@ def binarize(ds: Dataset, positive_class: int, negative_class: int) -> DesignMat
     return DesignMatrix.from_features(ds.features[mask], y)
 
 
-def thin_svd(X: np.ndarray, rank_tol: float = 1e-12) -> ThinSVD:
-    """Thin SVD keeping singular values above ``rank_tol`` relative to the largest."""
+# share of the largest singular value or eigenvalue below which factors are dropped
+RANK_TOL = 1e-12
+
+
+def thin_svd(X: np.ndarray) -> ThinSVD:
+    """Thin SVD keeping singular values above ``RANK_TOL`` relative to the largest."""
     X = np.asarray(X, dtype=float)
     try:
         U, s, Vh = np.linalg.svd(X, full_matrices=False)
@@ -322,7 +326,7 @@ def thin_svd(X: np.ndarray, rank_tol: float = 1e-12) -> ThinSVD:
     if s.size == 0 or s[0] <= 0.0:
         r = 0
     else:
-        r = int(np.count_nonzero(s > rank_tol * s[0]))
+        r = int(np.count_nonzero(s > RANK_TOL * s[0]))
     return ThinSVD(np.ascontiguousarray(U[:, :r]), s[:r].copy(), np.ascontiguousarray(Vh[:r].T))
 
 

@@ -74,6 +74,8 @@ class KernelModel:
             raise ValueError("alpha must have one entry per training sample plus an intercept")
         if self.train_labels.shape != (self.train_features.shape[0],):
             raise ValueError("training labels do not match training features")
+        if not np.all(np.abs(self.train_labels) == 1.0):
+            raise ValueError("training labels must be +/-1")
 
     @property
     def support_size(self) -> int:

@@ -127,8 +127,7 @@ def _parse_transform(doc: dict) -> ColumnTransform | None:
     return ColumnTransform(kind, center, scale)
 
 
-def _parse_pair(pdoc, where: str, num_classes: int) -> tuple[PairClassifier, int]:
-    """The pair classifier and the number of raw features it scores."""
+def _parse_pair(pdoc, where: str, num_classes: int) -> PairClassifier:
     if not isinstance(pdoc, dict):
         raise ValueError(f"{where}: must be an object, got {type(pdoc).__name__}")
     ids = [_field(pdoc, key, int, where) for key in ("positive", "negative")]
@@ -138,16 +137,16 @@ def _parse_pair(pdoc, where: str, num_classes: int) -> tuple[PairClassifier, int
         kwhere = f"{where}.kernel"
         kdoc = _field(pdoc, "kernel", dict, where)
         feats = _matrix(kdoc, "train_features", kwhere)
-        # KernelModel itself rejects a bad gamma and mismatched lengths
+        # KernelModel itself rejects a bad gamma, mismatched lengths and labels not +/-1
         kernel = KernelModel(alpha=_vector(kdoc, "alpha", kwhere),
                              gamma=float(_field(kdoc, "gamma", float, kwhere)),
                              train_features=feats,
                              train_labels=_vector(kdoc, "train_labels", kwhere))
-        return PairClassifier(ids[0], ids[1], kernel=kernel), feats.shape[1]
+        return PairClassifier(ids[0], ids[1], kernel=kernel)
     coef = _vector(pdoc, "coef", where)
     if coef.size < 2:
         raise ValueError(f"{where}: 'coef' needs at least one weight and an intercept")
-    return PairClassifier(ids[0], ids[1], coef=coef), coef.size - 1
+    return PairClassifier(ids[0], ids[1], coef=coef)
 
 
 def _parse_model(doc) -> SavedModel:
@@ -166,9 +165,9 @@ def _parse_model(doc) -> SavedModel:
     pairs = []
     widths = set() if transform is None else {transform.center.size}
     for i, pdoc in enumerate(pdocs):
-        pair, width = _parse_pair(pdoc, f"pairs[{i}]", len(names))
+        pair = _parse_pair(pdoc, f"pairs[{i}]", len(names))
         pairs.append(pair)
-        widths.add(width)
+        widths.add(pair.width)
     if len(widths) > 1:
         raise ValueError(f"model: transform and pairs disagree on the feature count "
                          f"({sorted(widths)})")

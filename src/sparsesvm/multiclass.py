@@ -10,7 +10,7 @@ import numpy as np
 
 from .anneal import FitError, prox_dist_fit
 from .config import AnnealSchedule, FitReport, SolverConfig
-from .data import Dataset, DesignMatrix, binarize
+from .data import DataError, Dataset, DesignMatrix, binarize
 from .kernel import KernelModel, gram_matrix, kernel_design, kernel_predict, median_bandwidth
 from .solvers import make_workspace
 from .sparsity import SparsityConstraint
@@ -61,8 +61,17 @@ class PairClassifier:
     kernel: KernelModel | None = None
     report: FitReport | None = None
 
+    @property
+    def width(self) -> int:
+        """Number of feature columns this classifier scores."""
+        if self.kernel is not None:
+            return self.kernel.train_features.shape[1]
+        return self.coef.size - 1
+
     def scores(self, features) -> np.ndarray:
         X = np.atleast_2d(np.asarray(features, dtype=float))
+        if X.ndim != 2 or X.shape[1] != self.width:
+            raise DataError(f"expected {self.width} feature columns, got shape {X.shape}")
         if self.kernel is not None:
             return np.atleast_1d(kernel_predict(self.kernel, X))
         return X @ self.coef[:-1] + self.coef[-1]

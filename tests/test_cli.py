@@ -191,6 +191,60 @@ class TestTrace:
         assert list(last.values()) == [rep["outer_iters"] for rep in reports]
 
 
+class TestFitFlags:
+    def trace_rows(self, tmp_path, capsys, data, *flags):
+        out = tmp_path / "trace.csv"
+        rc, _, _ = run_cli(capsys, "trace", "--data", str(data), *flags, "--output", str(out))
+        assert rc == 0
+        with out.open(newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    def test_train_with_steepest_descent(self, tmp_path, capsys, causal_csv):
+        inner = {}
+        for algorithm in ("mm", "sd"):
+            model = tmp_path / f"{algorithm}.json"
+            rc, out, _ = run_cli(capsys, "train", "--data", str(causal_csv), "--keep", "2",
+                                 "--algorithm", algorithm, "--output", str(model))
+            assert rc == 0
+            inner[algorithm] = json.loads(out)["pairs"][0]["total_inner_iters"]
+            rc, out, _ = run_cli(capsys, "predict", "--model", str(model),
+                                 "--data", str(causal_csv), "--label-column", "label")
+            assert rc == 0
+            assert json.loads(out.splitlines()[-1])["accuracy_pct"] >= 95.0
+        assert inner["sd"] != inner["mm"]
+
+    def test_trace_with_steepest_descent(self, tmp_path, capsys, causal_csv):
+        mm = self.trace_rows(tmp_path, capsys, causal_csv, "--keep", "2")
+        sd = self.trace_rows(tmp_path, capsys, causal_csv, "--keep", "2", "--algorithm", "sd")
+        assert sd and [r["inner_iters"] for r in sd] != [r["inner_iters"] for r in mm]
+
+    def test_cv_timings(self, tmp_path, capsys, causal_csv):
+        times = {}
+        for extra in ((), ("--timings",)):
+            out = tmp_path / "table.csv"
+            rc, _, _ = run_cli(capsys, "cv", "--data", str(causal_csv), "--grid", "0,0.5",
+                               "--folds", "3", "--format", "csv", "--output", str(out), *extra)
+            assert rc == 0
+            with out.open(newline="") as fh:
+                times[extra] = [float(row["Time"]) for row in csv.DictReader(fh)]
+        assert len(times[()]) == 3 * 2 + 1
+        assert all(t == 0.0 for t in times[()])
+        assert all(t > 0.0 for t in times[("--timings",)])
+
+    def test_trace_max_outer(self, tmp_path, capsys, spiral_csv):
+        rows = self.trace_rows(tmp_path, capsys, spiral_csv, "--keep", "1", "--max-outer", "3")
+        per_pair = {}
+        for row in rows:
+            per_pair.setdefault((row["positive"], row["negative"]), []).append(int(row["outer"]))
+        assert len(per_pair) == 3
+        assert all(1 <= len(outers) <= 3 for outers in per_pair.values())
+
+    def test_trace_max_inner(self, tmp_path, capsys, causal_csv):
+        rows = self.trace_rows(tmp_path, capsys, causal_csv, "--keep", "2", "--max-inner", "5")
+        inner = [int(row["inner_iters"]) for row in rows]
+        assert inner and max(inner) == 5
+
+
 class TestErrors:
     @pytest.mark.parametrize("kernel", [(), ("--kernel", "gaussian")], ids=["linear", "kernel"])
     @pytest.mark.parametrize("flag", [("--sparsity", "0.9"), ("--keep", "1"),
@@ -238,12 +292,21 @@ class TestErrors:
     @pytest.mark.parametrize("command,flag", [("train", ("--seed", "99")),
                                               ("trace", ("--seed", "4")),
                                               ("trace", ("--threads", "8")),
-                                              ("trace", ("--format", "csv"))],
-                             ids=["train-seed", "trace-seed", "trace-threads", "trace-format"])
+                                              ("trace", ("--format", "csv")),
+                                              ("train", ("--warmup", "5")),
+                                              ("cv", ("--warmup", "5")),
+                                              ("trace", ("--warmup", "5")),
+                                              ("train", ("--no-accel",)),
+                                              ("cv", ("--no-accel",)),
+                                              ("trace", ("--no-accel",))],
+                             ids=["train-seed", "trace-seed", "trace-threads", "trace-format",
+                                  "train-warmup", "cv-warmup", "trace-warmup",
+                                  "train-no-accel", "cv-no-accel", "trace-no-accel"])
     def test_flag_not_read_is_not_accepted(self, tmp_path, capsys, causal_csv, command, flag):
         out = tmp_path / "out"
+        grid = ("--grid", "0") if command == "cv" else ()
         with pytest.raises(SystemExit) as err:
-            main([command, "--data", str(causal_csv), "--keep", "2", *flag,
+            main([command, "--data", str(causal_csv), "--keep", "2", *grid, *flag,
                   "--output", str(out)])
         assert err.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
@@ -341,6 +404,32 @@ class TestErrors:
         model_doc["pairs"][0]["coef"][0] = float("nan")
         err = self.predict_with(tmp_path, capsys, causal_csv, model_doc)
         assert "'coef' holds a non-finite number" in err
+
+    def test_kernel_model_with_labels_other_than_pm1(self, tmp_path, capsys, spiral_csv):
+        path = tmp_path / "kernel.json"
+        rc, _, _ = run_cli(capsys, "train", "--data", str(spiral_csv), "--kernel", "gaussian",
+                           "--output", str(path))
+        assert rc == 0
+        doc = json.loads(path.read_text())
+        doc["pairs"][0]["kernel"]["train_labels"][0] = 2.0
+        err = self.predict_with(tmp_path, capsys, spiral_csv, doc)
+        assert "training labels must be +/-1" in err
+
+    @pytest.mark.parametrize("kernel", [(), ("--kernel", "gaussian")], ids=["linear", "kernel"])
+    def test_predict_with_wrong_feature_count(self, tmp_path, capsys, spiral_csv, kernel):
+        model = tmp_path / "m.json"
+        rc, _, _ = run_cli(capsys, "train", "--data", str(spiral_csv), *kernel,
+                           "--output", str(model))
+        assert rc == 0
+        # the first feature column only: the model scores two
+        rows = [r.split(",", 1)[0] for r in spiral_csv.read_text().splitlines()]
+        feats = tmp_path / "feats.csv"
+        feats.write_text("\n".join(rows) + "\n")
+        rc, out, err = run_cli(capsys, "predict", "--model", str(model), "--data", str(feats),
+                               "--output", str(tmp_path / "pred.csv"))
+        assert rc == 1 and out == ""
+        assert err.splitlines() == ["error: expected 2 feature columns, got shape (100, 1)"]
+        assert not (tmp_path / "pred.csv").exists()
 
     def test_model_is_a_list(self, tmp_path, capsys, causal_csv, model_doc):
         err = self.predict_with(tmp_path, capsys, causal_csv, [model_doc])

@@ -3,13 +3,14 @@ import pytest
 
 from sparsesvm import anneal
 from sparsesvm.anneal import prox_dist_fit
-from sparsesvm.config import AccelPolicy, AnnealSchedule, SolverConfig
+from sparsesvm.config import AnnealSchedule, SolverConfig
 from sparsesvm.data import DesignMatrix
 from sparsesvm.kernel import gram_matrix, kernel_design
 from sparsesvm.objective import (ObjectiveState, PenaltyWeights, gradient, penalized_objective,
                                  surrogate_value, working_response)
-from sparsesvm.solvers import (KernelMMWorkspace, MMWorkspace, SDWorkspace, make_workspace,
-                               mm_solve, mm_update, sd_solve, sd_update, step_size)
+from sparsesvm.solvers import (WARMUP, KernelMMWorkspace, MMWorkspace, SDWorkspace,
+                               make_workspace, mm_solve, mm_update, sd_solve, sd_update,
+                               step_size)
 from sparsesvm.sparsity import SparsityConstraint, project, sq_distance
 
 from conftest import random_problem
@@ -310,13 +311,6 @@ class TestSDUpdate:
         assert not hasattr(ws, "svd")
 
 
-class TestNesterov:
-    def test_weight_formula(self):
-        policy = AccelPolicy()
-        assert policy.weight(1) == 0.0
-        assert policy.weight(3) == pytest.approx(2.0 / 5.0)
-
-
 @pytest.mark.parametrize("entry,other", [
     (mm_update, SDWorkspace), (mm_solve, SDWorkspace),
     (sd_update, MMWorkspace), (sd_solve, MMWorkspace),
@@ -461,7 +455,6 @@ def ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, history,
     def tol(beta):
         return max(cfg.grad_tol, (tau * weights.b2) ** 2 * sq_distance(beta, constraint))
 
-    accel = cfg.accel
     j = 1
     iters = 0
     while grad_sq >= (tol(beta) if iters else cfg.grad_tol) and iters < cfg.max_inner:
@@ -475,8 +468,8 @@ def ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, history,
         if grad_sq_new < tol(beta_new) or iters >= cfg.max_inner:
             beta, scores, grad, grad_sq = beta_new, scores_new, grad_new, grad_sq_new
             break
-        if accel is not None and iters > accel.warmup:
-            w = accel.weight(j)
+        if cfg.accel and iters > WARMUP:
+            w = (j - 1) / (j + 2)
             if w > 0.0:
                 cand = beta_new + w * (beta_new - beta)
                 scores_cand = X @ cand
@@ -506,8 +499,8 @@ def make_ws(solver, design):
 REFERENCE_CONFIGS = {
     "default": SolverConfig(max_inner=400),
     "no-accel": SolverConfig(accel=None, max_inner=400),
-    "no-warmup": SolverConfig(accel=AccelPolicy(warmup=0), max_inner=400),
-    "small-budget": SolverConfig(accel=AccelPolicy(warmup=0), max_inner=7),
+    # the budget runs out while extrapolation is engaged
+    "small-budget": SolverConfig(max_inner=WARMUP + 7),
 }
 
 
