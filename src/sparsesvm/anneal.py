@@ -37,6 +37,7 @@ class OuterRecord:
     outer: int
     rho: float
     inner_iters: int
+    restarts: int           # extrapolations dropped for a higher objective
     objective: float
     grad_sq: float
     distance: float
@@ -64,9 +65,10 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
     projection of the last iterate, so they are always feasible, though that
     iterate's squared gradient norm is usually above ``cfg.grad_tol``.
     ``converged`` is set only when the final distance actually met the
-    tolerance. ``solver`` is a key of ``solvers.SOLVERS`` or a workspace
-    ``solvers.make_workspace`` built for ``design``, which can then be reused
-    across fits.
+    tolerance, and ``stop_reason`` says which of the three ended the loop
+    (``distance``, ``stall`` or ``budget``). ``solver`` is a key of
+    ``solvers.SOLVERS`` or a workspace ``solvers.make_workspace`` built for
+    ``design``, which can then be reused across fits.
     """
     sched = sched or AnnealSchedule()
     cfg = cfg or SolverConfig()
@@ -81,10 +83,11 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
     d_prev = None
     rho = sched.rho0
     total_inner = 0
+    stop_reason = "budget"
     for outer in range(1, sched.max_outer + 1):
         weights = PenaltyWeights.for_problem(design.n, constraint, rho)
-        ev, iters = _solve_subproblem(beta, workspace, design, constraint, weights, cfg,
-                                      pull_tol=TAU)
+        ev, iters, restarts = _solve_subproblem(beta, workspace, design, constraint,
+                                                weights, cfg, pull_tol=TAU)
         beta = ev.beta
         total_inner += iters
         if not np.isfinite(ev.objective):
@@ -92,14 +95,16 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
                 f"objective became non-finite at outer iteration {outer} (rho={rho:g})")
         d_cur = ev.sq_dist / norm
         if trace_hook is not None:
-            trace_hook(OuterRecord(outer, rho, iters, ev.objective, ev.grad_sq, d_cur,
-                                   beta.copy()))
+            trace_hook(OuterRecord(outer, rho, iters, restarts, ev.objective, ev.grad_sq,
+                                   d_cur, beta.copy()))
         if d_cur <= sched.dist_tol:
+            stop_reason = "distance"
             break
         # a level that took no update (its start already met grad_tol) leaves
         # the distance where it was, which says nothing about a stall
         if iters:
             if d_prev is not None and abs(d_cur - d_prev) < sched.dist_tol * (1.0 + d_prev):
+                stop_reason = "stall"
                 break
             d_prev = d_cur
         rho *= sched.multiplier
@@ -116,5 +121,6 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
         sv_count=sv_count(beta_final, design),
         converged=bool(d_cur <= sched.dist_tol),
         wall_time=time.perf_counter() - t0,
+        stop_reason=stop_reason,
     )
     return beta_final, report

@@ -76,34 +76,48 @@ class ObjectiveState:
     Built from ``beta`` and its scores ``X @ beta``, which ``at`` computes; the
     margins and slack are formed at once, everything else (the projection
     ``pm``, the squared distance, loss, penalty, objective and gradient) on
-    first use, so a point whose gradient alone is asked for never pays for the
-    loss, and one whose objective alone never pays for ``X.T @ v``.
+    first use, so a point whose objective alone is asked for never pays for a
+    gradient.
+
+    A point of the ``mm`` loop also carries ``coords``, its coordinates in the
+    factor basis of its workspace ``basis`` (``V' beta`` for a thin SVD, see
+    ``solvers``). Its ``grad_sq`` is then formed from those coordinates and
+    the coordinates of the loss residual ``y * slack`` and of ``pm``, each
+    read from the nonzero rows of a factor and kept for the next step; the
+    vector ``grad`` is formed only on request.
     """
 
-    __slots__ = ("beta", "scores", "margins", "slack", "_design", "_constraint", "_weights",
-                 "_pm", "_sq_dist", "_loss", "_objective", "_grad", "_grad_sq")
+    __slots__ = ("beta", "scores", "coords", "margins", "slack", "_design", "_constraint",
+                 "_weights", "_basis", "_pm", "_sq_dist", "_loss", "_objective", "_grad",
+                 "_grad_sq", "_residual_coords", "_pm_coords")
 
-    def __init__(self, beta, scores, design, constraint, weights):
+    def __init__(self, beta, scores, design, constraint, weights, coords=None, basis=None):
         self.beta = beta
         self.scores = scores
+        self.coords = coords
         self._design = design
         self._constraint = constraint
         self._weights = weights
+        self._basis = basis
         self._pm = None
         self._sq_dist = None
         self._loss = None
         self._objective = None
         self._grad = None
         self._grad_sq = None
+        self._residual_coords = None
+        self._pm_coords = None
         self.margins = design.y * scores
         self.slack = np.maximum(0.0, 1.0 - self.margins)
 
     @classmethod
     def at(cls, beta, design: DesignMatrix, constraint: SparsityConstraint,
-           weights: PenaltyWeights) -> ObjectiveState:
-        """The state at ``beta``, its scores computed from the design."""
+           weights: PenaltyWeights, basis=None) -> ObjectiveState:
+        """The state at ``beta``, its scores (and its coordinates in ``basis``,
+        if given) computed from the design."""
         beta = np.asarray(beta, dtype=float)
-        return cls(beta, design.X @ beta, design, constraint, weights)
+        coords = None if basis is None else basis.coords(beta, design)
+        return cls(beta, design.X @ beta, design, constraint, weights, coords, basis)
 
     @property
     def pm(self) -> np.ndarray:
@@ -119,6 +133,20 @@ class ObjectiveState:
             diff = self.beta - self.pm
             self._sq_dist = float(diff @ diff)
         return self._sq_dist
+
+    @property
+    def residual_coords(self) -> np.ndarray:
+        """Coordinates of the loss residual ``y * slack`` in ``basis``."""
+        if self._residual_coords is None:
+            self._residual_coords = self._basis.residual_coords(self._design.y * self.slack)
+        return self._residual_coords
+
+    @property
+    def pm_coords(self) -> np.ndarray:
+        """Coordinates of ``pm`` in ``basis``."""
+        if self._pm_coords is None:
+            self._pm_coords = self._basis.coords(self.pm, self._design)
+        return self._pm_coords
 
     @property
     def loss(self) -> float:
@@ -152,8 +180,11 @@ class ObjectiveState:
     @property
     def grad_sq(self) -> float:
         if self._grad_sq is None:
-            g = self.grad
-            self._grad_sq = float(g @ g)
+            if self.coords is None:
+                g = self.grad
+                self._grad_sq = float(g @ g)
+            else:
+                self._grad_sq = self._basis.grad_sq(self, self._design, self._weights)
         return self._grad_sq
 
 

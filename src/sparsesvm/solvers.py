@@ -9,6 +9,12 @@ The factorization is a thin SVD of the design, or, for a kernel design
 the intercept column solved by a one-dimensional Schur complement.
 Each solver is its workspace type (``SOLVERS``), whose ``step`` is its update;
 ``make_workspace`` picks the gram form of ``mm`` when it is given K.
+
+The ``mm`` loop runs in the factorization's coordinates: each point carries
+its coordinates in the factor basis (``V' beta``, or ``W' beta_a`` for the
+gram form), which give its working response, its new scores and its squared
+gradient norm without a full pass over the design, so an accelerated
+iteration reads the factors in full twice (once for the gram form).
 """
 
 from __future__ import annotations
@@ -62,17 +68,69 @@ class MMWorkspace:
             self._key = key
         return self._c1, self._c2
 
+    def coords(self, x, design: DesignMatrix) -> np.ndarray:
+        """``V' x``, read from the rows of V where ``x`` is nonzero."""
+        return _rows_dot(x, self.svd.V)
+
+    def residual_coords(self, v) -> np.ndarray:
+        """``U' v``, read from the rows of U where ``v`` is nonzero."""
+        return _rows_dot(v, self.svd.U)
+
+    def grad_sq(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights) -> float:
+        """The squared gradient norm at ``ev`` from its coordinates."""
+        V = self.svd.V
+        return _factored_grad_sq(ev, self.svd.s, V.shape[1] == V.shape[0], weights)
+
     def step(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights):
-        """The exact minimizer of the anchored majorizer at ``ev``, without its scores."""
-        z = np.where(ev.margins >= 1.0, ev.scores, design.y)
+        """The exact minimizer of the anchored majorizer at ``ev``, its scores and
+        coordinates ``t = V' beta``.
+
+        ``z - scores = y * slack`` and ``U' scores = s t``, so ``U' z`` comes from
+        the coordinates and the residual's, and the new scores are ``U (s t)``.
+        """
         svd = self.svd
+        uz = svd.s * ev.coords + ev.residual_coords
         if weights.b2 == 0.0:
             # unpenalized system: minimum-norm least-squares solution
-            return svd.V @ ((svd.U.T @ z) / svd.s), None
-        pm = ev.pm
+            t = uz / svd.s
+            return svd.V @ t, svd.U @ uz, t
         c1, c2 = self.coefficients(weights)
-        # V.T @ pm, read from the rows of V where pm is nonzero
-        return pm + svd.V @ (c1 * (svd.U.T @ z) - c2 * _rows_dot(pm, svd.V)), None
+        vpm = ev.pm_coords
+        coef = c1 * uz - c2 * vpm
+        t = vpm + coef
+        return ev.pm + svd.V @ coef, svd.U @ (svd.s * t), t
+
+
+def _factored_grad_sq(ev: ObjectiveState, scale, square: bool, weights: PenaltyWeights) -> float:
+    """``||grad||^2`` at ``ev`` for a factorization ``X = R diag(scale) C'`` with
+    orthonormal R (n x r) and C (p x r): ``U, s, V`` of a thin SVD, or ``Q, lam,
+    W`` of a gram eigendecomposition (whose intercept column ``kernel`` adds).
+
+    With ``t = C' beta`` and ``dt = t - C' pm``, the gradient
+    ``X' (-a2 y slack) + b2 (beta - pm)`` has the coordinates
+    ``C' grad = -a2 scale (R' y slack) + b2 dt``; the rest of it is
+    ``b2 (I - C C') (beta - pm)``, of squared norm ``b2^2 (sq_dist - ||dt||^2)``.
+    That difference cancels: its rounding error is about ``eps b2^2 sq_dist``,
+    which can exceed the gradient itself near a stationary point far from
+    the set. When C is square, ``I - C C'`` is zero up to C's departure from
+    orthogonality ``delta = ||C'C - I||`` (a small multiple of ``eps p`` for
+    LAPACK's SVD and eigensolver), so the term is at most
+    ``delta^2 b2^2 sq_dist``, second order in ``eps`` and below the rounding
+    of the kept terms, and it is skipped. ``dt`` is itself a difference of
+    coordinates of size up to ``||beta||``, so either way the result is within
+    a small multiple of ``(eps (n + p) + RANK_TOL) G^2`` of ``||grad||^2``,
+    with ``G = a2 ||X|| ||slack|| + b2 ||beta||`` (``RANK_TOL`` only when the
+    rank cut dropped a factor).
+    """
+    g = -weights.a2 * scale * ev.residual_coords
+    if weights.b2 == 0.0:
+        return float(g @ g)
+    dt = ev.coords - ev.pm_coords
+    g += weights.b2 * dt
+    grad_sq = float(g @ g)
+    if not square:
+        grad_sq += weights.b2 ** 2 * max(0.0, ev.sq_dist - float(dt @ dt))
+    return grad_sq
 
 
 @dataclass
@@ -125,24 +183,45 @@ class KernelMMWorkspace:
             self._key = key
         return self._coef
 
+    def coords(self, x, design: DesignMatrix) -> np.ndarray:
+        """``W' x_a = Q' (y x_a)`` of the dual weights ``x_a = x[:-1]``, read from
+        the rows of Q where ``x_a`` is nonzero."""
+        return _rows_dot(design.y * x[:-1], self.Q)
+
+    def residual_coords(self, v) -> np.ndarray:
+        """``Q' v``, read from the rows of Q where ``v`` is nonzero."""
+        return _rows_dot(v, self.Q)
+
+    def grad_sq(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights) -> float:
+        """The squared gradient norm at ``ev`` from its coordinates, plus the
+        intercept's ``(-a2 sum(y slack))^2``: the intercept is never projected."""
+        Q = self.Q
+        intercept = weights.a2 * float(design.y @ ev.slack)
+        return (_factored_grad_sq(ev, self.lam, Q.shape[1] == Q.shape[0], weights)
+                + intercept * intercept)
+
     def step(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights):
-        """The exact minimizer of the anchored majorizer at ``ev`` and its scores."""
+        """The exact minimizer of the anchored majorizer at ``ev``, its scores and
+        coordinates ``u = W' beta_a``.
+
+        The scores are ``Q (lam u) + beta0``, so with ``z - scores = y * slack``
+        ``Q' z = lam u + beta0 Q'1 + Q' (y slack)`` comes from the coordinates.
+        """
         d, g, schur = self.coefficients(weights)
         a2, b2, lam, Q, y = weights.a2, weights.b2, self.lam, self.Q, design.y
-        z = np.where(ev.margins >= 1.0, ev.scores, y)
         pm = ev.pm
-        pa = pm[:-1]
-        # W' pa, read from the rows of Q where pa is nonzero
-        w = _rows_dot(y * pa, Q)
-        r = a2 * lam * (z @ Q) + b2 * w
-        beta0 = (a2 * float(z.sum()) + b2 * pm[-1] - float(g @ r)) / schur
+        w = ev.pm_coords
+        qz = lam * ev.coords + ev.beta[-1] * self.q1 + ev.residual_coords
+        r = a2 * lam * qz + b2 * w
+        z_sum = float(ev.scores.sum()) + float(y @ ev.slack)
+        beta0 = (a2 * z_sum + b2 * pm[-1] - float(g @ r)) / schur
         u = r / d - g * beta0
         # Q (u - w) and Q (lam u) in one pass over Q
         prod = Q @ np.column_stack([u - w, lam * u])
         beta = np.empty_like(pm)
-        beta[:-1] = pa + y * prod[:, 0]
+        beta[:-1] = pm[:-1] + y * prod[:, 0]
         beta[-1] = beta0
-        return beta, prod[:, 1] + beta0
+        return beta, prod[:, 1] + beta0, u
 
 
 _MM_KINDS = (MMWorkspace, KernelMMWorkspace)
@@ -160,8 +239,8 @@ def _require(ws, *kinds):
 def mm_update(beta, ws: MMWorkspace | KernelMMWorkspace, design: DesignMatrix,
               constraint: SparsityConstraint, weights: PenaltyWeights) -> np.ndarray:
     """Exact minimizer of the anchored majorizer via the cached factorization."""
-    ev = ObjectiveState.at(beta, design, constraint, weights)
-    return _require(ws, *_MM_KINDS).step(ev, design, weights)[0]
+    ev = ObjectiveState.at(beta, design, constraint, weights, _require(ws, *_MM_KINDS))
+    return ws.step(ev, design, weights)[0]
 
 
 def _exact_step(gsq: float, Xg: np.ndarray, weights: PenaltyWeights, guard: float) -> float:
@@ -187,10 +266,11 @@ class SDWorkspace:
         return cls(guard=1e-12 * (1.0 + a2 * fro2))
 
     def step(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights):
-        """The descent step from ``ev`` and, by linearity, the new iterate's scores."""
+        """The descent step from ``ev`` and, by linearity, the new iterate's scores;
+        ``sd`` keeps no coordinates."""
         Xg = design.X @ ev.grad
         eta = _exact_step(ev.grad_sq, Xg, weights, self.guard)
-        return ev.beta - eta * ev.grad, ev.scores - eta * Xg
+        return ev.beta - eta * ev.grad, ev.scores - eta * Xg, None
 
 
 def sd_update(beta, ws: SDWorkspace, design: DesignMatrix,
@@ -227,6 +307,11 @@ def make_workspace(design: DesignMatrix, solver: str, gram=None):
 WARMUP = 10
 
 
+def _past(new, old, w: float):
+    """``new + w (new - old)``, or None for a point without coordinates."""
+    return None if new is None else new + w * (new - old)
+
+
 def _solve_subproblem(beta0, ws, design, constraint, weights, cfg: SolverConfig,
                       history=None, pull_tol: float = 0.0):
     """Iterate ``ws.step`` until the squared gradient norm drops below
@@ -240,30 +325,30 @@ def _solve_subproblem(beta0, ws, design, constraint, weights, cfg: SolverConfig,
     ``cfg.grad_tol`` always takes a step, and it reads the projection the
     gradient has already computed.
 
-    Each update is followed by a convergence test at the fresh iterate. If
-    that fails, ``cfg.accel`` is on and more than ``WARMUP`` updates were
-    taken, the loop extrapolates past the fresh iterate with weight
-    ``(j - 1) / (j + 2)`` and keeps the candidate unless its objective is
-    higher, in which case the candidate is dropped and the counter ``j``
-    resets to 1. A kept candidate becomes the current point: the loop condition then tests the
-    candidate's own gradient, so the returned point may be an extrapolated one.
+    Convergence is tested once per update, at the point the loop keeps. Once
+    ``cfg.accel`` is on and more than ``WARMUP`` updates were taken, the loop
+    extrapolates past each fresh iterate with weight ``(j - 1) / (j + 2)``
+    and keeps the candidate unless its objective is higher than the fresh
+    iterate's; then the fresh iterate is kept, the counter ``j`` resets to 1,
+    and the reset counts as a restart. The kept point is the next update's
+    start, so the returned point may be an extrapolated one.
 
-    Every point is evaluated once (see ``ObjectiveState``). Scores are linear
-    in the coefficients, so a candidate's scores are extrapolated from those of
-    the two points it comes from, and a step that holds its iterate's scores
-    hands them back. An accelerated iteration thus reads the n x p design (or
-    its factors) in full 3 times with ``mm`` on a thin SVD (``U.T @ z``,
-    ``V @ coef`` and the new scores ``X @ beta``), twice with ``mm`` on a gram
-    eigendecomposition (``z @ Q`` and ``Q @ [u - w, lam u]``, which holds the
-    scores) and once with ``sd`` (the line search's ``X @ g``), and, for the
-    loss gradients of the new iterate and of the candidate, the rows inside
-    the margin twice (see ``_rows_dot``).
+    Every point is evaluated once (see ``ObjectiveState``). Scores, and an
+    ``mm`` point's coordinates in its workspace's factor basis, are linear in
+    the coefficients: each step hands back its iterate's, and a candidate's
+    are extrapolated from those of the two points it comes from. An
+    accelerated iteration thus reads the factors in full twice with ``mm`` on
+    a thin SVD (``V @ coef`` and the new scores ``U @ (s t)``), once with
+    ``mm`` on a gram eigendecomposition (``Q @ [u - w, lam u]``), and the
+    design once with ``sd`` (the line search's ``X @ g``); besides that it
+    reads the rows inside the margin once, for the kept point's gradient (see
+    ``_rows_dot``), and with ``mm`` the rows of its projection's support.
 
-    Returns the evaluation at the final point and the number of updates taken.
+    Returns the evaluation at the final point, the number of updates taken and
+    the number of restarts.
     """
-    X = design.X
-    beta = np.asarray(beta0, dtype=float).copy()
-    cur = ObjectiveState(beta, X @ beta, design, constraint, weights)
+    basis = ws if isinstance(ws, _MM_KINDS) else None
+    cur = ObjectiveState.at(np.array(beta0, dtype=float), design, constraint, weights, basis)
     pull_sq = (pull_tol * weights.b2) ** 2
 
     def small(ev):
@@ -271,36 +356,32 @@ def _solve_subproblem(beta0, ws, design, constraint, weights, cfg: SolverConfig,
         return grad_sq < cfg.grad_tol or (pull_sq > 0.0 and grad_sq < pull_sq * ev.sq_dist)
 
     j = 1
-    iters = 0
+    iters = restarts = 0
     # the start is held to grad_tol alone: a warm start can meet the pull bound
     # of a barely larger penalty, and a level without an update would leave the
     # distance where it was
     while iters < cfg.max_inner and not (small(cur) if iters else cur.grad_sq < cfg.grad_tol):
-        beta_new, scores_new = ws.step(cur, design, weights)
-        if scores_new is None:
-            scores_new = X @ beta_new
-        new = ObjectiveState(beta_new, scores_new, design, constraint, weights)
+        beta, scores, coords = ws.step(cur, design, weights)
+        new = ObjectiveState(beta, scores, design, constraint, weights, coords, basis)
         iters += 1
         if history is not None:
             history.append(new.objective)
-        if small(new) or iters >= cfg.max_inner:
-            cur = new
-            break
-        if cfg.accel and iters > WARMUP:
+        if cfg.accel and WARMUP < iters < cfg.max_inner:
             w = (j - 1) / (j + 2)
             if w > 0.0:
-                cand = ObjectiveState(beta_new + w * (beta_new - cur.beta),
-                                      scores_new + w * (scores_new - cur.scores),
-                                      design, constraint, weights)
+                cand = ObjectiveState(_past(beta, cur.beta, w), _past(scores, cur.scores, w),
+                                      design, constraint, weights,
+                                      _past(coords, cur.coords, w), basis)
                 if cand.objective > new.objective:
                     j = 1
+                    restarts += 1
                 else:
                     j += 1
                     new = cand
             else:
                 j += 1
         cur = new
-    return cur, iters
+    return cur, iters, restarts
 
 
 def _report(ev: ObjectiveState, iters, constraint, weights, cfg, t0) -> FitReport:
@@ -320,7 +401,7 @@ def _report(ev: ObjectiveState, iters, constraint, weights, cfg, t0) -> FitRepor
 def _solve(beta0, ws, design, constraint, weights, cfg, history):
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
-    ev, iters = _solve_subproblem(beta0, ws, design, constraint, weights, cfg, history)
+    ev, iters, _ = _solve_subproblem(beta0, ws, design, constraint, weights, cfg, history)
     return ev.beta, _report(ev, iters, constraint, weights, cfg, t0)
 
 

@@ -3,10 +3,10 @@ import sys
 import numpy as np
 import pytest
 
-from sparsesvm import anneal, solvers, sparsity
+from sparsesvm import anneal, objective, solvers, sparsity
 from sparsesvm.anneal import FitError, OuterRecord, prox_dist_fit, sv_count
 from sparsesvm.config import AnnealSchedule, SolverConfig
-from sparsesvm.data import DesignMatrix, binarize
+from sparsesvm.data import DesignMatrix, ThinSVD, binarize
 from sparsesvm.multiclass import GaussianKernelSpec, PairProblem, init_heuristic
 from sparsesvm.objective import PenaltyWeights, gradient
 from sparsesvm.simdata import gen_gaussian_causal, gen_spiral
@@ -193,32 +193,180 @@ class TestWorkCount:
         assert 0 < len(calls) <= bound
 
 
+class Counted(np.ndarray):
+    """A named factor or design whose matrix products are appended to
+    ``products`` as (name, the other operand's shape); ``_rows_dot``, patched
+    by ``count_products``, reads plain views and is not counted."""
+
+    products = None
+
+    def __array_finalize__(self, obj):
+        self.name = getattr(obj, "name", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            mine, other = inputs if isinstance(inputs[0], Counted) else inputs[::-1]
+            Counted.products.append((mine.name, np.shape(other)))
+        inputs = tuple(np.asarray(x) for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def counted(a, name):
+    out = a.view(Counted)
+    out.name = name
+    return out
+
+
+def count_products(monkeypatch):
+    products = []
+    monkeypatch.setattr(Counted, "products", products)
+    real = solvers._rows_dot
+
+    def plain_rows_dot(v, A):
+        return real(v, np.asarray(A))
+
+    for mod in (solvers, sys.modules["sparsesvm.objective"]):
+        monkeypatch.setattr(mod, "_rows_dot", plain_rows_dot)
+    return products
+
+
+class TestFactorPasses:
+    """On a design above ``_GATHER_COST`` an accelerated ``mm`` iteration reads
+    the factors in full twice on a thin SVD (``V @ coef`` and ``U @ (s t)``) and
+    once on a gram eigendecomposition (the two-column ``Q @ [u - w, lam u]``),
+    besides the ``_rows_dot`` products; only the level's start reads the
+    design, for ``X @ beta``."""
+
+    def solve(self, ws, design, constraint, rho):
+        design = DesignMatrix(design.X, design.y)
+        object.__setattr__(design, "X", counted(design.X, "X"))
+        weights = PenaltyWeights.for_problem(design.n, constraint, rho)
+        _, iters, _ = solvers._solve_subproblem(init_heuristic(design), ws, design,
+                                                constraint, weights, SolverConfig())
+        assert iters > 5 * solvers.WARMUP
+        return iters
+
+    def test_thin_svd(self, monkeypatch):
+        ds, _ = gen_gaussian_causal(300, 150, 5, 1)
+        design = binarize(ds, 1, 0)
+        assert design.X.size > objective._GATHER_COST
+        svd = solvers.make_workspace(design, "mm").svd
+        ws = solvers.MMWorkspace(ThinSVD(counted(svd.U, "U"), svd.s, counted(svd.V, "V")))
+        products = count_products(monkeypatch)
+        iters = self.solve(ws, design, SparsityConstraint(k=5, p=150), 10.0)
+        names = [name for name, _ in products]
+        assert names.count("X") == 1
+        assert names.count("U") <= iters and names.count("V") <= iters
+        assert all(shape == (svd.r,) for name, shape in products if name != "X")
+
+    def test_gram(self, monkeypatch):
+        problem = PairProblem.build(gen_spiral(200, 150, 20, seed=0), 0, 1,
+                                    GaussianKernelSpec(gamma=1.0), solver="mm")
+        design, ws = problem.design, problem.workspace
+        assert design.X.size > objective._GATHER_COST
+        ws = solvers.KernelMMWorkspace(Q=counted(ws.Q, "Q"), lam=ws.lam, q1=ws.q1)
+        products = count_products(monkeypatch)
+        iters = self.solve(ws, design, problem.constraint(0.5), 10.0)
+        names = [name for name, _ in products]
+        assert names.count("X") == 1
+        assert names.count("Q") <= iters
+        assert all(shape == (ws.lam.size, 2) for name, shape in products if name == "Q")
+
+
 class TestLinearScores:
-    @pytest.mark.parametrize("solver", ["mm", "sd"])
-    def test_scores_match_fresh_products_along_fit(self, monkeypatch, solver):
-        """Extrapolated candidates, and sd's new iterates, get their scores by
-        linearity; along a whole fit those stay within 1e-9 of X @ beta,
-        relative to its largest entry."""
+    @pytest.mark.parametrize("solver,kernel", [("mm", False), ("sd", False), ("mm", True)],
+                             ids=["mm", "sd", "mm-gram"])
+    def test_scores_match_fresh_products_along_fit(self, monkeypatch, solver, kernel):
+        """Extrapolated candidates, and every new iterate, get their scores
+        (and with ``mm`` their coordinates ``V' beta`` or ``W' beta_a``) by
+        linearity; along a whole fit those stay within 1e-9 of the fresh
+        products, relative to their largest entry."""
         errors = []
+
+        def fresh_coords(basis, beta, y):
+            if isinstance(basis, solvers.KernelMMWorkspace):
+                return basis.Q.T @ (y * beta[:-1])
+            return basis.svd.V.T @ beta
 
         class Checked(solvers.ObjectiveState):
             __slots__ = ()
 
-            def __init__(self, beta, scores, design, constraint, weights):
-                fresh = design.X @ beta
-                errors.append((float(np.max(np.abs(scores - fresh))),
-                               float(np.max(np.abs(fresh)))))
-                super().__init__(beta, scores, design, constraint, weights)
+            def __init__(self, beta, scores, design, constraint, weights, coords=None,
+                         basis=None):
+                pairs = [(scores, design.X @ beta)]
+                if solver == "mm":
+                    pairs.append((coords, fresh_coords(basis, beta, design.y)))
+                for got, fresh in pairs:
+                    errors.append((float(np.max(np.abs(got - fresh))),
+                                   float(np.max(np.abs(fresh)))))
+                super().__init__(beta, scores, design, constraint, weights, coords, basis)
 
         monkeypatch.setattr(solvers, "ObjectiveState", Checked)
-        ds, _ = gen_gaussian_causal(120, 40, 4, 5)
-        design = binarize(ds, 1, 0)
-        _, report = prox_dist_fit(design, SparsityConstraint(k=4, p=40), init_heuristic(design),
-                                  solver=solver)
+        if kernel:
+            # part of this gram spectrum falls under the rank cut
+            problem = PairProblem.build(gen_spiral(120, 60, 20, seed=0), 0, 1,
+                                        GaussianKernelSpec(gamma=1.0), solver=solver)
+            design, constraint, ws = problem.design, problem.constraint(0.5), problem.workspace
+        else:
+            ds, _ = gen_gaussian_causal(120, 40, 4, 5)
+            design, constraint, ws = binarize(ds, 1, 0), SparsityConstraint(k=4, p=40), solver
+        _, report = prox_dist_fit(design, constraint, init_heuristic(design), solver=ws)
         assert report.total_inner_iters > 100
         err, scale = np.asarray(errors).T
         assert np.count_nonzero(err) > report.total_inner_iters // 2
         assert np.all(err <= 1e-9 * scale)
+
+
+class TestStopReason:
+    @pytest.mark.parametrize("solver", ["mm", "sd"])
+    @pytest.mark.parametrize("reason,sched", [
+        ("distance", AnnealSchedule(multiplier=1.5)),
+        ("stall", AnnealSchedule()),
+        ("budget", AnnealSchedule(max_outer=3)),
+    ], ids=["distance", "stall", "budget"])
+    def test_each_end_of_the_ladder(self, solver, reason, sched):
+        """On a planted design the default ladder ends through the stall test,
+        a multiplier of 1.5 through the distance test, and three levels on the
+        outer budget; ``converged`` says the same."""
+        design, constraint, beta0, _ = planted_level()
+        records = []
+        _, report = prox_dist_fit(design, constraint, beta0, solver=solver, sched=sched,
+                                  trace_hook=records.append)
+        assert report.stop_reason == reason
+        assert report.converged == (reason == "distance")
+        assert report.outer_iters == len(records)
+        assert (report.outer_iters == sched.max_outer) == (reason == "budget")
+        assert report.to_dict()["stop_reason"] == reason
+
+    @pytest.mark.parametrize("solver", ["mm", "sd"])
+    def test_restarts_per_level(self, rng, solver):
+        """A level's restarts are its dropped extrapolations: none without
+        extrapolation, some over ten cold starts at a tight tolerance, never
+        more than the level's extrapolated updates, and each record carries
+        its level's count."""
+        totals = {True: 0, False: 0}
+        levels = 0
+        for _ in range(10):
+            design, constraint, weights = random_problem(rng, 25, 6, 3, rho=2.0)
+            ws = solvers.make_workspace(design, solver)
+            beta0 = rng.standard_normal(7)
+            for accel in (True, False):
+                cfg = SolverConfig(grad_tol=1e-14, accel=accel)
+                _, iters, restarts = solvers._solve_subproblem(beta0, ws, design, constraint,
+                                                               weights, cfg)
+                assert restarts <= max(0, iters - solvers.WARMUP - 1)
+                totals[accel] += restarts
+            cfg = SolverConfig(grad_tol=1e-14)
+            records = []
+            prox_dist_fit(design, constraint, beta0, solver=ws, cfg=cfg,
+                          sched=AnnealSchedule(rho0=weights.rho, max_outer=2),
+                          trace_hook=records.append)
+            _, _, first = solvers._solve_subproblem(beta0, ws, design, constraint, weights,
+                                                    cfg, pull_tol=anneal.TAU)
+            assert records[0].restarts == first
+            levels += first > 0
+        assert totals[False] == 0 < totals[True]
+        assert levels > 0
 
 
 def record_tested_points(monkeypatch):
@@ -293,6 +441,7 @@ class TestRelativeStop:
         assert records[0].inner_iters > 0 and records[1].inner_iters == 0
         assert records[1].distance == records[0].distance
         assert report.outer_iters == sched.max_outer
+        assert report.stop_reason == "budget"
         assert report.distance < 0.2 * records[0].distance
 
     @pytest.mark.parametrize("solver", ["mm", "sd"])
@@ -308,6 +457,8 @@ class TestRelativeStop:
                           weights, cfg)
         assert report.converged and report.grad_sq < cfg.grad_tol
         assert report.total_inner_iters > records[0].inner_iters
+        # a single-level solve has no ladder to stop
+        assert report.stop_reason is None
 
     @pytest.mark.parametrize("solver", ["mm", "sd"])
     def test_rule_under_the_floor_changes_nothing(self, monkeypatch, solver):

@@ -77,6 +77,9 @@ class TestTrainPredict:
         report = json.loads(out)
         assert {"pairs", "converged"} <= set(report)
         assert len(report["pairs"]) == 1
+        pair = report["pairs"][0]
+        assert pair["stop_reason"] in {"distance", "stall", "budget"}
+        assert pair["converged"] == (pair["stop_reason"] == "distance")
 
         rc, out, _ = run_cli(capsys, "predict", "--model", str(model_path),
                              "--data", str(causal_csv), "--label-column", "label")
@@ -154,7 +157,7 @@ class TestTrace:
                            "--keep", "2", "--output", str(out))
         assert rc == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == ("positive,negative,outer,rho,inner_iters,"
+        assert lines[0] == ("positive,negative,outer,rho,inner_iters,restarts,"
                             "objective,grad_sq,distance,train_acc")
         rows = [line.split(",") for line in lines[1:]]
         assert 1 <= len(rows) <= 100
