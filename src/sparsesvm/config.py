@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 __all__ = ["AnnealSchedule", "SolverConfig", "FitReport"]
+
+
+def _check_budget(name: str, value) -> None:
+    """An iteration budget is an integer (not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -22,8 +29,7 @@ class AnnealSchedule:
             raise ValueError(f"rho0 must be positive and finite, got {self.rho0}")
         if not 1.0 < self.multiplier < math.inf:
             raise ValueError(f"multiplier must exceed 1 and be finite, got {self.multiplier}")
-        if self.max_outer < 1:
-            raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
+        _check_budget("max_outer", self.max_outer)
         if not 0 < self.dist_tol < math.inf:
             raise ValueError(f"dist_tol must be positive and finite, got {self.dist_tol}")
 
@@ -43,8 +49,7 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.grad_tol < math.inf:
             raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
-        if self.max_inner < 1:
-            raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
+        _check_budget("max_inner", self.max_inner)
 
 
 @dataclass

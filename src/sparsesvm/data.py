@@ -173,9 +173,10 @@ class FoldPlan:
 
 
 def _read_rows(path: Path) -> list[list[str]]:
-    """The non-empty rows of a comma-delimited UTF-8 file."""
+    """The non-empty rows of a comma-delimited UTF-8 file, with or without a
+    byte-order mark."""
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             return [row for row in csv.reader(fh) if row]
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

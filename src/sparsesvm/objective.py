@@ -76,8 +76,8 @@ class ObjectiveState:
     Built from ``beta`` and its scores ``X @ beta``, which ``at`` computes; the
     margins and slack are formed at once, everything else (the projection
     ``pm``, the squared distance, loss, penalty, objective and gradient) on
-    first use, so a point whose objective alone is asked for never pays for a
-    gradient.
+    first use: the inner loop reads each point's ``grad_sq``, but an objective
+    only for a history and at the point it returns.
 
     A point of the ``mm`` loop also carries ``coords``, its coordinates in the
     factor basis of its workspace ``basis`` (``V' beta`` for a thin SVD, see

@@ -1,5 +1,5 @@
 """Inner solvers for one penalty level: a closed-form factorization update and
-exact-line-search steepest descent, sharing a restarted accelerated loop.
+exact-line-search steepest descent, sharing one Nesterov loop with restarts.
 
 Both minimize the same anchored least-squares majorizer of the penalized
 squared-hinge objective; the factorization route solves it exactly through a
@@ -301,9 +301,10 @@ def make_workspace(design: DesignMatrix, solver: str, gram=None):
     return kind.from_design(design)
 
 
-# Plain updates per subproblem before extrapolation engages. On 600 seeded
-# random cold starts, extrapolating from the first update ended above the plain
-# loop's objective (at a worse stationary point) 30 times; this warm-up, 4 times.
+# Plain updates per subproblem before extrapolation engages. On 300 seeded
+# random cold starts per solver, extrapolating from the first update ended above
+# the plain loop's objective (at a worse stationary point) in 34 (mm) and 30 (sd)
+# solves; this warm-up, in 1 and 1.
 WARMUP = 10
 
 
@@ -325,23 +326,25 @@ def _solve_subproblem(beta0, ws, design, constraint, weights, cfg: SolverConfig,
     ``cfg.grad_tol`` always takes a step, and it reads the projection the
     gradient has already computed.
 
-    Convergence is tested once per update, at the point the loop keeps. Once
+    Each update steps from the kept point ``y_k`` to ``x_{k+1}``. Once
     ``cfg.accel`` is on and more than ``WARMUP`` updates were taken, the loop
-    extrapolates past each fresh iterate with weight ``(j - 1) / (j + 2)``
-    and keeps the candidate unless its objective is higher than the fresh
-    iterate's; then the fresh iterate is kept, the counter ``j`` resets to 1,
-    and the reset counts as a restart. The kept point is the next update's
-    start, so the returned point may be an extrapolated one.
+    keeps ``y_{k+1} = x_{k+1} + w (x_{k+1} - x_k)`` with ``w = (j - 1) / (j +
+    2)``, except after the update that spends the budget; else ``x_{k+1}``.
+    A step against the momentum, ``(y_k - x_{k+1}) . (x_{k+1} - x_k) > 0``,
+    first resets ``j`` to 1 (so ``w = 0``) and counts as a restart: the
+    gradient restart of O'Donoghue and Candes, read from the step. The kept
+    objective may then rise within a level.
 
-    Every point is evaluated once (see ``ObjectiveState``). Scores, and an
-    ``mm`` point's coordinates in its workspace's factor basis, are linear in
-    the coefficients: each step hands back its iterate's, and a candidate's
-    are extrapolated from those of the two points it comes from. An
-    accelerated iteration thus reads the factors in full twice with ``mm`` on
-    a thin SVD (``V @ coef`` and the new scores ``U @ (s t)``), once with
-    ``mm`` on a gram eigendecomposition (``Q @ [u - w, lam u]``), and the
-    design once with ``sd`` (the line search's ``X @ g``); besides that it
-    reads the rows inside the margin once, for the kept point's gradient (see
+    Only the kept point is evaluated (see ``ObjectiveState``), once per
+    update, and convergence is tested there. Scores, and an ``mm`` point's
+    coordinates in its workspace's factor basis, are linear in the
+    coefficients: each step hands back its iterate's, and the kept point's
+    are extrapolated from those of the last two iterates. An accelerated
+    iteration thus reads the factors in full twice with ``mm`` on a thin SVD
+    (``V @ coef`` and the new scores ``U @ (s t)``), once with ``mm`` on a
+    gram eigendecomposition (``Q @ [u - w, lam u]``), and the design once
+    with ``sd`` (the line search's ``X @ g``); besides that it reads the rows
+    inside the margin once, for the kept point's gradient (see
     ``_rows_dot``), and with ``mm`` the rows of its projection's support.
 
     Returns the evaluation at the final point, the number of updates taken and
@@ -357,30 +360,26 @@ def _solve_subproblem(beta0, ws, design, constraint, weights, cfg: SolverConfig,
 
     j = 1
     iters = restarts = 0
+    # x_k, the last update's (beta, scores, coords); the start before the first
+    last = (cur.beta, cur.scores, cur.coords)
     # the start is held to grad_tol alone: a warm start can meet the pull bound
     # of a barely larger penalty, and a level without an update would leave the
     # distance where it was
     while iters < cfg.max_inner and not (small(cur) if iters else cur.grad_sq < cfg.grad_tol):
-        beta, scores, coords = ws.step(cur, design, weights)
-        new = ObjectiveState(beta, scores, design, constraint, weights, coords, basis)
+        beta, scores, coords = new = ws.step(cur, design, weights)
         iters += 1
-        if history is not None:
-            history.append(new.objective)
         if cfg.accel and WARMUP < iters < cfg.max_inner:
+            if (cur.beta - beta) @ (beta - last[0]) > 0.0:
+                j = 1
+                restarts += 1
             w = (j - 1) / (j + 2)
+            j += 1
             if w > 0.0:
-                cand = ObjectiveState(_past(beta, cur.beta, w), _past(scores, cur.scores, w),
-                                      design, constraint, weights,
-                                      _past(coords, cur.coords, w), basis)
-                if cand.objective > new.objective:
-                    j = 1
-                    restarts += 1
-                else:
-                    j += 1
-                    new = cand
-            else:
-                j += 1
-        cur = new
+                beta, scores, coords = (_past(x, old, w) for x, old in zip(new, last))
+        last = new
+        cur = ObjectiveState(beta, scores, design, constraint, weights, coords, basis)
+        if history is not None:
+            history.append(cur.objective)
     return cur, iters, restarts
 
 

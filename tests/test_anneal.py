@@ -167,9 +167,10 @@ class TestProxDistFit:
 class TestWorkCount:
     @pytest.mark.parametrize("solver", ["mm", "sd"])
     def test_each_point_projected_once(self, monkeypatch, solver):
-        """Each inner iteration evaluates at most two points (the fresh iterate
-        and the extrapolated candidate), each projected once; each level adds
-        its starting point, each fit its final hard projection."""
+        """Each inner update evaluates one point, the one it keeps, and projects
+        it once; each level adds its starting point, and the fit's hard
+        projection reuses the last one. The bound leaves one projection per
+        level and two per fit to spare."""
         calls = []
         real = sparsity.project
 
@@ -189,7 +190,7 @@ class TestWorkCount:
         constraint = SparsityConstraint(k=4, p=40)
         _, report = prox_dist_fit(design, constraint, init_heuristic(design), solver=solver)
         assert report.total_inner_iters > 100
-        bound = 2 * report.total_inner_iters + 2 * report.outer_iters + 2
+        bound = report.total_inner_iters + 2 * report.outer_iters + 2
         assert 0 < len(calls) <= bound
 
 
@@ -266,7 +267,7 @@ class TestFactorPasses:
         assert design.X.size > objective._GATHER_COST
         ws = solvers.KernelMMWorkspace(Q=counted(ws.Q, "Q"), lam=ws.lam, q1=ws.q1)
         products = count_products(monkeypatch)
-        iters = self.solve(ws, design, problem.constraint(0.5), 10.0)
+        iters = self.solve(ws, design, problem.constraint(0.8), 1.0)
         names = [name for name, _ in products]
         assert names.count("X") == 1
         assert names.count("Q") <= iters
@@ -277,10 +278,10 @@ class TestLinearScores:
     @pytest.mark.parametrize("solver,kernel", [("mm", False), ("sd", False), ("mm", True)],
                              ids=["mm", "sd", "mm-gram"])
     def test_scores_match_fresh_products_along_fit(self, monkeypatch, solver, kernel):
-        """Extrapolated candidates, and every new iterate, get their scores
-        (and with ``mm`` their coordinates ``V' beta`` or ``W' beta_a``) by
-        linearity; along a whole fit those stay within 1e-9 of the fresh
-        products, relative to their largest entry."""
+        """Every kept point, extrapolated or not, gets its scores (and with
+        ``mm`` its coordinates ``V' beta`` or ``W' beta_a``) by linearity;
+        along a whole fit those stay within 1e-9 of the fresh products,
+        relative to their largest entry."""
         errors = []
 
         def fresh_coords(basis, beta, y):
@@ -306,7 +307,7 @@ class TestLinearScores:
             # part of this gram spectrum falls under the rank cut
             problem = PairProblem.build(gen_spiral(120, 60, 20, seed=0), 0, 1,
                                         GaussianKernelSpec(gamma=1.0), solver=solver)
-            design, constraint, ws = problem.design, problem.constraint(0.5), problem.workspace
+            design, constraint, ws = problem.design, problem.constraint(0.8), problem.workspace
         else:
             ds, _ = gen_gaussian_causal(120, 40, 4, 5)
             design, constraint, ws = binarize(ds, 1, 0), SparsityConstraint(k=4, p=40), solver
@@ -340,10 +341,10 @@ class TestStopReason:
 
     @pytest.mark.parametrize("solver", ["mm", "sd"])
     def test_restarts_per_level(self, rng, solver):
-        """A level's restarts are its dropped extrapolations: none without
+        """A level's restarts are its momentum resets: none without
         extrapolation, some over ten cold starts at a tight tolerance, never
-        more than the level's extrapolated updates, and each record carries
-        its level's count."""
+        more than the level's updates after the warm-up, and each record
+        carries its level's count."""
         totals = {True: 0, False: 0}
         levels = 0
         for _ in range(10):

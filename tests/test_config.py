@@ -25,3 +25,19 @@ from sparsesvm.sparsity import SparsityConstraint
 def test_non_finite_value_rejected(make, value):
     with pytest.raises(ValueError, match="finite"):
         make(value)
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", 0, -1])
+@pytest.mark.parametrize("make", [
+    lambda v: AnnealSchedule(max_outer=v),
+    lambda v: SolverConfig(max_inner=v),
+], ids=["max_outer", "max_inner"])
+def test_budget_must_be_a_positive_integer(make, value):
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        make(value)
+
+
+@pytest.mark.parametrize("value", [1, 7, np.int64(7)])
+def test_integer_budgets_accepted(value):
+    assert AnnealSchedule(max_outer=value).max_outer == value
+    assert SolverConfig(max_inner=value).max_inner == value

@@ -210,15 +210,15 @@ FAILED_LEVEL_TABLES = {
     (0.0, 0.5, 0.75): (
         0.0, 4.0,
         "fold,s,Iter.,Time,Objective,Squared Distance,Train,Valid.,Test,SV\n"
-        "0,0,15,0.0,1.1093984538572172e-07,0.0,100.0,100.0,100.0,0.3333333333333333\n"
+        "0,0,15,0.0,5.838942813358818e-08,0.0,100.0,100.0,100.0,0.3333333333333333\n"
         "0,50,0,0.0,nan,nan,nan,nan,nan,nan\n"
         "0,75,0,0.0,nan,nan,nan,nan,nan,nan\n"
         "1,0,11,0.0,9.873729124339806e-08,0.0,100.0,100.0,100.0,0.3333333333333333\n"
         "1,50,0,0.0,nan,nan,nan,nan,nan,nan\n"
-        "1,75,271,0.0,0.05303671129539834,0.024312570829926747,46.666666666666664,20.0,33.33333333333333,10.0\n"
-        "selected,0,13.0,0.0,1.048385683145599e-07,0.0,100.0,100.0,100.0,0.3333333333333333\n",
+        "1,75,193,0.0,0.053051792257466146,0.024329208276681478,46.666666666666664,20.0,33.33333333333333,10.0\n"
+        "selected,0,13.0,0.0,7.856335968849312e-08,0.0,100.0,100.0,100.0,0.3333333333333333\n",
         '{"rows": [{"fold": 0, "s": 0.0, "k": 4.0, "iterations": 15, "time": 0.0, '
-        '"objective": 1.1093984538572172e-07, "squared_distance": 0.0, "train": 100.0, '
+        '"objective": 5.838942813358818e-08, "squared_distance": 0.0, "train": 100.0, '
         '"valid": 100.0, "test": 100.0, "sv": 0.3333333333333333, "error": null}, {"fold": 0,'
         ' "s": 0.5, "k": NaN, "iterations": 0, "time": 0.0, "objective": NaN, '
         '"squared_distance": NaN, "train": NaN, "valid": NaN, "test": NaN, "sv": NaN, '
@@ -230,10 +230,10 @@ FAILED_LEVEL_TABLES = {
         '0.3333333333333333, "error": null}, {"fold": 1, "s": 0.5, "k": NaN, "iterations": 0,'
         ' "time": 0.0, "objective": NaN, "squared_distance": NaN, "train": NaN, "valid": NaN,'
         ' "test": NaN, "sv": NaN, "error": "no fit at s=0.5"}, {"fold": 1, "s": 0.75, "k": '
-        '1.0, "iterations": 271, "time": 0.0, "objective": 0.05303671129539834, '
-        '"squared_distance": 0.024312570829926747, "train": 46.666666666666664, "valid": '
+        '1.0, "iterations": 193, "time": 0.0, "objective": 0.053051792257466146, '
+        '"squared_distance": 0.024329208276681478, "train": 46.666666666666664, "valid": '
         '20.0, "test": 33.33333333333333, "sv": 10.0, "error": null}], "selected": {"s": 0.0,'
-        ' "k": 4.0, "iterations": 13.0, "objective": 1.048385683145599e-07, '
+        ' "k": 4.0, "iterations": 13.0, "objective": 7.856335968849312e-08, '
         '"squared_distance": 0.0, "train": 100.0, "valid": 100.0, "test": 100.0, "sv": '
         '0.3333333333333333}, "fold_plan": {"num_folds": 2, "seed": 0, "assignments": [1, 1, '
         '0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, '
@@ -260,8 +260,8 @@ FAILED_LEVEL_TABLES = {
         "0,50,0,0.0,nan,nan,nan,nan,nan,nan\n"
         "0,75,0,0.0,nan,nan,nan,nan,nan,nan\n"
         "1,50,0,0.0,nan,nan,nan,nan,nan,nan\n"
-        "1,75,271,0.0,0.05303671129539834,0.024312570829926747,46.666666666666664,20.0,33.33333333333333,10.0\n"
-        "selected,75,271.0,0.0,0.05303671129539834,0.024312570829926747,46.666666666666664,20.0,33.33333333333333,10.0\n",
+        "1,75,193,0.0,0.053051792257466146,0.024329208276681478,46.666666666666664,20.0,33.33333333333333,10.0\n"
+        "selected,75,193.0,0.0,0.053051792257466146,0.024329208276681478,46.666666666666664,20.0,33.33333333333333,10.0\n",
         '{"rows": [{"fold": 0, "s": 0.5, "k": NaN, "iterations": 0, "time": 0.0, "objective":'
         ' NaN, "squared_distance": NaN, "train": NaN, "valid": NaN, "test": NaN, "sv": NaN, '
         '"error": "no fit at s=0.5"}, {"fold": 0, "s": 0.75, "k": NaN, "iterations": 0, '
@@ -269,11 +269,11 @@ FAILED_LEVEL_TABLES = {
         '"test": NaN, "sv": NaN, "error": "no fit at s=0.75"}, {"fold": 1, "s": 0.5, "k": '
         'NaN, "iterations": 0, "time": 0.0, "objective": NaN, "squared_distance": NaN, '
         '"train": NaN, "valid": NaN, "test": NaN, "sv": NaN, "error": "no fit at s=0.5"}, '
-        '{"fold": 1, "s": 0.75, "k": 1.0, "iterations": 271, "time": 0.0, "objective": '
-        '0.05303671129539834, "squared_distance": 0.024312570829926747, "train": '
+        '{"fold": 1, "s": 0.75, "k": 1.0, "iterations": 193, "time": 0.0, "objective": '
+        '0.053051792257466146, "squared_distance": 0.024329208276681478, "train": '
         '46.666666666666664, "valid": 20.0, "test": 33.33333333333333, "sv": 10.0, "error": '
-        'null}], "selected": {"s": 0.75, "k": 1.0, "iterations": 271.0, "objective": '
-        '0.05303671129539834, "squared_distance": 0.024312570829926747, "train": '
+        'null}], "selected": {"s": 0.75, "k": 1.0, "iterations": 193.0, "objective": '
+        '0.053051792257466146, "squared_distance": 0.024329208276681478, "train": '
         '46.666666666666664, "valid": 20.0, "test": 33.33333333333333, "sv": 10.0}, '
         '"fold_plan": {"num_folds": 2, "seed": 0, "assignments": [1, 1, 0, 0, 0, 1, 1, 1, 0, '
         '0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 0]}}'

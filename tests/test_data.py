@@ -46,6 +46,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="2 classes"):
             load_csv(path, "label")
 
+    def test_byte_order_mark_before_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("label,f1\na,1.0\nb,2.0\n".encode("utf-8-sig"))
+        ds = load_csv(path, "label")
+        assert ds.class_names == ("a", "b")
+        np.testing.assert_array_equal(ds.features, [[1.0], [2.0]])
+
     def test_first_appearance_order(self, tmp_path):
         path = write(tmp_path, "f1,label\n1.0,z\n2.0,a\n3.0,z\n4.0,m\n")
         ds = load_csv(path, "label")
@@ -72,6 +79,12 @@ class TestLoadFeaturesCsv:
         path = write(tmp_path, "f1\n" + "1" * 200_000 + "\n")
         with pytest.raises(DataError, match="malformed CSV"):
             load_features_csv(path)
+
+    def test_byte_order_mark_without_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("1.0,2.0\n3.0,4.0\n".encode("utf-8-sig"))
+        np.testing.assert_array_equal(load_features_csv(path, has_header=False),
+                                      [[1, 2], [3, 4]])
 
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "b.csv"

@@ -526,37 +526,25 @@ def ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, history,
 
     j = 1
     iters = 0
+    last = beta
     while grad_sq >= (tol(beta) if iters else cfg.grad_tol) and iters < cfg.max_inner:
         beta_new = step(beta, scores, grad)
-        scores_new = X @ beta_new
-        grad_new = ref_gradient_from_scores(beta_new, scores_new, design, constraint, weights)
-        grad_sq_new = float(grad_new @ grad_new)
         iters += 1
-        history.append(ref_objective_from_scores(beta_new, scores_new, design, constraint,
-                                                 weights))
-        if iters >= cfg.max_inner:
-            beta, scores, grad, grad_sq = beta_new, scores_new, grad_new, grad_sq_new
-            break
-        if cfg.accel and iters > WARMUP:
+        kept = beta_new
+        if cfg.accel and WARMUP < iters < cfg.max_inner:
+            # restart when the step turned against the momentum x_k -> x_{k+1}
+            if (beta - beta_new) @ (beta_new - last) > 0.0:
+                j = 1
             w = (j - 1) / (j + 2)
+            j += 1
             if w > 0.0:
-                cand = beta_new + w * (beta_new - beta)
-                scores_cand = X @ cand
-                f_new = ref_objective_from_scores(beta_new, scores_new, design, constraint,
-                                                  weights)
-                f_cand = ref_objective_from_scores(cand, scores_cand, design, constraint,
-                                                   weights)
-                if f_cand > f_new:
-                    j = 1
-                else:
-                    j += 1
-                    beta_new, scores_new = cand, scores_cand
-                    grad_new = ref_gradient_from_scores(cand, scores_cand, design, constraint,
-                                                        weights)
-                    grad_sq_new = float(grad_new @ grad_new)
-            else:
-                j += 1
-        beta, scores, grad, grad_sq = beta_new, scores_new, grad_new, grad_sq_new
+                kept = beta_new + w * (beta_new - last)
+        last = beta_new
+        beta = kept
+        scores = X @ beta
+        grad = ref_gradient_from_scores(beta, scores, design, constraint, weights)
+        grad_sq = float(grad @ grad)
+        history.append(ref_objective_from_scores(beta, scores, design, constraint, weights))
     objective = ref_objective_from_scores(beta, scores, design, constraint, weights)
     return beta, iters, grad_sq, objective
 
