@@ -37,7 +37,7 @@ class OuterRecord:
     outer: int
     rho: float
     inner_iters: int
-    restarts: int           # momentum resets: steps that turned against it
+    restarts: int           # momentum resets: a step against it or an objective rise
     objective: float
     grad_sq: float
     distance: float
@@ -59,6 +59,10 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
     ``cfg.grad_tol`` or ``TAU**2`` times the squared pull of the distance
     penalty, whichever is larger, after at least one update if the start is
     above ``cfg.grad_tol``; the penalty then grows by ``sched.multiplier``.
+    The levels form one accelerated run: each continues the previous one's
+    momentum from its kept point, scores and coordinates, so the ``WARMUP``
+    plain updates and the product ``X @ beta0`` come once per fit, while the
+    ``cfg.max_inner`` budget holds per level.
     The loop halts when the normalized squared distance to the sparsity set
     falls below ``sched.dist_tol``, stalls between two levels that took an
     update, or the outer budget runs out; the returned coefficients are the
@@ -84,10 +88,12 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
     rho = sched.rho0
     total_inner = 0
     stop_reason = "budget"
+    # the first level starts fresh from beta0; each later one continues the run
+    run = beta
     for outer in range(1, sched.max_outer + 1):
         weights = PenaltyWeights.for_problem(design.n, constraint, rho)
-        ev, iters, restarts = _solve_subproblem(beta, workspace, design, constraint,
-                                                weights, cfg, pull_tol=TAU)
+        ev, iters, restarts, run = _solve_subproblem(run, workspace, design, constraint,
+                                                     weights, cfg, pull_tol=TAU)
         beta = ev.beta
         total_inner += iters
         if not np.isfinite(ev.objective):

@@ -88,6 +88,8 @@ class CVRow:
     valid_pct: float = math.nan
     test_pct: float = math.nan
     sv: float = math.nan
+    # why each pair fit's ladder ended, joined by "/" in class_pairs order
+    stop_reason: str | None = None
     error: str | None = None
 
 
@@ -101,6 +103,7 @@ _STATS = (
     ("valid_pct", "Valid.", "valid"),
     ("test_pct", "Test", "test"),
     ("sv", "SV", "sv"),
+    ("stop_reason", "Stop", "stop_reason"),
 )
 
 CSV_HEADERS = ("fold", "s") + tuple(header for _, header, _ in _STATS)
@@ -126,12 +129,13 @@ class CVTable:
         return sorted({row.s for row in self.rows})
 
     def mean_over_folds(self, s: float) -> dict:
-        """Means over the folds whose fit at ``s`` succeeded; if none did, NaN rates."""
+        """Means of the numeric statistics (all but the stop reasons) over the folds
+        whose fit at ``s`` succeeded; if none did, NaN rates."""
         rows = [r for r in self.rows if r.s == s and r.error is None]
         if not rows:
             return {"s": s, "valid_pct": math.nan, "test_pct": math.nan}
         means = {"s": s}
-        for field in ["k"] + [field for field, _, _ in _STATS]:
+        for field in ["k"] + [field for field, _, _ in _STATS if field != "stop_reason"]:
             means[field] = float(np.mean([getattr(r, field) for r in rows]))
         return means
 
@@ -198,6 +202,7 @@ def _run_fold(ds, folds, fold, grid, solver, sched, cfg, holdout, kernel):
             valid_pct=accuracy_pct(model, ds.features[va_idx], ds.labels[va_idx]),
             test_pct=test_pct,
             sv=float(np.mean([rep.sv_count for rep in reports])),
+            stop_reason="/".join(rep.stop_reason for rep in reports),
         ))
     return rows
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -301,10 +302,10 @@ def make_workspace(design: DesignMatrix, solver: str, gram=None):
     return kind.from_design(design)
 
 
-# Plain updates per subproblem before extrapolation engages. On 300 seeded
-# random cold starts per solver, extrapolating from the first update ended above
-# the plain loop's objective (at a worse stationary point) in 34 (mm) and 30 (sd)
-# solves; this warm-up, in 1 and 1.
+# Plain updates per fit before extrapolation engages. On 300 seeded random cold
+# starts per solver, extrapolating from the first update ended above the plain
+# loop's objective (at a worse stationary point) in 34 (mm) and 30 (sd) solves;
+# this warm-up, in 1 and 1.
 WARMUP = 10
 
 
@@ -313,11 +314,29 @@ def _past(new, old, w: float):
     return None if new is None else new + w * (new - old)
 
 
-def _solve_subproblem(beta0, ws, design, constraint, weights, cfg: SolverConfig,
+class _Run(NamedTuple):
+    """The accelerated sequence of one fit, handed from each penalty level to
+    the next: the kept point ``y_k``, the last update's iterate ``x_k`` as
+    ``(beta, scores, coords)``, the Nesterov counter ``j`` and the number of
+    updates taken so far in the fit."""
+
+    kept: ObjectiveState
+    last: tuple
+    j: int
+    updates: int
+
+
+def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
                       history=None, pull_tol: float = 0.0):
     """Iterate ``ws.step`` until the squared gradient norm drops below
     ``max(cfg.grad_tol, pull_tol**2 * ||b2 (beta - P(beta))||**2)`` or
-    ``cfg.max_inner`` updates have been taken.
+    ``cfg.max_inner`` updates have been taken at this level.
+
+    ``start`` is a coefficient vector, for a fresh run, or the ``_Run`` the
+    previous penalty level handed back: the level then continues that
+    level's accelerated sequence from its kept point, re-evaluated at these
+    weights, with its scores and coordinates, so one fit computes ``X @ beta``
+    once.
 
     The second term is the squared pull of the distance penalty, which at the
     level's exact solution balances the loss gradient; ``pull_tol > 0`` thus
@@ -327,13 +346,15 @@ def _solve_subproblem(beta0, ws, design, constraint, weights, cfg: SolverConfig,
     gradient has already computed.
 
     Each update steps from the kept point ``y_k`` to ``x_{k+1}``. Once
-    ``cfg.accel`` is on and more than ``WARMUP`` updates were taken, the loop
-    keeps ``y_{k+1} = x_{k+1} + w (x_{k+1} - x_k)`` with ``w = (j - 1) / (j +
-    2)``, except after the update that spends the budget; else ``x_{k+1}``.
-    A step against the momentum, ``(y_k - x_{k+1}) . (x_{k+1} - x_k) > 0``,
-    first resets ``j`` to 1 (so ``w = 0``) and counts as a restart: the
-    gradient restart of O'Donoghue and Candes, read from the step. The kept
-    objective may then rise within a level.
+    ``cfg.accel`` is on and more than ``WARMUP`` updates were taken in the
+    run, the loop keeps ``y_{k+1} = x_{k+1} + w (x_{k+1} - x_k)`` with ``w =
+    (j - 1) / (j + 2)``, except after the update that spends the level's
+    budget; else ``x_{k+1}``. Two restarts reset ``j`` to 1 (so the next
+    ``w = 0``), each counted: a step against the momentum, ``(y_k - x_{k+1})
+    . (x_{k+1} - x_k) > 0``, tested before the extrapolation, and an
+    extrapolated point whose objective is above ``y_k``'s, both at this
+    level's weights: the gradient and function restarts of O'Donoghue and
+    Candes. The kept objective may still rise once before a restart.
 
     Only the kept point is evaluated (see ``ObjectiveState``), once per
     update, and convergence is tested there. Scores, and an ``mm`` point's
@@ -347,28 +368,37 @@ def _solve_subproblem(beta0, ws, design, constraint, weights, cfg: SolverConfig,
     inside the margin once, for the kept point's gradient (see
     ``_rows_dot``), and with ``mm`` the rows of its projection's support.
 
-    Returns the evaluation at the final point, the number of updates taken and
-    the number of restarts.
+    Returns the evaluation at the final point, the number of updates taken at
+    this level, the number of restarts and the ``_Run`` to hand to the next
+    level.
     """
     basis = ws if isinstance(ws, _MM_KINDS) else None
-    cur = ObjectiveState.at(np.array(beta0, dtype=float), design, constraint, weights, basis)
+    if isinstance(start, _Run):
+        kept, last, j, updates = start
+        cur = ObjectiveState(kept.beta, kept.scores, design, constraint, weights,
+                             kept.coords, basis)
+    else:
+        cur = ObjectiveState.at(np.array(start, dtype=float), design, constraint, weights,
+                                basis)
+        # x_k before the first update is the start
+        last = (cur.beta, cur.scores, cur.coords)
+        j, updates = 1, 0
     pull_sq = (pull_tol * weights.b2) ** 2
 
     def small(ev):
         grad_sq = ev.grad_sq
         return grad_sq < cfg.grad_tol or (pull_sq > 0.0 and grad_sq < pull_sq * ev.sq_dist)
 
-    j = 1
     iters = restarts = 0
-    # x_k, the last update's (beta, scores, coords); the start before the first
-    last = (cur.beta, cur.scores, cur.coords)
     # the start is held to grad_tol alone: a warm start can meet the pull bound
     # of a barely larger penalty, and a level without an update would leave the
     # distance where it was
     while iters < cfg.max_inner and not (small(cur) if iters else cur.grad_sq < cfg.grad_tol):
         beta, scores, coords = new = ws.step(cur, design, weights)
         iters += 1
-        if cfg.accel and WARMUP < iters < cfg.max_inner:
+        updates += 1
+        w = 0.0
+        if cfg.accel and WARMUP < updates and iters < cfg.max_inner:
             if (cur.beta - beta) @ (beta - last[0]) > 0.0:
                 j = 1
                 restarts += 1
@@ -377,10 +407,13 @@ def _solve_subproblem(beta0, ws, design, constraint, weights, cfg: SolverConfig,
             if w > 0.0:
                 beta, scores, coords = (_past(x, old, w) for x, old in zip(new, last))
         last = new
-        cur = ObjectiveState(beta, scores, design, constraint, weights, coords, basis)
+        prev, cur = cur, ObjectiveState(beta, scores, design, constraint, weights, coords, basis)
+        if w > 0.0 and cur.objective > prev.objective:
+            j = 1
+            restarts += 1
         if history is not None:
             history.append(cur.objective)
-    return cur, iters, restarts
+    return cur, iters, restarts, _Run(cur, last, j, updates)
 
 
 def _report(ev: ObjectiveState, iters, constraint, weights, cfg, t0) -> FitReport:
@@ -400,7 +433,7 @@ def _report(ev: ObjectiveState, iters, constraint, weights, cfg, t0) -> FitRepor
 def _solve(beta0, ws, design, constraint, weights, cfg, history):
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
-    ev, iters, _ = _solve_subproblem(beta0, ws, design, constraint, weights, cfg, history)
+    ev, iters, _, _ = _solve_subproblem(beta0, ws, design, constraint, weights, cfg, history)
     return ev.beta, _report(ev, iters, constraint, weights, cfg, t0)
 
 

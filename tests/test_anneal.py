@@ -235,17 +235,19 @@ class TestFactorPasses:
     """On a design above ``_GATHER_COST`` an accelerated ``mm`` iteration reads
     the factors in full twice on a thin SVD (``V @ coef`` and ``U @ (s t)``) and
     once on a gram eigendecomposition (the two-column ``Q @ [u - w, lam u]``),
-    besides the ``_rows_dot`` products; only the level's start reads the
-    design, for ``X @ beta``."""
+    besides the ``_rows_dot`` products. A fit of many levels reads the design
+    twice: once for its start's ``X @ beta``, since each later level carries
+    the scores of the last, and once for the report's ``sv_count`` of the
+    projected fit."""
 
     def solve(self, ws, design, constraint, rho):
         design = DesignMatrix(design.X, design.y)
         object.__setattr__(design, "X", counted(design.X, "X"))
-        weights = PenaltyWeights.for_problem(design.n, constraint, rho)
-        _, iters, _ = solvers._solve_subproblem(init_heuristic(design), ws, design,
-                                                constraint, weights, SolverConfig())
-        assert iters > 5 * solvers.WARMUP
-        return iters
+        _, report = prox_dist_fit(design, constraint, init_heuristic(design), solver=ws,
+                                  sched=AnnealSchedule(rho0=rho))
+        assert report.outer_iters > 1
+        assert report.total_inner_iters > 5 * solvers.WARMUP
+        return report.total_inner_iters
 
     def test_thin_svd(self, monkeypatch):
         ds, _ = gen_gaussian_causal(300, 150, 5, 1)
@@ -256,7 +258,7 @@ class TestFactorPasses:
         products = count_products(monkeypatch)
         iters = self.solve(ws, design, SparsityConstraint(k=5, p=150), 10.0)
         names = [name for name, _ in products]
-        assert names.count("X") == 1
+        assert names.count("X") == 2
         assert names.count("U") <= iters and names.count("V") <= iters
         assert all(shape == (svd.r,) for name, shape in products if name != "X")
 
@@ -269,9 +271,71 @@ class TestFactorPasses:
         products = count_products(monkeypatch)
         iters = self.solve(ws, design, problem.constraint(0.8), 1.0)
         names = [name for name, _ in products]
-        assert names.count("X") == 1
+        assert names.count("X") == 2
         assert names.count("Q") <= iters
         assert all(shape == (ws.lam.size, 2) for name, shape in products if name == "Q")
+
+
+class TestOneRunPerFit:
+    """The levels of one fit form one accelerated run: the warm-up comes once
+    per fit, the momentum crosses levels, and the budget holds per level."""
+
+    def fit(self, monkeypatch, solver, cfg, sched=None):
+        """Each update of a planted fit, in order, as [its level, whether the
+        kept point was extrapolated]; and the fit's level records."""
+        design, constraint, beta0, _ = planted_level()
+        ws = solvers.make_workspace(design, solver)
+        records, updates = [], []
+        step, past = ws.step, solvers._past
+
+        def counting_step(*args):
+            updates.append([len(records) + 1, False])
+            return step(*args)
+
+        def marking_past(new, old, w):
+            updates[-1][1] = True
+            return past(new, old, w)
+
+        monkeypatch.setattr(ws, "step", counting_step)
+        monkeypatch.setattr(solvers, "_past", marking_past)
+        _, report = prox_dist_fit(design, constraint, beta0, solver=ws, cfg=cfg,
+                                  sched=sched or AnnealSchedule(), trace_hook=records.append)
+        assert len(updates) == report.total_inner_iters and len(records) > 2
+        return updates, records
+
+    @pytest.mark.parametrize("solver", ["mm", "sd"])
+    def test_warm_up_once_per_fit(self, monkeypatch, solver):
+        """The first ``WARMUP`` updates of a fit are plain, and the next one
+        too: it sets out at ``j = 1``, so ``w = 0``. Later levels mostly open
+        on an extrapolated update, which a warm-up per level would forbid."""
+        updates, _ = self.fit(monkeypatch, solver, SolverConfig())
+        flags = [x for _, x in updates]
+        assert flags.index(True) == solvers.WARMUP + 1
+        # whether the first update of each level after the first was extrapolated
+        firsts = [x for (level, x), (before, _) in zip(updates[1:], updates) if level != before]
+        assert 2 * sum(firsts) > len(firsts)
+
+    @pytest.mark.parametrize("solver", ["mm", "sd"])
+    def test_budget_per_level(self, monkeypatch, solver):
+        """At four updates per level the warm-up spans three levels; the update
+        that spends a level's budget is never extrapolated, the first of the
+        fourth level is."""
+        budget = 4
+        updates, records = self.fit(monkeypatch, solver, SolverConfig(max_inner=budget))
+        assert all(rec.inner_iters == budget for rec in records[:4])
+        first = [x for _, x in updates].index(True)
+        assert first == 3 * budget and updates[first][0] == 4
+        spent = [rec.outer for rec in records if rec.inner_iters == budget]
+        lasts = [x for (level, x), after in zip(updates, updates[1:] + [[None]])
+                 if level != after[0] and level in spent]
+        assert len(lasts) == len(spent) > 4 and not any(lasts)
+
+    @pytest.mark.parametrize("solver", ["mm", "sd"])
+    def test_no_extrapolation_without_accel(self, monkeypatch, solver):
+        for accel in (None, False):
+            updates, records = self.fit(monkeypatch, solver, SolverConfig(accel=accel))
+            assert not any(x for _, x in updates)
+            assert all(rec.restarts == 0 for rec in records)
 
 
 class TestLinearScores:
@@ -353,8 +417,8 @@ class TestStopReason:
             beta0 = rng.standard_normal(7)
             for accel in (True, False):
                 cfg = SolverConfig(grad_tol=1e-14, accel=accel)
-                _, iters, restarts = solvers._solve_subproblem(beta0, ws, design, constraint,
-                                                               weights, cfg)
+                _, iters, restarts, _ = solvers._solve_subproblem(beta0, ws, design,
+                                                                  constraint, weights, cfg)
                 assert restarts <= max(0, iters - solvers.WARMUP - 1)
                 totals[accel] += restarts
             cfg = SolverConfig(grad_tol=1e-14)
@@ -362,8 +426,8 @@ class TestStopReason:
             prox_dist_fit(design, constraint, beta0, solver=ws, cfg=cfg,
                           sched=AnnealSchedule(rho0=weights.rho, max_outer=2),
                           trace_hook=records.append)
-            _, _, first = solvers._solve_subproblem(beta0, ws, design, constraint, weights,
-                                                    cfg, pull_tol=anneal.TAU)
+            _, _, first, _ = solvers._solve_subproblem(beta0, ws, design, constraint, weights,
+                                                       cfg, pull_tol=anneal.TAU)
             assert records[0].restarts == first
             levels += first > 0
         assert totals[False] == 0 < totals[True]

@@ -127,7 +127,8 @@ class TestCV:
         summary = json.loads(stdout)
         assert set(summary) == {"selected_s", "selected_k", "valid_pct", "test_pct"}
         lines = out.read_text().splitlines()
-        assert lines[0].startswith("fold,s,Iter.")
+        assert lines[0] == ("fold,s,Iter.,Time,Objective,Squared Distance,Train,Valid.,Test,"
+                            "SV,Stop")
         assert len(lines) == 1 + 3 * 2 + 1
         assert lines[-1].startswith("selected,")
 

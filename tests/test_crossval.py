@@ -9,7 +9,7 @@ from sparsesvm.crossval import (CSV_HEADERS, CVRow, CVTable, accuracy_pct,
                                 cross_validate, selection_metrics)
 from sparsesvm.data import Dataset, make_folds
 from sparsesvm.multiclass import (GaussianKernelSpec, OVOModel, PairClassifier,
-                                  PairProblem, train_ovo)
+                                  PairProblem, class_pairs, train_ovo)
 
 from test_multiclass import blob_dataset
 
@@ -76,7 +76,8 @@ class TestAccuracyPct:
 def toy_rows():
     mk = lambda fold, s, v: CVRow(fold=fold, s=s, k=2.0, iterations=5, time_s=1.5,
                                   objective=0.25, sq_dist=1e-8, train_pct=100.0,
-                                  valid_pct=v, test_pct=90.0, sv=3.0)
+                                  valid_pct=v, test_pct=90.0, sv=3.0,
+                                  stop_reason="stall/distance")
     return [mk(0, 0.0, 80.0), mk(1, 0.0, 90.0), mk(0, 0.5, 95.0), mk(1, 0.5, 85.0)]
 
 
@@ -86,6 +87,8 @@ class TestCVTable:
         assert table.grid() == [0.0, 0.5]
         mean = table.mean_over_folds(0.0)
         assert mean["valid_pct"] == pytest.approx(85.0)
+        # the stop reasons are text, with no mean
+        assert "stop_reason" not in mean
         sel = table.selected_summary()
         assert sel["s"] == 0.5
         assert sel["valid_pct"] == pytest.approx(90.0)
@@ -94,12 +97,14 @@ class TestCVTable:
     def test_csv_layout(self):
         table = CVTable(rows=toy_rows(), selected_s=0.5, selected_k=2.0)
         lines = table.to_csv().splitlines()
-        assert lines[0] == ",".join(CSV_HEADERS)
+        assert lines[0] == ",".join(CSV_HEADERS) == (
+            "fold,s,Iter.,Time,Objective,Squared Distance,Train,Valid.,Test,SV,Stop")
         assert len(lines) == 1 + 4 + 1
-        assert lines[-1].startswith("selected,50,")
+        assert lines[-1].startswith("selected,50,") and lines[-1].endswith(",nan")
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
         assert first[3] == "0.0"
+        assert first[-1] == "stall/distance"
 
     def test_csv_timings_flag(self):
         table = CVTable(rows=toy_rows(), selected_s=0.0, selected_k=2.0)
@@ -113,6 +118,8 @@ class TestCVTable:
         assert doc["rows"][0]["time"] == 0.0
         assert doc["selected"]["s"] == 0.5
         assert doc["selected"]["valid"] == pytest.approx(90.0)
+        assert doc["rows"][0]["stop_reason"] == "stall/distance"
+        assert "stop_reason" not in doc["selected"]
 
 
 class TestCrossValidate:
@@ -203,80 +210,103 @@ def test_level_zero_fold_fits_equal_train_ovo(monkeypatch, kernel):
             np.testing.assert_array_equal(a.kernel.train_features, b.kernel.train_features)
 
 
+def test_stop_reasons_join_the_pair_fits_in_class_pairs_order(monkeypatch):
+    ds = blob_dataset(np.random.default_rng(5), n_per=15)
+    folds = make_folds(ds.n, 3, seed=0, labels=ds.labels)
+    fitted = []
+    fit = PairProblem.fit
+
+    def recording_fit(self, *args, **kwargs):
+        fitted.append(fit(self, *args, **kwargs))
+        return fitted[-1]
+
+    monkeypatch.setattr(PairProblem, "fit", recording_fit)
+    table = cross_validate(ds, folds, [0.0, 0.5])
+    # one thread: each row's three pairs are fitted in turn, in table order
+    assert len(fitted) == 3 * len(table.rows)
+    for i, row in enumerate(table.rows):
+        pairs = fitted[3 * i:3 * i + 3]
+        assert [(p.positive, p.negative) for p in pairs] == list(class_pairs(3))
+        assert row.stop_reason == "/".join(p.report.stop_reason for p in pairs)
+        assert set(row.stop_reason.split("/")) <= {"distance", "stall", "budget"}
+
+
 # cross_validate runs whose fits fail at s=0.5 in every fold and at s=0.75 in
 # fold 0 only (see test_failed_levels_in_table): for each grid, the selected
 # level and k, then the text of to_csv() and of to_json().
 FAILED_LEVEL_TABLES = {
     (0.0, 0.5, 0.75): (
         0.0, 4.0,
-        "fold,s,Iter.,Time,Objective,Squared Distance,Train,Valid.,Test,SV\n"
-        "0,0,15,0.0,5.838942813358818e-08,0.0,100.0,100.0,100.0,0.3333333333333333\n"
-        "0,50,0,0.0,nan,nan,nan,nan,nan,nan\n"
-        "0,75,0,0.0,nan,nan,nan,nan,nan,nan\n"
-        "1,0,11,0.0,9.873729124339806e-08,0.0,100.0,100.0,100.0,0.3333333333333333\n"
-        "1,50,0,0.0,nan,nan,nan,nan,nan,nan\n"
-        "1,75,193,0.0,0.053051792257466146,0.024329208276681478,46.666666666666664,20.0,33.33333333333333,10.0\n"
-        "selected,0,13.0,0.0,7.856335968849312e-08,0.0,100.0,100.0,100.0,0.3333333333333333\n",
-        '{"rows": [{"fold": 0, "s": 0.0, "k": 4.0, "iterations": 15, "time": 0.0, '
-        '"objective": 5.838942813358818e-08, "squared_distance": 0.0, "train": 100.0, '
-        '"valid": 100.0, "test": 100.0, "sv": 0.3333333333333333, "error": null}, {"fold": 0,'
-        ' "s": 0.5, "k": NaN, "iterations": 0, "time": 0.0, "objective": NaN, '
-        '"squared_distance": NaN, "train": NaN, "valid": NaN, "test": NaN, "sv": NaN, '
-        '"error": "no fit at s=0.5"}, {"fold": 0, "s": 0.75, "k": NaN, "iterations": 0, '
-        '"time": 0.0, "objective": NaN, "squared_distance": NaN, "train": NaN, "valid": NaN, '
-        '"test": NaN, "sv": NaN, "error": "no fit at s=0.75"}, {"fold": 1, "s": 0.0, "k": '
-        '4.0, "iterations": 11, "time": 0.0, "objective": 9.873729124339806e-08, '
-        '"squared_distance": 0.0, "train": 100.0, "valid": 100.0, "test": 100.0, "sv": '
-        '0.3333333333333333, "error": null}, {"fold": 1, "s": 0.5, "k": NaN, "iterations": 0,'
-        ' "time": 0.0, "objective": NaN, "squared_distance": NaN, "train": NaN, "valid": NaN,'
-        ' "test": NaN, "sv": NaN, "error": "no fit at s=0.5"}, {"fold": 1, "s": 0.75, "k": '
-        '1.0, "iterations": 193, "time": 0.0, "objective": 0.053051792257466146, '
-        '"squared_distance": 0.024329208276681478, "train": 46.666666666666664, "valid": '
-        '20.0, "test": 33.33333333333333, "sv": 10.0, "error": null}], "selected": {"s": 0.0,'
-        ' "k": 4.0, "iterations": 13.0, "objective": 7.856335968849312e-08, '
-        '"squared_distance": 0.0, "train": 100.0, "valid": 100.0, "test": 100.0, "sv": '
-        '0.3333333333333333}, "fold_plan": {"num_folds": 2, "seed": 0, "assignments": [1, 1, '
-        '0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, '
-        '0]}}'
+        "fold,s,Iter.,Time,Objective,Squared Distance,Train,Valid.,Test,SV,Stop\n"
+        "0,0,15,0.0,5.838942813358818e-08,0.0,100.0,100.0,100.0,0.3333333333333333,distance/distance/distance\n"
+        "0,50,0,0.0,nan,nan,nan,nan,nan,nan,\n"
+        "0,75,0,0.0,nan,nan,nan,nan,nan,nan,\n"
+        "1,0,11,0.0,9.873729124339806e-08,0.0,100.0,100.0,100.0,0.3333333333333333,distance/distance/distance\n"
+        "1,50,0,0.0,nan,nan,nan,nan,nan,nan,\n"
+        "1,75,162,0.0,0.05286379194374937,0.02388458157095284,46.666666666666664,20.0,33.33333333333333,10.0,budget/budget/budget\n"
+        "selected,0,13.0,0.0,7.856335968849312e-08,0.0,100.0,100.0,100.0,0.3333333333333333,nan\n",
+        '{"rows": [{"fold": 0, "s": 0.0, "k": 4.0, "iterations": 15, "time": 0.0, "objective": '
+        '5.838942813358818e-08, "squared_distance": 0.0, "train": 100.0, "valid": 100.0, '
+        '"test": 100.0, "sv": 0.3333333333333333, "stop_reason": "distance/distance/distance", '
+        '"error": null}, {"fold": 0, "s": 0.5, "k": NaN, "iterations": 0, "time": 0.0, '
+        '"objective": NaN, "squared_distance": NaN, "train": NaN, "valid": NaN, "test": NaN, '
+        '"sv": NaN, "stop_reason": null, "error": "no fit at s=0.5"}, {"fold": 0, "s": 0.75, '
+        '"k": NaN, "iterations": 0, "time": 0.0, "objective": NaN, "squared_distance": NaN, '
+        '"train": NaN, "valid": NaN, "test": NaN, "sv": NaN, "stop_reason": null, "error": "no '
+        'fit at s=0.75"}, {"fold": 1, "s": 0.0, "k": 4.0, "iterations": 11, "time": 0.0, '
+        '"objective": 9.873729124339806e-08, "squared_distance": 0.0, "train": 100.0, "valid": '
+        '100.0, "test": 100.0, "sv": 0.3333333333333333, "stop_reason": '
+        '"distance/distance/distance", "error": null}, {"fold": 1, "s": 0.5, "k": NaN, '
+        '"iterations": 0, "time": 0.0, "objective": NaN, "squared_distance": NaN, "train": NaN, '
+        '"valid": NaN, "test": NaN, "sv": NaN, "stop_reason": null, "error": "no fit at '
+        's=0.5"}, {"fold": 1, "s": 0.75, "k": 1.0, "iterations": 162, "time": 0.0, "objective": '
+        '0.05286379194374937, "squared_distance": 0.02388458157095284, "train": '
+        '46.666666666666664, "valid": 20.0, "test": 33.33333333333333, "sv": 10.0, '
+        '"stop_reason": "budget/budget/budget", "error": null}], "selected": {"s": 0.0, "k": '
+        '4.0, "iterations": 13.0, "objective": 7.856335968849312e-08, "squared_distance": 0.0, '
+        '"train": 100.0, "valid": 100.0, "test": 100.0, "sv": 0.3333333333333333}, "fold_plan": '
+        '{"num_folds": 2, "seed": 0, "assignments": [1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0, '
+        '1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 0]}}'
     ),
     (0.5,): (
         0.5, float("nan"),
-        "fold,s,Iter.,Time,Objective,Squared Distance,Train,Valid.,Test,SV\n"
-        "0,50,0,0.0,nan,nan,nan,nan,nan,nan\n"
-        "1,50,0,0.0,nan,nan,nan,nan,nan,nan\n"
-        "selected,50,nan,0.0,nan,nan,nan,nan,nan,nan\n",
-        '{"rows": [{"fold": 0, "s": 0.5, "k": NaN, "iterations": 0, "time": 0.0, "objective":'
-        ' NaN, "squared_distance": NaN, "train": NaN, "valid": NaN, "test": NaN, "sv": NaN, '
-        '"error": "no fit at s=0.5"}, {"fold": 1, "s": 0.5, "k": NaN, "iterations": 0, '
-        '"time": 0.0, "objective": NaN, "squared_distance": NaN, "train": NaN, "valid": NaN, '
-        '"test": NaN, "sv": NaN, "error": "no fit at s=0.5"}], "selected": {"s": 0.5, "k": '
-        'NaN, "valid": NaN, "test": NaN}, "fold_plan": {"num_folds": 2, "seed": 0, '
-        '"assignments": [1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1,'
-        ' 1, 1, 0, 1, 0, 0, 0]}}'
+        "fold,s,Iter.,Time,Objective,Squared Distance,Train,Valid.,Test,SV,Stop\n"
+        "0,50,0,0.0,nan,nan,nan,nan,nan,nan,\n"
+        "1,50,0,0.0,nan,nan,nan,nan,nan,nan,\n"
+        "selected,50,nan,0.0,nan,nan,nan,nan,nan,nan,nan\n",
+        '{"rows": [{"fold": 0, "s": 0.5, "k": NaN, "iterations": 0, "time": 0.0, "objective": '
+        'NaN, "squared_distance": NaN, "train": NaN, "valid": NaN, "test": NaN, "sv": NaN, '
+        '"stop_reason": null, "error": "no fit at s=0.5"}, {"fold": 1, "s": 0.5, "k": NaN, '
+        '"iterations": 0, "time": 0.0, "objective": NaN, "squared_distance": NaN, "train": NaN, '
+        '"valid": NaN, "test": NaN, "sv": NaN, "stop_reason": null, "error": "no fit at '
+        's=0.5"}], "selected": {"s": 0.5, "k": NaN, "valid": NaN, "test": NaN}, "fold_plan": '
+        '{"num_folds": 2, "seed": 0, "assignments": [1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0, '
+        '1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 0]}}'
     ),
     (0.5, 0.75): (
         0.75, 1.0,
-        "fold,s,Iter.,Time,Objective,Squared Distance,Train,Valid.,Test,SV\n"
-        "0,50,0,0.0,nan,nan,nan,nan,nan,nan\n"
-        "0,75,0,0.0,nan,nan,nan,nan,nan,nan\n"
-        "1,50,0,0.0,nan,nan,nan,nan,nan,nan\n"
-        "1,75,193,0.0,0.053051792257466146,0.024329208276681478,46.666666666666664,20.0,33.33333333333333,10.0\n"
-        "selected,75,193.0,0.0,0.053051792257466146,0.024329208276681478,46.666666666666664,20.0,33.33333333333333,10.0\n",
-        '{"rows": [{"fold": 0, "s": 0.5, "k": NaN, "iterations": 0, "time": 0.0, "objective":'
-        ' NaN, "squared_distance": NaN, "train": NaN, "valid": NaN, "test": NaN, "sv": NaN, '
-        '"error": "no fit at s=0.5"}, {"fold": 0, "s": 0.75, "k": NaN, "iterations": 0, '
-        '"time": 0.0, "objective": NaN, "squared_distance": NaN, "train": NaN, "valid": NaN, '
-        '"test": NaN, "sv": NaN, "error": "no fit at s=0.75"}, {"fold": 1, "s": 0.5, "k": '
-        'NaN, "iterations": 0, "time": 0.0, "objective": NaN, "squared_distance": NaN, '
-        '"train": NaN, "valid": NaN, "test": NaN, "sv": NaN, "error": "no fit at s=0.5"}, '
-        '{"fold": 1, "s": 0.75, "k": 1.0, "iterations": 193, "time": 0.0, "objective": '
-        '0.053051792257466146, "squared_distance": 0.024329208276681478, "train": '
-        '46.666666666666664, "valid": 20.0, "test": 33.33333333333333, "sv": 10.0, "error": '
-        'null}], "selected": {"s": 0.75, "k": 1.0, "iterations": 193.0, "objective": '
-        '0.053051792257466146, "squared_distance": 0.024329208276681478, "train": '
+        "fold,s,Iter.,Time,Objective,Squared Distance,Train,Valid.,Test,SV,Stop\n"
+        "0,50,0,0.0,nan,nan,nan,nan,nan,nan,\n"
+        "0,75,0,0.0,nan,nan,nan,nan,nan,nan,\n"
+        "1,50,0,0.0,nan,nan,nan,nan,nan,nan,\n"
+        "1,75,162,0.0,0.05286379194374937,0.02388458157095284,46.666666666666664,20.0,33.33333333333333,10.0,budget/budget/budget\n"
+        "selected,75,162.0,0.0,0.05286379194374937,0.02388458157095284,46.666666666666664,20.0,33.33333333333333,10.0,nan\n",
+        '{"rows": [{"fold": 0, "s": 0.5, "k": NaN, "iterations": 0, "time": 0.0, "objective": '
+        'NaN, "squared_distance": NaN, "train": NaN, "valid": NaN, "test": NaN, "sv": NaN, '
+        '"stop_reason": null, "error": "no fit at s=0.5"}, {"fold": 0, "s": 0.75, "k": NaN, '
+        '"iterations": 0, "time": 0.0, "objective": NaN, "squared_distance": NaN, "train": NaN, '
+        '"valid": NaN, "test": NaN, "sv": NaN, "stop_reason": null, "error": "no fit at '
+        's=0.75"}, {"fold": 1, "s": 0.5, "k": NaN, "iterations": 0, "time": 0.0, "objective": '
+        'NaN, "squared_distance": NaN, "train": NaN, "valid": NaN, "test": NaN, "sv": NaN, '
+        '"stop_reason": null, "error": "no fit at s=0.5"}, {"fold": 1, "s": 0.75, "k": 1.0, '
+        '"iterations": 162, "time": 0.0, "objective": 0.05286379194374937, "squared_distance": '
+        '0.02388458157095284, "train": 46.666666666666664, "valid": 20.0, "test": '
+        '33.33333333333333, "sv": 10.0, "stop_reason": "budget/budget/budget", "error": null}], '
+        '"selected": {"s": 0.75, "k": 1.0, "iterations": 162.0, "objective": '
+        '0.05286379194374937, "squared_distance": 0.02388458157095284, "train": '
         '46.666666666666664, "valid": 20.0, "test": 33.33333333333333, "sv": 10.0}, '
-        '"fold_plan": {"num_folds": 2, "seed": 0, "assignments": [1, 1, 0, 0, 0, 1, 1, 1, 0, '
-        '0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 0]}}'
+        '"fold_plan": {"num_folds": 2, "seed": 0, "assignments": [1, 1, 0, 0, 0, 1, 1, 1, 0, 0, '
+        '0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 0]}}'
     ),
 }
 

@@ -511,30 +511,35 @@ def ref_step(solver, ws, design, constraint, weights):
     return mm if solver == "mm" else sd
 
 
-def ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, history, tau=0.0):
+def ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, history, tau=0.0,
+                         run=None):
     """``tau > 0`` adds the per-level stop of ``prox_dist_fit``: the squared
     gradient below ``tau**2`` times the squared pull ``||b2 (beta - P(beta))||**2``,
-    tested only after the first update."""
+    tested only after the first update. ``run`` continues the accelerated run
+    of a previous level, from its kept point ``beta0``: the ``(x_k, j,
+    updates)`` that level handed back."""
     X = design.X
     beta = np.asarray(beta0, dtype=float).copy()
+    last, j, updates = run or (beta, 1, 0)
     scores = X @ beta
     grad = ref_gradient_from_scores(beta, scores, design, constraint, weights)
     grad_sq = float(grad @ grad)
+    objective = ref_objective_from_scores(beta, scores, design, constraint, weights)
 
     def tol(beta):
         return max(cfg.grad_tol, (tau * weights.b2) ** 2 * sq_distance(beta, constraint))
 
-    j = 1
-    iters = 0
-    last = beta
+    iters = restarts = 0
     while grad_sq >= (tol(beta) if iters else cfg.grad_tol) and iters < cfg.max_inner:
         beta_new = step(beta, scores, grad)
         iters += 1
-        kept = beta_new
-        if cfg.accel and WARMUP < iters < cfg.max_inner:
+        updates += 1
+        kept, w = beta_new, 0.0
+        if cfg.accel and WARMUP < updates and iters < cfg.max_inner:
             # restart when the step turned against the momentum x_k -> x_{k+1}
             if (beta - beta_new) @ (beta_new - last) > 0.0:
                 j = 1
+                restarts += 1
             w = (j - 1) / (j + 2)
             j += 1
             if w > 0.0:
@@ -544,9 +549,14 @@ def ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, history,
         scores = X @ beta
         grad = ref_gradient_from_scores(beta, scores, design, constraint, weights)
         grad_sq = float(grad @ grad)
-        history.append(ref_objective_from_scores(beta, scores, design, constraint, weights))
-    objective = ref_objective_from_scores(beta, scores, design, constraint, weights)
-    return beta, iters, grad_sq, objective
+        before, objective = objective, ref_objective_from_scores(beta, scores, design,
+                                                                 constraint, weights)
+        # ... and when the extrapolated point's objective rose
+        if w > 0.0 and objective > before:
+            j = 1
+            restarts += 1
+        history.append(objective)
+    return beta, iters, grad_sq, objective, restarts, (last, j, updates)
 
 
 def make_ws(solver, design):
@@ -604,14 +614,15 @@ class TestMatchesReferenceLoop:
         want = []
         ws = make_ws(solver, design)
         norm = constraint.p - constraint.k + 1
-        beta, rho, d_prev = beta0.copy(), sched.rho0, None
+        beta, rho, d_prev, run = beta0.copy(), sched.rho0, None, None
         for outer in range(1, sched.max_outer + 1):
             weights = PenaltyWeights.for_problem(design.n, constraint, rho)
-            beta, iters, grad_sq, objective = ref_solve_subproblem(
+            beta, iters, grad_sq, objective, restarts, run = ref_solve_subproblem(
                 beta, design, constraint, weights, cfg,
-                ref_step(solver, ws, design, constraint, weights), [], tau=anneal.TAU)
+                ref_step(solver, ws, design, constraint, weights), [], tau=anneal.TAU,
+                run=run)
             d_cur = sq_distance(beta, constraint) / norm
-            want.append((outer, rho, iters, objective, grad_sq, d_cur, beta.copy()))
+            want.append((outer, rho, iters, restarts, objective, grad_sq, d_cur, beta.copy()))
             if d_cur <= sched.dist_tol:
                 break
             if iters:
@@ -622,7 +633,7 @@ class TestMatchesReferenceLoop:
 
         assert len(got) == len(want) > 1
         for rec, ref in zip(got, want):
-            assert (rec.outer, rec.rho, rec.inner_iters) == ref[:3]
-            np.testing.assert_allclose([rec.objective, rec.grad_sq, rec.distance], ref[3:6],
+            assert (rec.outer, rec.rho, rec.inner_iters, rec.restarts) == ref[:4]
+            np.testing.assert_allclose([rec.objective, rec.grad_sq, rec.distance], ref[4:7],
                                        **REF_TOL)
-            np.testing.assert_allclose(rec.beta, ref[6], **REF_TOL)
+            np.testing.assert_allclose(rec.beta, ref[7], **REF_TOL)
