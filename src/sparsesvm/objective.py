@@ -70,14 +70,33 @@ def _rows_dot(v: np.ndarray, A: np.ndarray) -> np.ndarray:
     return v @ A
 
 
+class _lazy:
+    """A piece computed on first use and stored in the instance ``__dict__``,
+    where it shadows this non-data descriptor. Not ``functools.cached_property``,
+    which on Python 3.10 and 3.11 takes a lock on every first access (planted
+    fits about 8% slower)."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, state, owner=None):
+        if state is None:
+            return self
+        piece = state.__dict__[self.name] = self.func(state)
+        return piece
+
+
 class ObjectiveState:
     """The penalized objective at one point, each piece computed once.
 
     Built from ``beta`` and its scores ``X @ beta``, which ``at`` computes; the
-    margins and slack are formed at once, everything else (the projection
-    ``pm``, the squared distance, loss, penalty, objective and gradient) on
-    first use: the inner loop reads each point's ``grad_sq``, but an objective
-    only for a history and at the point it returns.
+    margins and slack are formed at once, everything else on first use: the
+    inner loop reads each point's ``grad_sq``, but an objective only for a
+    history and at the point it returns. Only the objective, ``grad`` and
+    ``grad_sq`` depend on the weights; ``at_weights`` moves a point to other
+    weights and shares every other piece, so none may be written in place.
 
     A point of the ``mm`` loop also carries ``coords``, its coordinates in the
     factor basis of its workspace ``basis`` (``V' beta`` for a thin SVD, see
@@ -87,10 +106,6 @@ class ObjectiveState:
     vector ``grad`` is formed only on request.
     """
 
-    __slots__ = ("beta", "scores", "coords", "margins", "slack", "_design", "_constraint",
-                 "_weights", "_basis", "_pm", "_sq_dist", "_loss", "_objective", "_grad",
-                 "_grad_sq", "_residual_coords", "_pm_coords")
-
     def __init__(self, beta, scores, design, constraint, weights, coords=None, basis=None):
         self.beta = beta
         self.scores = scores
@@ -99,14 +114,6 @@ class ObjectiveState:
         self._constraint = constraint
         self._weights = weights
         self._basis = basis
-        self._pm = None
-        self._sq_dist = None
-        self._loss = None
-        self._objective = None
-        self._grad = None
-        self._grad_sq = None
-        self._residual_coords = None
-        self._pm_coords = None
         self.margins = design.y * scores
         self.slack = np.maximum(0.0, 1.0 - self.margins)
 
@@ -119,73 +126,61 @@ class ObjectiveState:
         coords = None if basis is None else basis.coords(beta, design)
         return cls(beta, design.X @ beta, design, constraint, weights, coords, basis)
 
-    @property
+    def at_weights(self, weights: PenaltyWeights) -> ObjectiveState:
+        """This point at ``weights``: a shallow copy sharing every weight-free
+        piece formed so far, whose objective and gradient are formed anew."""
+        state = object.__new__(ObjectiveState)
+        state.__dict__ = {name: piece for name, piece in self.__dict__.items()
+                          if name not in ("objective", "grad", "grad_sq")}
+        state._weights = weights
+        return state
+
+    @_lazy
     def pm(self) -> np.ndarray:
         """Projection of ``beta`` onto the sparsity set."""
-        if self._pm is None:
-            self._pm = project(self.beta, self._constraint)
-        return self._pm
+        return project(self.beta, self._constraint)
 
-    @property
+    @_lazy
     def sq_dist(self) -> float:
         """Squared distance from ``beta`` to the sparsity set."""
-        if self._sq_dist is None:
-            diff = self.beta - self.pm
-            self._sq_dist = float(diff @ diff)
-        return self._sq_dist
+        diff = self.beta - self.pm
+        return float(diff @ diff)
 
-    @property
+    @_lazy
     def residual_coords(self) -> np.ndarray:
         """Coordinates of the loss residual ``y * slack`` in ``basis``."""
-        if self._residual_coords is None:
-            self._residual_coords = self._basis.residual_coords(self._design.y * self.slack)
-        return self._residual_coords
+        return self._basis.residual_coords(self._design.y * self.slack)
 
-    @property
+    @_lazy
     def pm_coords(self) -> np.ndarray:
         """Coordinates of ``pm`` in ``basis``."""
-        if self._pm_coords is None:
-            self._pm_coords = self._basis.coords(self.pm, self._design)
-        return self._pm_coords
+        return self._basis.coords(self.pm, self._design)
 
-    @property
+    @_lazy
     def loss(self) -> float:
-        if self._loss is None:
-            self._loss = _loss_from_slack(self.slack)
-        return self._loss
+        return _loss_from_slack(self.slack)
 
     @property
     def penalty(self) -> float:
-        b2 = self._weights.b2
-        return 0.5 * b2 * self.sq_dist if b2 != 0.0 else 0.0
+        return 0.5 * self._weights.b2 * self.sq_dist
 
-    @property
+    @_lazy
     def objective(self) -> float:
-        if self._objective is None:
-            self._objective = self.loss + self.penalty
-        return self._objective
+        return self.loss + self.penalty
 
-    @property
+    @_lazy
     def grad(self) -> np.ndarray:
         # X^T v with v_i = -a2 * y_i * max(0, 1 - margin_i), plus the penalty pull;
         # v vanishes on the rows outside the margin, so only the others are read
-        if self._grad is None:
-            weights = self._weights
-            g = _rows_dot(-weights.a2 * self._design.y * self.slack, self._design.X)
-            if weights.b2 != 0.0:
-                g = g + weights.b2 * (self.beta - self.pm)
-            self._grad = g
-        return self._grad
+        weights = self._weights
+        g = _rows_dot(-weights.a2 * self._design.y * self.slack, self._design.X)
+        return g + weights.b2 * (self.beta - self.pm)
 
-    @property
+    @_lazy
     def grad_sq(self) -> float:
-        if self._grad_sq is None:
-            if self.coords is None:
-                g = self.grad
-                self._grad_sq = float(g @ g)
-            else:
-                self._grad_sq = self._basis.grad_sq(self, self._design, self._weights)
-        return self._grad_sq
+        if self.coords is None:
+            return float(self.grad @ self.grad)
+        return self._basis.grad_sq(self, self._design, self._weights)
 
 
 def hinge_loss(beta: np.ndarray, design: DesignMatrix) -> float:

@@ -124,8 +124,6 @@ def _factored_grad_sq(ev: ObjectiveState, scale, square: bool, weights: PenaltyW
     rank cut dropped a factor).
     """
     g = -weights.a2 * scale * ev.residual_coords
-    if weights.b2 == 0.0:
-        return float(g @ g)
     dt = ev.coords - ev.pm_coords
     g += weights.b2 * dt
     grad_sq = float(g @ g)
@@ -239,7 +237,13 @@ def _require(ws, *kinds):
 
 def mm_update(beta, ws: MMWorkspace | KernelMMWorkspace, design: DesignMatrix,
               constraint: SparsityConstraint, weights: PenaltyWeights) -> np.ndarray:
-    """Exact minimizer of the anchored majorizer via the cached factorization."""
+    """Exact minimizer of the anchored majorizer via the cached factorization.
+
+    Four full passes on a thin SVD (three on a gram eigendecomposition):
+    ``X @ beta`` and ``V' beta``, ``V @ coef``, and the new scores ``U (s t)``,
+    unused here but returned by ``step`` for the inner loop; dropping them
+    would need a second step path.
+    """
     ev = ObjectiveState.at(beta, design, constraint, weights, _require(ws, *_MM_KINDS))
     return ws.step(ev, design, weights)[0]
 
@@ -334,9 +338,11 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
 
     ``start`` is a coefficient vector, for a fresh run, or the ``_Run`` the
     previous penalty level handed back: the level then continues that
-    level's accelerated sequence from its kept point, re-evaluated at these
-    weights, with its scores and coordinates, so one fit computes ``X @ beta``
-    once.
+    level's accelerated sequence from its kept point, moved to these weights
+    by ``ObjectiveState.at_weights``: its scores, coordinates, projection,
+    distance, loss and residual and projection coordinates carry over, and
+    only its objective and gradient are formed anew. One fit thus computes
+    ``X @ beta`` once and projects each point once.
 
     The second term is the squared pull of the distance penalty, which at the
     level's exact solution balances the loss gradient; ``pull_tol > 0`` thus
@@ -373,16 +379,12 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
     level.
     """
     basis = ws if isinstance(ws, _MM_KINDS) else None
-    if isinstance(start, _Run):
-        kept, last, j, updates = start
-        cur = ObjectiveState(kept.beta, kept.scores, design, constraint, weights,
-                             kept.coords, basis)
-    else:
-        cur = ObjectiveState.at(np.array(start, dtype=float), design, constraint, weights,
-                                basis)
+    if not isinstance(start, _Run):
+        ev = ObjectiveState.at(np.array(start, dtype=float), design, constraint, weights, basis)
         # x_k before the first update is the start
-        last = (cur.beta, cur.scores, cur.coords)
-        j, updates = 1, 0
+        start = _Run(ev, (ev.beta, ev.scores, ev.coords), 1, 0)
+    kept, last, j, updates = start
+    cur = kept.at_weights(weights)
     pull_sq = (pull_tol * weights.b2) ** 2
 
     def small(ev):

@@ -168,9 +168,9 @@ class TestWorkCount:
     @pytest.mark.parametrize("solver", ["mm", "sd"])
     def test_each_point_projected_once(self, monkeypatch, solver):
         """Each inner update evaluates one point, the one it keeps, and projects
-        it once; each level adds its starting point, and the fit's hard
-        projection reuses the last one. The bound leaves one projection per
-        level and two per fit to spare."""
+        it once; the fit's start is projected once more, and every later level
+        starts at the previous level's kept point with its projection, which
+        the fit's hard projection reuses too."""
         calls = []
         real = sparsity.project
 
@@ -190,8 +190,7 @@ class TestWorkCount:
         constraint = SparsityConstraint(k=4, p=40)
         _, report = prox_dist_fit(design, constraint, init_heuristic(design), solver=solver)
         assert report.total_inner_iters > 100
-        bound = report.total_inner_iters + 2 * report.outer_iters + 2
-        assert 0 < len(calls) <= bound
+        assert len(calls) == report.total_inner_iters + 1
 
 
 class Counted(np.ndarray):

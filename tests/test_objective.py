@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsesvm.data import DesignMatrix
+from sparsesvm.kernel import gram_matrix, kernel_design
 from sparsesvm.objective import (ObjectiveState, PenaltyWeights, _rows_dot, gradient, hinge_loss,
                                  penalized_objective, surrogate_value,
                                  working_response)
+from sparsesvm.solvers import KernelMMWorkspace, MMWorkspace
 from sparsesvm.sparsity import SparsityConstraint, project, sq_distance
 
 from conftest import random_problem
@@ -255,3 +257,41 @@ class TestSurrogate:
                         + weights.b2 * (beta - pm))
             np.testing.assert_allclose(sur_grad, gradient(beta, design, constraint, weights),
                                        atol=1e-10)
+
+
+@pytest.mark.parametrize("basis", ["thin_svd", "gram", "none"])
+def test_at_weights_shares_weight_free_pieces(rng, basis):
+    """A state moved to other weights shares its weight-free pieces with the
+    source and forms its objective and gradient exactly as a fresh state at
+    those weights would, leaving the source's untouched."""
+    n, p, k = 30, 8, 3
+    if basis == "gram":
+        features = rng.standard_normal((n, 2))
+        y = np.where(features[:, 0] * features[:, 1] > 0, 1.0, -1.0)
+        K = gram_matrix(features, 0.5)
+        design, constraint = kernel_design(K, y), SparsityConstraint(k=10, p=n)
+        ws = KernelMMWorkspace.from_gram(K)
+    else:
+        design, constraint, _ = random_problem(rng, n, p, k)
+        ws = MMWorkspace.from_design(design) if basis == "thin_svd" else None
+    w1 = PenaltyWeights.for_problem(design.n, constraint, 2.0)
+    w2 = PenaltyWeights.for_problem(design.n, constraint, 2.4)
+    beta = 0.3 * rng.standard_normal(design.X.shape[1])
+    shared = ("pm", "slack") if ws is None else ("pm", "slack", "residual_coords", "pm_coords")
+
+    state = ObjectiveState.at(beta, design, constraint, w1, ws)
+    pieces = {name: getattr(state, name) for name in shared + ("sq_dist", "loss")}
+    before = (state.objective, state.grad, state.grad_sq)
+
+    moved = state.at_weights(w2)
+    fresh = ObjectiveState.at(beta, design, constraint, w2, ws)
+    for name in shared:
+        assert getattr(moved, name) is pieces[name]
+    assert moved.objective == fresh.objective
+    np.testing.assert_array_equal(moved.grad, fresh.grad)
+    assert moved.grad_sq == fresh.grad_sq
+    assert moved.objective != before[0]
+
+    assert (state.objective, state.grad_sq) == (before[0], before[2])
+    assert state.grad is before[1]
+    assert {name: getattr(state, name) for name in pieces} == pieces
