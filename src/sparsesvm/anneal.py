@@ -57,22 +57,19 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
 
     Each penalty level is solved until its squared gradient norm is below
     ``cfg.grad_tol`` or ``TAU**2`` times the squared pull of the distance
-    penalty, whichever is larger, after at least one update if the start is
-    above ``cfg.grad_tol``; the penalty then grows by ``sched.multiplier``.
-    The levels form one accelerated run: each continues the previous one's
-    momentum from its kept point, scores and coordinates, so the ``WARMUP``
-    plain updates and the product ``X @ beta0`` come once per fit, while the
-    ``cfg.max_inner`` budget holds per level.
-    The loop halts when the normalized squared distance to the sparsity set
-    falls below ``sched.dist_tol``, stalls between two levels that took an
-    update, or the outer budget runs out; the returned coefficients are the
-    projection of the last iterate, so they are always feasible, though that
-    iterate's squared gradient norm is usually above ``cfg.grad_tol``.
-    ``converged`` is set only when the final distance actually met the
-    tolerance, and ``stop_reason`` says which of the three ended the loop
-    (``distance``, ``stall`` or ``budget``). ``solver`` is a key of
-    ``solvers.SOLVERS`` or a workspace ``solvers.make_workspace`` built for
-    ``design``, which can then be reused across fits.
+    penalty, whichever is larger; the penalty then grows by
+    ``sched.multiplier``. The levels form one accelerated run: each continues
+    the previous one's momentum from its kept point, scores and coordinates,
+    so the ``WARMUP`` plain updates and the product ``X @ beta0`` come once per
+    fit, while the ``cfg.max_inner`` budget holds per level.
+    The ladder halts when the normalized squared distance to the sparsity set
+    falls to ``sched.dist_tol`` (``stop_reason`` ``distance``, ``converged``
+    true) or when ``sched.max_outer`` levels are spent (``budget``). The
+    returned coefficients are the projection of the last iterate, so they are
+    always feasible, though that iterate's squared gradient norm is usually
+    above ``cfg.grad_tol``. ``solver`` is a key of ``solvers.SOLVERS`` or a
+    workspace ``solvers.make_workspace`` built for ``design``, which can then
+    be reused across fits.
     """
     sched = sched or AnnealSchedule()
     cfg = cfg or SolverConfig()
@@ -82,9 +79,8 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
     beta = np.asarray(beta0, dtype=float).copy()
     if beta.shape != (design.X.shape[1],):
         raise ValueError(f"beta0 has shape {beta.shape}, expected ({design.X.shape[1]},)")
+    constraint.require_p(design.p)
     norm = constraint.p - constraint.k + 1
-    # the stall test needs the distances after two levels that took an update
-    d_prev = None
     rho = sched.rho0
     total_inner = 0
     stop_reason = "budget"
@@ -106,13 +102,6 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
         if d_cur <= sched.dist_tol:
             stop_reason = "distance"
             break
-        # a level that took no update (its start already met grad_tol) leaves
-        # the distance where it was, which says nothing about a stall
-        if iters:
-            if d_prev is not None and abs(d_cur - d_prev) < sched.dist_tol * (1.0 + d_prev):
-                stop_reason = "stall"
-                break
-            d_prev = d_cur
         rho *= sched.multiplier
 
     # the last level's projection is the hard-projected fit
@@ -125,7 +114,7 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
         grad_sq=ev.grad_sq,
         distance=d_cur,
         sv_count=sv_count(beta_final, design),
-        converged=bool(d_cur <= sched.dist_tol),
+        converged=stop_reason == "distance",
         wall_time=time.perf_counter() - t0,
         stop_reason=stop_reason,
     )

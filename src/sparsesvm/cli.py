@@ -18,7 +18,8 @@ import numpy as np
 from .anneal import OuterRecord
 from .config import AnnealSchedule, SolverConfig
 from .crossval import cross_validate
-from .data import DataError, apply_transform, load_csv, load_features_csv, make_folds
+from .data import (DataError, apply_transform, load_csv, load_features_csv, load_labeled_csv,
+                   make_folds)
 from .model_io import load_model, save_model
 from .multiclass import GaussianKernelSpec, PairProblem, class_pairs, train_ovo
 from .simdata import SimSpec, gen_gaussian_causal, gen_spiral, gen_synthetic_corr
@@ -260,9 +261,9 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     saved = load_model(args.model)
     if args.label_column is not None:
-        ds = load_csv(args.data, args.label_column, has_header=not args.no_header)
-        feats = ds.features
-        truth = [ds.class_names[i] for i in ds.labels]
+        # scoring needs no second class: a file of one class has an accuracy too
+        feats, truth = load_labeled_csv(args.data, args.label_column,
+                                        has_header=not args.no_header)
     else:
         feats = load_features_csv(args.data, has_header=not args.no_header)
         truth = None

@@ -65,8 +65,8 @@ class FitReport:
     sv_count: int = 0
     converged: bool = False
     wall_time: float = 0.0
-    # why prox_dist_fit's ladder ended: "distance", "stall" or "budget";
-    # None for a single-level solve
+    # why prox_dist_fit's ladder ended: "distance" (then converged) or
+    # "budget"; None for a single-level solve
     stop_reason: str | None = None
 
     def to_dict(self) -> dict:

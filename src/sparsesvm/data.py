@@ -17,6 +17,7 @@ __all__ = [
     "ThinSVD",
     "FoldPlan",
     "load_csv",
+    "load_labeled_csv",
     "load_features_csv",
     "apply_transform",
     "binarize",
@@ -228,12 +229,12 @@ def load_features_csv(path, has_header: bool = True) -> np.ndarray:
     return np.asarray(feats, dtype=float)
 
 
-def load_csv(path, label_column, has_header: bool = True) -> Dataset:
-    """Read a comma-delimited UTF-8 file into a Dataset.
+def load_labeled_csv(path, label_column, has_header: bool = True):
+    """Read a comma-delimited UTF-8 file into an n x p feature array and the
+    list of its raw label strings, however many classes they hold.
 
     ``label_column`` is a header name (requires ``has_header``) or a 0-based
-    column index. Labels are factorized in first-appearance order; every other
-    cell must parse as a finite float.
+    column index; every other cell must parse as a finite float.
     """
     path = Path(path)
     rows = _read_rows(path)
@@ -259,18 +260,20 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
         label_idx %= ncol
 
     feats, raw_labels = _parse_rows(path, rows, ncol, label_idx)
+    return np.asarray(feats, dtype=float), raw_labels
 
-    names: list[str] = []
-    index: dict[str, int] = {}
-    ids = []
-    for lab in raw_labels:
-        if lab not in index:
-            index[lab] = len(names)
-            names.append(lab)
-        ids.append(index[lab])
-    if len(names) < 2:
+
+def load_csv(path, label_column, has_header: bool = True) -> Dataset:
+    """Read a comma-delimited UTF-8 file into a Dataset (see ``load_labeled_csv``).
+
+    Labels are factorized in first-appearance order; there must be at least two.
+    """
+    feats, raw_labels = load_labeled_csv(path, label_column, has_header)
+    index = {lab: i for i, lab in enumerate(dict.fromkeys(raw_labels))}
+    if len(index) < 2:
         raise DataError(f"{path}: fewer than 2 classes in the label column")
-    return Dataset(np.asarray(feats, dtype=float), np.asarray(ids, dtype=int), tuple(names))
+    ids = np.asarray([index[lab] for lab in raw_labels], dtype=int)
+    return Dataset(feats, ids, tuple(index))
 
 
 def apply_transform(ds: Dataset, kind: str) -> Dataset:

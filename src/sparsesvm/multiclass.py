@@ -136,9 +136,7 @@ class PairProblem:
         """A SparsityConstraint for this design's p, or a fraction of it."""
         p = self.design.p
         if isinstance(sparsity, SparsityConstraint):
-            if sparsity.p != p:
-                raise ValueError(f"constraint built for p={sparsity.p}, design has p={p}")
-            return sparsity
+            return sparsity.require_p(p)
         return SparsityConstraint.from_sparsity(float(sparsity), p)
 
     def fit(self, sparsity, sched: AnnealSchedule | None = None,

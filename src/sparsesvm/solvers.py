@@ -347,9 +347,9 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
     The second term is the squared pull of the distance penalty, which at the
     level's exact solution balances the loss gradient; ``pull_tol > 0`` thus
     asks for that relative accuracy in the balance, with ``cfg.grad_tol`` as
-    the floor. It is tested only after the first update, so a start above
-    ``cfg.grad_tol`` always takes a step, and it reads the projection the
-    gradient has already computed.
+    the floor. The start is tested like every later point, so a warm start
+    that already meets the bound takes no update; the test reads the
+    projection the gradient has already computed.
 
     Each update steps from the kept point ``y_k`` to ``x_{k+1}``. Once
     ``cfg.accel`` is on and more than ``WARMUP`` updates were taken in the
@@ -392,10 +392,7 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
         return grad_sq < cfg.grad_tol or (pull_sq > 0.0 and grad_sq < pull_sq * ev.sq_dist)
 
     iters = restarts = 0
-    # the start is held to grad_tol alone: a warm start can meet the pull bound
-    # of a barely larger penalty, and a level without an update would leave the
-    # distance where it was
-    while iters < cfg.max_inner and not (small(cur) if iters else cur.grad_sq < cfg.grad_tol):
+    while iters < cfg.max_inner and not small(cur):
         beta, scores, coords = new = ws.step(cur, design, weights)
         iters += 1
         updates += 1
@@ -433,6 +430,7 @@ def _report(ev: ObjectiveState, iters, constraint, weights, cfg, t0) -> FitRepor
 
 
 def _solve(beta0, ws, design, constraint, weights, cfg, history):
+    constraint.require_p(design.p)
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
     ev, iters, _, _ = _solve_subproblem(beta0, ws, design, constraint, weights, cfg, history)

@@ -27,6 +27,12 @@ class SparsityConstraint:
             raise ValueError(f"sparsity fraction must lie in [0, 1), got {s}")
         return cls(int(round((1.0 - s) * p)), int(p))
 
+    def require_p(self, p: int) -> "SparsityConstraint":
+        """This constraint, checked to be built for a design of ``p`` features."""
+        if self.p != p:
+            raise ValueError(f"constraint built for p={self.p}, design has p={p}")
+        return self
+
 
 def project(beta: np.ndarray, constraint: SparsityConstraint) -> np.ndarray:
     """Zero all but the k largest-magnitude entries among the first p coordinates.

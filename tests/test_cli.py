@@ -78,7 +78,7 @@ class TestTrainPredict:
         assert {"pairs", "converged"} <= set(report)
         assert len(report["pairs"]) == 1
         pair = report["pairs"][0]
-        assert pair["stop_reason"] in {"distance", "stall", "budget"}
+        assert pair["stop_reason"] in {"distance", "budget"}
         assert pair["converged"] == (pair["stop_reason"] == "distance")
 
         rc, out, _ = run_cli(capsys, "predict", "--model", str(model_path),
@@ -86,6 +86,24 @@ class TestTrainPredict:
         assert rc == 0
         scored = json.loads(out.splitlines()[-1])
         assert scored["n"] == 80
+        assert scored["accuracy_pct"] >= 95.0
+
+    def test_predict_scores_a_single_class_file(self, tmp_path, capsys, causal_csv):
+        model_path = tmp_path / "m.json"
+        run_cli(capsys, "train", "--data", str(causal_csv), "--output", str(model_path))
+        header, *rows = causal_csv.read_text().splitlines()
+        ones = [r for r in rows if r.rsplit(",", 1)[1] == "1"]
+        one_class = tmp_path / "ones.csv"
+        one_class.write_text("\n".join([header] + ones) + "\n")
+        pred_path = tmp_path / "pred.csv"
+        rc, out, err = run_cli(capsys, "predict", "--model", str(model_path),
+                               "--data", str(one_class), "--label-column", "label",
+                               "--output", str(pred_path))
+        assert rc == 0, err
+        predicted = pred_path.read_text().splitlines()[1:]
+        scored = json.loads(out.splitlines()[-1])
+        assert scored["n"] == len(ones) == len(predicted)
+        assert scored["accuracy_pct"] == 100.0 * predicted.count("1") / len(ones)
         assert scored["accuracy_pct"] >= 95.0
 
     def test_predict_writes_feature_only_csv(self, tmp_path, capsys, causal_csv):

@@ -77,7 +77,7 @@ def toy_rows():
     mk = lambda fold, s, v: CVRow(fold=fold, s=s, k=2.0, iterations=5, time_s=1.5,
                                   objective=0.25, sq_dist=1e-8, train_pct=100.0,
                                   valid_pct=v, test_pct=90.0, sv=3.0,
-                                  stop_reason="stall/distance")
+                                  stop_reason="budget/distance")
     return [mk(0, 0.0, 80.0), mk(1, 0.0, 90.0), mk(0, 0.5, 95.0), mk(1, 0.5, 85.0)]
 
 
@@ -104,7 +104,7 @@ class TestCVTable:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
         assert first[3] == "0.0"
-        assert first[-1] == "stall/distance"
+        assert first[-1] == "budget/distance"
 
     def test_csv_timings_flag(self):
         table = CVTable(rows=toy_rows(), selected_s=0.0, selected_k=2.0)
@@ -118,7 +118,7 @@ class TestCVTable:
         assert doc["rows"][0]["time"] == 0.0
         assert doc["selected"]["s"] == 0.5
         assert doc["selected"]["valid"] == pytest.approx(90.0)
-        assert doc["rows"][0]["stop_reason"] == "stall/distance"
+        assert doc["rows"][0]["stop_reason"] == "budget/distance"
         assert "stop_reason" not in doc["selected"]
 
 
@@ -228,7 +228,7 @@ def test_stop_reasons_join_the_pair_fits_in_class_pairs_order(monkeypatch):
         pairs = fitted[3 * i:3 * i + 3]
         assert [(p.positive, p.negative) for p in pairs] == list(class_pairs(3))
         assert row.stop_reason == "/".join(p.report.stop_reason for p in pairs)
-        assert set(row.stop_reason.split("/")) <= {"distance", "stall", "budget"}
+        assert set(row.stop_reason.split("/")) <= {"distance", "budget"}
 
 
 # cross_validate runs whose fits fail at s=0.5 in every fold and at s=0.75 in

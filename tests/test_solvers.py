@@ -391,6 +391,17 @@ def test_entry_point_rejects_other_solvers_workspace(rng, entry, other):
         entry(rng.standard_normal(7), ws, design, constraint, weights)
 
 
+@pytest.mark.parametrize("p_built", [3, 9])
+@pytest.mark.parametrize("solve", [mm_solve, sd_solve], ids=["mm_solve", "sd_solve"])
+def test_solve_rejects_constraint_for_another_p(rng, solve, p_built):
+    design, _, _ = random_problem(rng, 12, 5, 2)
+    constraint = SparsityConstraint(k=1, p=p_built)
+    weights = PenaltyWeights.for_problem(design.n, constraint, 1.0)
+    ws = make_ws("mm" if solve is mm_solve else "sd", design)
+    with pytest.raises(ValueError, match=f"p={p_built}, design has p=5"):
+        solve(np.zeros(6), ws, design, constraint, weights)
+
+
 def run_history(solver_fn, ws, design, constraint, weights, beta0, cfg):
     history = []
     beta, report = solver_fn(beta0, ws, design, constraint, weights, cfg, history=history)
@@ -515,7 +526,7 @@ def ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, history,
                          run=None):
     """``tau > 0`` adds the per-level stop of ``prox_dist_fit``: the squared
     gradient below ``tau**2`` times the squared pull ``||b2 (beta - P(beta))||**2``,
-    tested only after the first update. ``run`` continues the accelerated run
+    tested at every point from the start on. ``run`` continues the accelerated run
     of a previous level, from its kept point ``beta0``: the ``(x_k, j,
     updates)`` that level handed back."""
     X = design.X
@@ -530,7 +541,7 @@ def ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, history,
         return max(cfg.grad_tol, (tau * weights.b2) ** 2 * sq_distance(beta, constraint))
 
     iters = restarts = 0
-    while grad_sq >= (tol(beta) if iters else cfg.grad_tol) and iters < cfg.max_inner:
+    while grad_sq >= tol(beta) and iters < cfg.max_inner:
         beta_new = step(beta, scores, grad)
         iters += 1
         updates += 1
