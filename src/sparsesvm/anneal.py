@@ -76,16 +76,14 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
     workspace = make_workspace(design, solver) if isinstance(solver, str) else solver
 
     t0 = time.perf_counter()
-    beta = np.asarray(beta0, dtype=float).copy()
-    if beta.shape != (design.X.shape[1],):
-        raise ValueError(f"beta0 has shape {beta.shape}, expected ({design.X.shape[1]},)")
     constraint.require_p(design.p)
     norm = constraint.p - constraint.k + 1
     rho = sched.rho0
     total_inner = 0
     stop_reason = "budget"
-    # the first level starts fresh from beta0; each later one continues the run
-    run = beta
+    # the first level starts fresh from beta0 (checked there); each later one
+    # continues the run
+    run = beta0
     for outer in range(1, sched.max_outer + 1):
         weights = PenaltyWeights.for_problem(design.n, constraint, rho)
         ev, iters, restarts, run = _solve_subproblem(run, workspace, design, constraint,

@@ -318,11 +318,48 @@ def binarize(ds: Dataset, positive_class: int, negative_class: int) -> DesignMat
 
 # share of the largest singular value or eigenvalue below which factors are dropped
 RANK_TOL = 1e-12
+# ``thin_svd`` factors an n x p design through its gram matrix only while that
+# matrix's eigenvalues span at most a factor GRAM_SPAN (n + p); see there
+GRAM_SPAN = 2.0
 
 
 def thin_svd(X: np.ndarray) -> ThinSVD:
-    """Thin SVD keeping singular values above ``RANK_TOL`` relative to the largest."""
+    """Thin SVD keeping singular values above ``RANK_TOL`` relative to the largest.
+
+    An n x p design is factored through the eigendecomposition of its gram
+    matrix: of ``G = X'X`` when n >= p, whose eigenvectors are ``V`` and
+    eigenvalues ``s^2``, so that ``U = X V / s``; of ``G = XX'`` when n < p,
+    giving ``U`` and ``V = X'U / s``. That takes about half the time and
+    memory of LAPACK's SVD.
+
+    Squaring the design squares its condition number, and the factor formed
+    by the product loses orthogonality in step: ``||U'U - I||`` (or
+    ``||V'V - I||``) grows like ``eps lam_max / lam_min``. The gram route is
+    therefore taken only when ``lam_max < GRAM_SPAN (n + p) lam_min``, which
+    holds that error to a small multiple of ``eps (n + p)``, the error of
+    LAPACK's own factors that ``solvers._factored_grad_sq`` allows for. Every
+    other design, the rank-deficient ones among them, is factored by
+    ``np.linalg.svd`` and cut at ``RANK_TOL`` as before, after paying for the
+    gram eigendecomposition too.
+    """
     X = np.asarray(X, dtype=float)
+    n, p = X.shape
+    if X.size:
+        tall = n >= p
+        G = X.T @ X if tall else X @ X.T
+        # the eigenpairs of -G are G's in descending order, so s comes out sorted
+        np.negative(G, out=G)
+        try:
+            lam, Q = np.linalg.eigh(G)
+        except np.linalg.LinAlgError:  # non-finite entries: left to the SVD below
+            lam = None
+        del G
+        # -lam[0] and -lam[-1] are G's largest and smallest eigenvalues
+        if lam is not None and -lam[-1] > -lam[0] / (GRAM_SPAN * (n + p)):
+            s = np.sqrt(np.negative(lam, out=lam), out=lam)
+            other = X @ Q if tall else X.T @ Q
+            other /= s
+            return ThinSVD(other, s, Q) if tall else ThinSVD(Q, s, other)
     try:
         U, s, Vh = np.linalg.svd(X, full_matrices=False)
     except np.linalg.LinAlgError as exc:

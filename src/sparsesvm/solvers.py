@@ -4,9 +4,15 @@ exact-line-search steepest descent, sharing one Nesterov loop with restarts.
 Both minimize the same anchored least-squares majorizer of the penalized
 squared-hinge objective; the factorization route solves it exactly through a
 factorization computed once per design, the descent route never touches one.
-The factorization is a thin SVD of the design, or, for a kernel design
-[K diag(y) | 1], an eigendecomposition of the symmetric gram matrix K, with
-the intercept column solved by a one-dimensional Schur complement.
+For a linear design the factorization is a thin SVD (``data.thin_svd``),
+taken from the eigendecomposition of ``X'X`` (``XX'`` when the design is
+wide) at about half the cost of LAPACK's SVD. Squaring the design squares its
+condition number, and the factors lose orthogonality in step, so that route is
+guarded: a design whose gram eigenvalues span ``data.GRAM_SPAN (n + p)`` or
+more, a rank-deficient one among them, is factored by LAPACK's SVD instead.
+For a kernel design [K diag(y) | 1] it is an eigendecomposition of the
+symmetric gram matrix K, with the intercept column solved by a
+one-dimensional Schur complement.
 Each solver is its workspace type (``SOLVERS``), whose ``step`` is its update;
 ``make_workspace`` picks the gram form of ``mm`` when it is given K.
 
@@ -47,7 +53,14 @@ __all__ = [
 @dataclass
 class MMWorkspace:
     """Thin SVD of the design, shared across penalty levels and sparsity levels,
-    with per-singular-value update coefficients cached for the current weights."""
+    with per-singular-value update coefficients cached for the current weights.
+
+    ``from_design`` takes it from ``data.thin_svd``: the eigendecomposition of
+    ``X'X`` (``XX'`` for a wide design) where squaring the design still keeps
+    the factors orthonormal to a small multiple of ``eps (n + p)``, the
+    accuracy the update and ``_factored_grad_sq`` rely on, and LAPACK's SVD
+    with the ``RANK_TOL`` cut elsewhere.
+    """
 
     svd: ThinSVD
     _key: tuple | None = field(default=None, repr=False)
@@ -115,7 +128,8 @@ def _factored_grad_sq(ev: ObjectiveState, scale, square: bool, weights: PenaltyW
     which can exceed the gradient itself near a stationary point far from
     the set. When C is square, ``I - C C'`` is zero up to C's departure from
     orthogonality ``delta = ||C'C - I||`` (a small multiple of ``eps p`` for
-    LAPACK's SVD and eigensolver), so the term is at most
+    LAPACK's SVD and eigensolver; on ``data.thin_svd``'s gram route a square
+    C is the eigensolver's), so the term is at most
     ``delta^2 b2^2 sq_dist``, second order in ``eps`` and below the rounding
     of the kept terms, and it is skipped. ``dt`` is itself a difference of
     coordinates of size up to ``||beta||``, so either way the result is within
@@ -336,9 +350,10 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
     ``max(cfg.grad_tol, pull_tol**2 * ||b2 (beta - P(beta))||**2)`` or
     ``cfg.max_inner`` updates have been taken at this level.
 
-    ``start`` is a coefficient vector, for a fresh run, or the ``_Run`` the
-    previous penalty level handed back: the level then continues that
-    level's accelerated sequence from its kept point, moved to these weights
+    ``start`` is a coefficient vector, for a fresh run (one entry per design
+    column, else ``ValueError``), or the ``_Run`` the previous penalty level
+    handed back: the level then continues that level's accelerated sequence
+    from its kept point, moved to these weights
     by ``ObjectiveState.at_weights``: its scores, coordinates, projection,
     distance, loss and residual and projection coordinates carry over, and
     only its objective and gradient are formed anew. One fit thus computes
@@ -380,7 +395,10 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
     """
     basis = ws if isinstance(ws, _MM_KINDS) else None
     if not isinstance(start, _Run):
-        ev = ObjectiveState.at(np.array(start, dtype=float), design, constraint, weights, basis)
+        beta = np.array(start, dtype=float)
+        if beta.shape != (design.X.shape[1],):
+            raise ValueError(f"beta0 has shape {beta.shape}, expected ({design.X.shape[1]},)")
+        ev = ObjectiveState.at(beta, design, constraint, weights, basis)
         # x_k before the first update is the start
         start = _Run(ev, (ev.beta, ev.scores, ev.coords), 1, 0)
     kept, last, j, updates = start

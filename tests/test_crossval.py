@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -233,7 +234,9 @@ def test_stop_reasons_join_the_pair_fits_in_class_pairs_order(monkeypatch):
 
 # cross_validate runs whose fits fail at s=0.5 in every fold and at s=0.75 in
 # fold 0 only (see test_failed_levels_in_table): for each grid, the selected
-# level and k, then the text of to_csv() and of to_json().
+# level and k, then the text of to_csv() and of to_json(). The objective and
+# squared-distance cells are compared at TABLE_RTOL (see split_solver_floats),
+# every other cell and the layout byte for byte.
 FAILED_LEVEL_TABLES = {
     (0.0, 0.5, 0.75): (
         0.0, 4.0,
@@ -311,6 +314,46 @@ FAILED_LEVEL_TABLES = {
 }
 
 
+# The objective and squared distance of a fitted row are rounding-level
+# functions of the factorization and the order of the solver's sums; the test
+# is about how failed levels show in the table, which those digits do not decide.
+TABLE_RTOL = 1e-9
+# the two cells after the first CSV_HEADERS.index("Objective") cells of a line
+_CSV_CELLS = re.compile(r"^((?:[^,\n]*,){%d})([^,\n]*),([^,\n]*)," % CSV_HEADERS.index("Objective"),
+                        re.M)
+_JSON_FIELD = re.compile(r'("(?:objective|squared_distance)": )(NaN|[-+0-9.e]+)')
+
+
+def split_solver_floats(text):
+    """``text`` with its objective and squared-distance cells masked as ``*``,
+    and those cells' values in order."""
+    values = []
+
+    def csv_cells(m):
+        if m.group(2) == "Objective":
+            return m.group(0)
+        values.extend((float(m.group(2)), float(m.group(3))))
+        return m.group(1) + "*,*,"
+
+    def json_field(m):
+        values.append(float(m.group(2)))
+        return m.group(1) + "*"
+
+    if text.startswith("{"):
+        return _JSON_FIELD.sub(json_field, text), values
+    return _CSV_CELLS.sub(csv_cells, text), values
+
+
+def assert_table_text(got, want):
+    """``got`` is ``want`` but for its objective and squared-distance cells,
+    which agree to ``TABLE_RTOL``."""
+    got_text, got_values = split_solver_floats(got)
+    want_text, want_values = split_solver_floats(want)
+    assert got_text == want_text
+    assert len(want_values) > 0
+    np.testing.assert_allclose(got_values, want_values, rtol=TABLE_RTOL, atol=0)
+
+
 @pytest.mark.parametrize("grid", sorted(FAILED_LEVEL_TABLES), ids=str)
 def test_failed_levels_in_table(monkeypatch, grid):
     fit = PairProblem.fit
@@ -334,8 +377,8 @@ def test_failed_levels_in_table(monkeypatch, grid):
     want_s, want_k, want_csv, want_json = FAILED_LEVEL_TABLES[grid]
     assert table.selected_s == want_s
     np.testing.assert_equal(table.selected_k, want_k)
-    assert table.to_csv() == want_csv
-    assert table.to_json() == want_json
+    assert_table_text(table.to_csv(), want_csv)
+    assert_table_text(table.to_json(), want_json)
     if grid == (0.5,):
         # every fit failed: no statistic has a fold to average over
         assert json.loads(table.to_json())["selected"].keys() == {"s", "k", "valid", "test"}

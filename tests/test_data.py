@@ -5,9 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sparsesvm.data import (DataError, Dataset, DesignMatrix, FoldPlan,
+from sparsesvm.data import (GRAM_SPAN, RANK_TOL, DataError, Dataset, DesignMatrix, FoldPlan,
                             apply_transform, binarize, load_csv, load_features_csv,
                             make_folds, thin_svd)
+from sparsesvm.simdata import gen_gaussian_causal, gen_synthetic_corr
+
+EPS = np.finfo(float).eps
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -225,7 +228,61 @@ class TestDesignMatrix:
             DesignMatrix(X, np.array([1.0, 0.0, 1.0, -1.0, 1.0]))
 
 
+def with_spectrum(rng, shape, s):
+    """A design of ``shape`` whose singular values are ``s``."""
+    A, _ = np.linalg.qr(rng.standard_normal((shape[0], s.size)))
+    B, _ = np.linalg.qr(rng.standard_normal((shape[1], s.size)))
+    return (A * s) @ B.T
+
+
+def lapack_factors(X):
+    """``thin_svd``'s factors from ``np.linalg.svd`` with the ``RANK_TOL`` cut."""
+    U, s, Vh = np.linalg.svd(X, full_matrices=False)
+    r = int(np.count_nonzero(s > RANK_TOL * s[0]))
+    return U[:, :r], s[:r], Vh[:r].T
+
+
+def refuse_svd(*args, **kwargs):
+    """Stands in for ``np.linalg.svd``: a design factored anyway took the gram route."""
+    raise AssertionError("np.linalg.svd called")
+
+
+@pytest.fixture
+def no_lapack_svd(monkeypatch):
+    monkeypatch.setattr(np.linalg, "svd", refuse_svd)
+
+
+@pytest.fixture
+def lapack_svd_calls(monkeypatch):
+    """Count the calls of ``np.linalg.svd``."""
+    calls = []
+    real = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def assert_thin_svd_of(svd, X, s_ref, orth_tol):
+    n, p = X.shape
+    r = svd.r
+    assert svd.U.shape == (n, r) and svd.V.shape == (p, r)
+    assert svd.U.flags.c_contiguous and svd.V.flags.c_contiguous
+    assert np.all(np.diff(svd.s) <= 0)
+    np.testing.assert_allclose(svd.s, s_ref, rtol=1e-13, atol=0)
+    assert np.max(np.abs(svd.U.T @ svd.U - np.eye(r))) <= orth_tol
+    assert np.max(np.abs(svd.V.T @ svd.V - np.eye(r))) <= orth_tol
+    assert np.linalg.norm((svd.U * svd.s) @ svd.V.T - X) <= 1e-13 * np.linalg.norm(X)
+
+
 class TestThinSvd:
+    """``thin_svd`` factors through ``eigh(X'X)`` or ``eigh(XX')`` while the
+    eigenvalues span less than ``GRAM_SPAN (n + p)``, and through LAPACK's SVD
+    otherwise."""
+
     def test_identity(self):
         svd = thin_svd(np.eye(3))
         np.testing.assert_allclose(svd.s, np.ones(3))
@@ -247,6 +304,67 @@ class TestThinSvd:
         err = np.linalg.norm(svd.U @ np.diag(svd.s) @ svd.V.T - X)
         assert err <= 1e-8 * np.linalg.norm(X)
         assert np.all(np.diff(svd.s) <= 0)
+
+    @pytest.mark.parametrize("shape", [(80, 30), (30, 80), (40, 40)],
+                             ids=["tall", "wide", "square"])
+    def test_agrees_with_lapack(self, rng, shape, monkeypatch):
+        X = with_spectrum(rng, shape, np.linspace(3.0, 1.0, min(shape)))
+        s_ref = np.linalg.svd(X, compute_uv=False)
+        monkeypatch.setattr(np.linalg, "svd", refuse_svd)
+        svd = thin_svd(X)
+        assert svd.r == min(shape)
+        assert_thin_svd_of(svd, X, s_ref, 8 * EPS * sum(shape))
+
+    @pytest.mark.parametrize("shape", [(3, 2), (12, 6), (40, 39), (6, 30), (200, 101)])
+    def test_guard_keeps_the_factors_orthonormal(self, rng, shape, lapack_svd_calls):
+        """Just inside the guard the gram route is taken and the factors stay
+        orthonormal to a small multiple of ``eps (n + p)``, the accuracy of
+        LAPACK's own; just outside it LAPACK's SVD is taken."""
+        r = min(shape)
+        limit = np.sqrt(GRAM_SPAN * sum(shape))
+        for seed in range(6):
+            draw = np.random.default_rng(seed)
+            inside = with_spectrum(draw, shape, np.geomspace(1.0, 1.01 / limit, r))
+            s_ref = np.linalg.svd(inside, compute_uv=False)
+            del lapack_svd_calls[:]
+            assert_thin_svd_of(thin_svd(inside), inside, s_ref, 8 * EPS * sum(shape))
+            assert not lapack_svd_calls
+            thin_svd(with_spectrum(draw, shape, np.geomspace(1.0, 0.99 / limit, r)))
+            assert lapack_svd_calls == [shape]
+
+    @pytest.mark.parametrize("spoil", ["ill-conditioned", "rank-deficient"])
+    def test_design_failing_the_guard_falls_back(self, rng, lapack_svd_calls, spoil):
+        """A column scaled by 1e-6, or a duplicated column that the ``RANK_TOL``
+        cut drops: the factors are LAPACK's, bit for bit."""
+        X = rng.standard_normal((60, 20))
+        if spoil == "ill-conditioned":
+            X[:, 3] *= 1e-6
+        else:
+            X[:, 7] = X[:, 2]
+        r = 20 if spoil == "ill-conditioned" else 19
+        want = lapack_factors(X)
+        del lapack_svd_calls[:]
+        svd = thin_svd(X)
+        assert lapack_svd_calls == [X.shape]
+        assert svd.r == r
+        for got, ref in zip((svd.U, svd.s, svd.V), want):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_corr_cv_fold_design_takes_the_gram_route(self, no_lapack_svd):
+        raw, _ = gen_synthetic_corr(800, 500, seed=1)
+        ds = apply_transform(raw, "standardized")
+        folds = make_folds(ds.n, 4, seed=1, labels=ds.labels)
+        design = binarize(ds.take(folds.train_indices(0)), 1, 0)
+        assert design.X.shape == (600, 501)
+        svd = thin_svd(design.X)
+        assert svd.r == 501
+        assert np.max(np.abs(svd.U.T @ svd.U - np.eye(501))) <= 8 * EPS * 1101
+
+    def test_planted_design_takes_the_gram_route(self, no_lapack_svd):
+        ds, _ = gen_gaussian_causal(200, 100, 5, 0)
+        svd = thin_svd(binarize(ds, 1, 0).X)
+        assert svd.r == 101
+        assert np.max(np.abs(svd.U.T @ svd.U - np.eye(101))) <= 8 * EPS * 301
 
 
 class TestMakeFolds:

@@ -402,6 +402,14 @@ def test_solve_rejects_constraint_for_another_p(rng, solve, p_built):
         solve(np.zeros(6), ws, design, constraint, weights)
 
 
+@pytest.mark.parametrize("solve", [mm_solve, sd_solve], ids=["mm_solve", "sd_solve"])
+def test_solve_rejects_start_of_another_length(rng, solve):
+    design, constraint, weights = random_problem(rng, 12, 5, 2)
+    ws = make_ws("mm" if solve is mm_solve else "sd", design)
+    with pytest.raises(ValueError, match=r"beta0 has shape \(4,\), expected \(6,\)"):
+        solve(np.zeros(4), ws, design, constraint, weights)
+
+
 def run_history(solver_fn, ws, design, constraint, weights, beta0, cfg):
     history = []
     beta, report = solver_fn(beta0, ws, design, constraint, weights, cfg, history=history)
