@@ -37,7 +37,7 @@ class OuterRecord:
     outer: int
     rho: float
     inner_iters: int
-    restarts: int           # momentum resets: a step against it or an objective rise
+    restarts: int           # momentum resets: steps that turned against it
     objective: float
     grad_sq: float
     distance: float

@@ -9,10 +9,10 @@ from dataclasses import asdict, dataclass
 __all__ = ["AnnealSchedule", "SolverConfig", "FitReport"]
 
 
-def _check_budget(name: str, value) -> None:
-    """An iteration budget is an integer (not a bool) of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _check_int(name: str, value, low: int = 1) -> None:
+    """A count, such as an iteration budget, is an integer (not a bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class AnnealSchedule:
             raise ValueError(f"rho0 must be positive and finite, got {self.rho0}")
         if not 1.0 < self.multiplier < math.inf:
             raise ValueError(f"multiplier must exceed 1 and be finite, got {self.multiplier}")
-        _check_budget("max_outer", self.max_outer)
+        _check_int("max_outer", self.max_outer)
         if not 0 < self.dist_tol < math.inf:
             raise ValueError(f"dist_tol must be positive and finite, got {self.dist_tol}")
 
@@ -49,7 +49,7 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.grad_tol < math.inf:
             raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
-        _check_budget("max_inner", self.max_inner)
+        _check_int("max_inner", self.max_inner)
 
 
 @dataclass

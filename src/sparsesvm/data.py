@@ -91,8 +91,10 @@ class Dataset:
         return self.features.shape[1]
 
     def take(self, indices) -> "Dataset":
-        """Row subset sharing class names and transform metadata."""
-        idx = np.asarray(indices, dtype=int)
+        """Rows ``indices`` (integers, not a mask), sharing class names and transform metadata."""
+        idx = np.asarray(indices)
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise DataError(f"row indices must be integers, got dtype {idx.dtype}")
         return replace(self, features=self.features[idx], labels=self.labels[idx])
 
 

@@ -370,12 +370,11 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
     ``cfg.accel`` is on and more than ``WARMUP`` updates were taken in the
     run, the loop keeps ``y_{k+1} = x_{k+1} + w (x_{k+1} - x_k)`` with ``w =
     (j - 1) / (j + 2)``, except after the update that spends the level's
-    budget; else ``x_{k+1}``. Two restarts reset ``j`` to 1 (so the next
-    ``w = 0``), each counted: a step against the momentum, ``(y_k - x_{k+1})
-    . (x_{k+1} - x_k) > 0``, tested before the extrapolation, and an
-    extrapolated point whose objective is above ``y_k``'s, both at this
-    level's weights: the gradient and function restarts of O'Donoghue and
-    Candes. The kept objective may still rise once before a restart.
+    budget; else ``x_{k+1}``. One rule resets ``j`` to 1 (so this ``w = 0``),
+    counted as a restart: a step against the momentum, ``(y_k - x_{k+1}) .
+    (x_{k+1} - x_k) > 0``, tested before the extrapolation (the gradient
+    restart of O'Donoghue and Candes, read from the step). No objective is
+    compared, so the kept objective may rise.
 
     Only the kept point is evaluated (see ``ObjectiveState``), once per
     update, and convergence is tested there. Scores, and an ``mm`` point's
@@ -414,7 +413,6 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
         beta, scores, coords = new = ws.step(cur, design, weights)
         iters += 1
         updates += 1
-        w = 0.0
         if cfg.accel and WARMUP < updates and iters < cfg.max_inner:
             if (cur.beta - beta) @ (beta - last[0]) > 0.0:
                 j = 1
@@ -424,10 +422,7 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
             if w > 0.0:
                 beta, scores, coords = (_past(x, old, w) for x, old in zip(new, last))
         last = new
-        prev, cur = cur, ObjectiveState(beta, scores, design, constraint, weights, coords, basis)
-        if w > 0.0 and cur.objective > prev.objective:
-            j = 1
-            restarts += 1
+        cur = ObjectiveState(beta, scores, design, constraint, weights, coords, basis)
         if history is not None:
             history.append(cur.objective)
     return cur, iters, restarts, _Run(cur, last, j, updates)

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _check_int
+
 __all__ = ["SparsityConstraint", "project", "sq_distance"]
 
 
@@ -17,8 +19,8 @@ class SparsityConstraint:
     p: int
 
     def __post_init__(self):
-        if not 0 <= self.k <= self.p:
-            raise ValueError(f"need 0 <= k <= p, got k={self.k}, p={self.p}")
+        _check_int("k", self.k, 0)
+        _check_int("p", self.p, self.k)
 
     @classmethod
     def from_sparsity(cls, s: float, p: int) -> "SparsityConstraint":

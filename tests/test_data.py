@@ -195,6 +195,19 @@ class TestDatasetValidation:
         assert sub.n == 3
         np.testing.assert_array_equal(sub.labels, [0, 1, 1])
 
+    @pytest.mark.parametrize("indices", [[True, False, False, False, True, True],
+                                         [0.0, 3.0], np.array([1.5])])
+    def test_take_rejects_non_integer_indices(self, rng, indices):
+        # a boolean mask would otherwise be read as the row numbers 0 and 1
+        ds = Dataset(rng.standard_normal((6, 2)), np.array([0, 1, 0, 1, 0, 1]), ("a", "b"))
+        with pytest.raises(DataError, match="row indices must be integers"):
+            ds.take(indices)
+
+    def test_take_accepts_any_integer_dtype(self, rng):
+        ds = Dataset(rng.standard_normal((6, 2)), np.array([0, 1, 0, 1, 0, 1]), ("a", "b"))
+        for dtype in (np.int32, np.uint8, np.int64):
+            np.testing.assert_array_equal(ds.take(np.array([5, 0], dtype=dtype)).labels, [1, 0])
+
 
 class TestBinarize:
     def test_counts_and_signs(self, rng):

@@ -553,7 +553,7 @@ def ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, history,
         beta_new = step(beta, scores, grad)
         iters += 1
         updates += 1
-        kept, w = beta_new, 0.0
+        kept = beta_new
         if cfg.accel and WARMUP < updates and iters < cfg.max_inner:
             # restart when the step turned against the momentum x_k -> x_{k+1}
             if (beta - beta_new) @ (beta_new - last) > 0.0:
@@ -568,12 +568,7 @@ def ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, history,
         scores = X @ beta
         grad = ref_gradient_from_scores(beta, scores, design, constraint, weights)
         grad_sq = float(grad @ grad)
-        before, objective = objective, ref_objective_from_scores(beta, scores, design,
-                                                                 constraint, weights)
-        # ... and when the extrapolated point's objective rose
-        if w > 0.0 and objective > before:
-            j = 1
-            restarts += 1
+        objective = ref_objective_from_scores(beta, scores, design, constraint, weights)
         history.append(objective)
     return beta, iters, grad_sq, objective, restarts, (last, j, updates)
 
@@ -633,7 +628,7 @@ class TestMatchesReferenceLoop:
         want = []
         ws = make_ws(solver, design)
         norm = constraint.p - constraint.k + 1
-        beta, rho, d_prev, run = beta0.copy(), sched.rho0, None, None
+        beta, rho, run = beta0.copy(), sched.rho0, None
         for outer in range(1, sched.max_outer + 1):
             weights = PenaltyWeights.for_problem(design.n, constraint, rho)
             beta, iters, grad_sq, objective, restarts, run = ref_solve_subproblem(
@@ -644,10 +639,6 @@ class TestMatchesReferenceLoop:
             want.append((outer, rho, iters, restarts, objective, grad_sq, d_cur, beta.copy()))
             if d_cur <= sched.dist_tol:
                 break
-            if iters:
-                if d_prev is not None and abs(d_cur - d_prev) < sched.dist_tol * (1.0 + d_prev):
-                    break
-                d_prev = d_cur
             rho *= sched.multiplier
 
         assert len(got) == len(want) > 1

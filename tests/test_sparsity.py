@@ -79,6 +79,21 @@ def test_constraint_validation():
         SparsityConstraint(k=-1, p=3)
 
 
+@pytest.mark.parametrize("k, p, bad", [(2.0, 5, "k=2.0"), (2.5, 5, "k=2.5"), (True, 5, "k=True"),
+                                       ("2", 5, "k='2'"), (1, 5.0, "p=5.0"), (1, False, "p=False")])
+def test_constraint_rejects_non_integer_sizes(k, p, bad):
+    # a float k would otherwise first fail inside project's np.partition
+    name, value = bad.split("=")
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d, got {value}$"):
+        SparsityConstraint(k=k, p=p)
+
+
+def test_constraint_accepts_numpy_integers():
+    constraint = SparsityConstraint(k=np.int64(2), p=np.int64(5))
+    beta = np.array([1.0, -3.0, 0.5, 2.0, 0.1, 7.0])
+    np.testing.assert_array_equal(project(beta, constraint), [0.0, -3.0, 0.0, 2.0, 0.0, 7.0])
+
+
 def test_from_sparsity_rounding():
     assert SparsityConstraint.from_sparsity(0.996, 500).k == 2
     assert SparsityConstraint.from_sparsity(0.0, 7).k == 7
