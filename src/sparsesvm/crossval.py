@@ -162,7 +162,7 @@ class CVTable:
                 selected[key] = summary[field]
         doc = {"rows": rows, "selected": selected}
         if self.fold_plan is not None:
-            doc["fold_plan"] = json.loads(self.fold_plan.to_json())
+            doc["fold_plan"] = self.fold_plan.to_dict()
         return json.dumps(doc, allow_nan=True)
 
 

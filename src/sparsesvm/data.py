@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -160,19 +159,12 @@ class FoldPlan:
     def train_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments != fold)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "num_folds": int(self.num_folds),
-                "seed": int(self.seed),
-                "assignments": [int(a) for a in self.assignments],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FoldPlan":
-        doc = json.loads(text)
-        return cls(int(doc["num_folds"]), np.asarray(doc["assignments"], dtype=int), int(doc["seed"]))
+    def to_dict(self) -> dict:
+        return {
+            "num_folds": int(self.num_folds),
+            "seed": int(self.seed),
+            "assignments": [int(a) for a in self.assignments],
+        }
 
 
 def _read_rows(path: Path) -> list[list[str]]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -39,7 +40,11 @@ class PenaltyWeights:
             raise ValueError("n must be positive")
         if not 0 <= rho < math.inf:
             raise ValueError(f"rho must be nonnegative and finite, got {rho}")
-        return cls(a2=1.0 / n, b2=rho / (constraint.p - constraint.k + 1), rho=float(rho))
+        b2 = rho / (constraint.p - constraint.k + 1)
+        # the solvers square b2, and a Python float's ** raises on overflow
+        if not math.isfinite(b2 * b2):
+            raise ValueError(f"rho is too large: the squared distance weight overflows at rho={rho}")
+        return cls(a2=1.0 / n, b2=b2, rho=float(rho))
 
 
 def _loss_from_slack(slack: np.ndarray) -> float:
@@ -70,40 +75,22 @@ def _rows_dot(v: np.ndarray, A: np.ndarray) -> np.ndarray:
     return v @ A
 
 
-class _lazy:
-    """A piece computed on first use and stored in the instance ``__dict__``,
-    where it shadows this non-data descriptor. Not ``functools.cached_property``,
-    which on Python 3.10 and 3.11 takes a lock on every first access (planted
-    fits about 8% slower)."""
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-        self.__doc__ = func.__doc__
-
-    def __get__(self, state, owner=None):
-        if state is None:
-            return self
-        piece = state.__dict__[self.name] = self.func(state)
-        return piece
-
-
 class ObjectiveState:
-    """The penalized objective at one point, each piece computed once.
+    """The penalized objective at one point, every piece formed once, at once.
 
-    Built from ``beta`` and its scores ``X @ beta``, which ``at`` computes; the
-    margins and slack are formed at once, everything else on first use: the
-    inner loop reads each point's ``grad_sq``, but an objective only for a
-    history and at the point it returns. Only the objective, ``grad`` and
-    ``grad_sq`` depend on the weights; ``at_weights`` moves a point to other
-    weights and shares every other piece, so none may be written in place.
+    Built from ``beta`` and its scores ``X @ beta``, which ``at`` computes:
+    the margins, slack, loss, projection ``pm`` and squared distance depend
+    only on the point; ``_weigh`` forms the objective, ``grad_sq`` and, for a
+    point without a basis, ``grad`` at the weights. ``at_weights`` moves a
+    point to other weights and shares every weight-free piece, so none may be
+    written in place.
 
     A point of the ``mm`` loop also carries ``coords``, its coordinates in the
     factor basis of its workspace ``basis`` (``V' beta`` for a thin SVD, see
-    ``solvers``). Its ``grad_sq`` is then formed from those coordinates and
-    the coordinates of the loss residual ``y * slack`` and of ``pm``, each
-    read from the nonzero rows of a factor and kept for the next step; the
-    vector ``grad`` is formed only on request.
+    ``solvers``), and the coordinates of the loss residual ``y * slack`` and
+    of ``pm``, each read from the nonzero rows of a factor; its ``grad_sq`` is
+    formed from those, which the next step reads too. No solver reads the
+    vector ``grad`` of such a point, so it is formed only on request.
     """
 
     def __init__(self, beta, scores, design, constraint, weights, coords=None, basis=None):
@@ -111,11 +98,17 @@ class ObjectiveState:
         self.scores = scores
         self.coords = coords
         self._design = design
-        self._constraint = constraint
-        self._weights = weights
         self._basis = basis
         self.margins = design.y * scores
         self.slack = np.maximum(0.0, 1.0 - self.margins)
+        self.loss = _loss_from_slack(self.slack)
+        self.pm = project(beta, constraint)
+        diff = beta - self.pm
+        self.sq_dist = float(diff @ diff)
+        if basis is not None:
+            self.residual_coords = basis.residual_coords(design.y * self.slack)
+            self.pm_coords = basis.coords(self.pm, design)
+        self._weigh(weights)
 
     @classmethod
     def at(cls, beta, design: DesignMatrix, constraint: SparsityConstraint,
@@ -126,61 +119,38 @@ class ObjectiveState:
         coords = None if basis is None else basis.coords(beta, design)
         return cls(beta, design.X @ beta, design, constraint, weights, coords, basis)
 
+    def _weigh(self, weights: PenaltyWeights) -> None:
+        """Form the pieces that depend on ``weights``."""
+        self._weights = weights
+        self.objective = self.loss + self.penalty
+        self._grad = None
+        if self._basis is None:
+            self.grad_sq = float(self.grad @ self.grad)
+        else:
+            self.grad_sq = self._basis.grad_sq(self, self._design, weights)
+
     def at_weights(self, weights: PenaltyWeights) -> ObjectiveState:
-        """This point at ``weights``: a shallow copy sharing every weight-free
-        piece formed so far, whose objective and gradient are formed anew."""
-        state = object.__new__(ObjectiveState)
-        state.__dict__ = {name: piece for name, piece in self.__dict__.items()
-                          if name not in ("objective", "grad", "grad_sq")}
-        state._weights = weights
+        """This point at ``weights``: itself if it is already there, else a
+        shallow copy sharing every weight-free piece, weighed anew."""
+        if weights == self._weights:
+            return self
+        state = copy.copy(self)
+        state._weigh(weights)
         return state
-
-    @_lazy
-    def pm(self) -> np.ndarray:
-        """Projection of ``beta`` onto the sparsity set."""
-        return project(self.beta, self._constraint)
-
-    @_lazy
-    def sq_dist(self) -> float:
-        """Squared distance from ``beta`` to the sparsity set."""
-        diff = self.beta - self.pm
-        return float(diff @ diff)
-
-    @_lazy
-    def residual_coords(self) -> np.ndarray:
-        """Coordinates of the loss residual ``y * slack`` in ``basis``."""
-        return self._basis.residual_coords(self._design.y * self.slack)
-
-    @_lazy
-    def pm_coords(self) -> np.ndarray:
-        """Coordinates of ``pm`` in ``basis``."""
-        return self._basis.coords(self.pm, self._design)
-
-    @_lazy
-    def loss(self) -> float:
-        return _loss_from_slack(self.slack)
 
     @property
     def penalty(self) -> float:
         return 0.5 * self._weights.b2 * self.sq_dist
 
-    @_lazy
-    def objective(self) -> float:
-        return self.loss + self.penalty
-
-    @_lazy
+    @property
     def grad(self) -> np.ndarray:
-        # X^T v with v_i = -a2 * y_i * max(0, 1 - margin_i), plus the penalty pull;
-        # v vanishes on the rows outside the margin, so only the others are read
-        weights = self._weights
-        g = _rows_dot(-weights.a2 * self._design.y * self.slack, self._design.X)
-        return g + weights.b2 * (self.beta - self.pm)
-
-    @_lazy
-    def grad_sq(self) -> float:
-        if self.coords is None:
-            return float(self.grad @ self.grad)
-        return self._basis.grad_sq(self, self._design, self._weights)
+        if self._grad is None:
+            # X^T v with v_i = -a2 * y_i * max(0, 1 - margin_i), plus the penalty pull;
+            # v vanishes on the rows outside the margin, so only the others are read
+            weights = self._weights
+            g = _rows_dot(-weights.a2 * self._design.y * self.slack, self._design.X)
+            self._grad = g + weights.b2 * (self.beta - self.pm)
+        return self._grad
 
 
 def hinge_loss(beta: np.ndarray, design: DesignMatrix) -> float:
@@ -201,9 +171,7 @@ def gradient(beta, design: DesignMatrix, constraint: SparsityConstraint, weights
 
 def penalized_objective(beta, design, constraint, weights) -> ObjectiveState:
     """The state at ``beta`` with its objective and gradient already evaluated."""
-    state = ObjectiveState.at(beta, design, constraint, weights)
-    state.objective, state.grad  # forces both lazy pieces
-    return state
+    return ObjectiveState.at(beta, design, constraint, weights)
 
 
 def surrogate_value(beta, anchor, design, constraint, weights) -> float:

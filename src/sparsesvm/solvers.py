@@ -356,7 +356,8 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
     from its kept point, moved to these weights
     by ``ObjectiveState.at_weights``: its scores, coordinates, projection,
     distance, loss and residual and projection coordinates carry over, and
-    only its objective and gradient are formed anew. One fit thus computes
+    only its objective and gradient are formed anew; a fresh start is already
+    at these weights and is not weighed again. One fit thus computes
     ``X @ beta`` once and projects each point once.
 
     The second term is the squared pull of the distance penalty, which at the
@@ -376,11 +377,12 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
     restart of O'Donoghue and Candes, read from the step). No objective is
     compared, so the kept objective may rise.
 
-    Only the kept point is evaluated (see ``ObjectiveState``), once per
-    update, and convergence is tested there. Scores, and an ``mm`` point's
-    coordinates in its workspace's factor basis, are linear in the
-    coefficients: each step hands back its iterate's, and the kept point's
-    are extrapolated from those of the last two iterates. An accelerated
+    Each update forms one point, the kept one, with every piece of its
+    evaluation at once (see ``ObjectiveState``), and convergence is tested
+    there. Scores, and an ``mm`` point's coordinates in its workspace's factor
+    basis, are linear in the coefficients: each step hands back its
+    iterate's, and the kept point's are extrapolated from those of the last
+    two iterates. An accelerated
     iteration thus reads the factors in full twice with ``mm`` on a thin SVD
     (``V @ coef`` and the new scores ``U @ (s t)``), once with ``mm`` on a
     gram eigendecomposition (``Q @ [u - w, lam u]``), and the design once

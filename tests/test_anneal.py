@@ -198,6 +198,27 @@ class TestWorkCount:
         assert report.total_inner_iters > 100
         assert len(calls) == report.total_inner_iters + 1
 
+    def test_sd_forms_one_gradient_per_point(self, monkeypatch):
+        """An ``sd`` fit forms the gradient of each point it evaluates once: the
+        start, each update's kept point, and each later level's start moved to
+        its weights, so ``levels + inner iterations`` passes over the design."""
+        ds, _ = gen_gaussian_causal(120, 40, 4, 5)
+        design = binarize(ds, 1, 0)
+        passes = []
+        mod = sys.modules["sparsesvm.objective"]
+        real = mod._rows_dot
+
+        def counting(v, A):
+            if A is design.X:
+                passes.append(1)
+            return real(v, A)
+
+        monkeypatch.setattr(mod, "_rows_dot", counting)
+        _, report = prox_dist_fit(design, SparsityConstraint(k=4, p=40), init_heuristic(design),
+                                  solver="sd")
+        assert report.outer_iters > 1 and report.total_inner_iters > 100
+        assert len(passes) == report.outer_iters + report.total_inner_iters
+
 
 class Counted(np.ndarray):
     """A named factor or design whose matrix products are appended to
@@ -455,21 +476,19 @@ class TestStopReason:
 
 
 def record_tested_points(monkeypatch):
-    """The inner loop's tested points, in order: each point whose squared
-    gradient it read, as (grad_sq, its pull bound TAU^2 ||b2 (beta - P(beta))||^2)."""
+    """The inner loop's tested points, in order: each point weighed, whose
+    squared gradient the loop reads, as (the point, grad_sq, its pull bound
+    TAU^2 ||b2 (beta - P(beta))||^2)."""
     tested = []
 
     class Recording(solvers.ObjectiveState):
         __slots__ = ()
 
-        @property
-        def grad_sq(self):
-            grad_sq = super().grad_sq
-            if not tested or tested[-1][0] is not self:
-                b2 = self._weights.b2
-                bound = (anneal.TAU * b2) ** 2 * self.sq_dist if b2 != 0.0 else 0.0
-                tested.append((self, grad_sq, bound))
-            return grad_sq
+        def _weigh(self, weights):
+            super()._weigh(weights)
+            b2 = weights.b2
+            bound = (anneal.TAU * b2) ** 2 * self.sq_dist if b2 != 0.0 else 0.0
+            tested.append((self, self.grad_sq, bound))
 
     monkeypatch.setattr(solvers, "ObjectiveState", Recording)
     return tested

@@ -382,6 +382,18 @@ class TestErrors:
         assert err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "trace"])
+    def test_overflowing_rho0_rejected(self, tmp_path, capsys, causal_csv, command):
+        """A finite rho0 whose squared distance weight overflows ends in one
+        line naming rho, not a traceback."""
+        out = tmp_path / "out"
+        rc, stdout, err = run_cli(capsys, command, "--data", str(causal_csv), "--keep", "3",
+                                  "--rho0", "1e300", "--output", str(out))
+        assert rc == 1 and stdout == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("error: ") and "rho is too large" in err
+        assert not out.exists()
+
     def test_missing_data_file_is_reported(self, tmp_path, capsys):
         rc, _, err = run_cli(capsys, "train", "--data", str(tmp_path / "nope.csv"),
                              "--output", str(tmp_path / "m.json"))

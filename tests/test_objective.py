@@ -73,6 +73,14 @@ class TestPenaltyWeights:
         with pytest.raises(ValueError):
             PenaltyWeights.for_problem(10, SparsityConstraint(k=1, p=4), rho=-1.0)
 
+    def test_rho_whose_squared_weight_overflows_rejected(self):
+        """The solvers square b2; a finite rho that overflows it is refused by
+        name, one that does not is kept."""
+        constraint = SparsityConstraint(k=1, p=4)
+        with pytest.raises(ValueError, match="rho"):
+            PenaltyWeights.for_problem(10, constraint, rho=1e300)
+        assert PenaltyWeights.for_problem(10, constraint, rho=1e150).b2 == 1e150 / 4
+
 
 class TestPenalizedObjective:
     def test_rho_zero_equals_loss(self, rng):
