@@ -68,8 +68,8 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
     returned coefficients are the projection of the last iterate, so they are
     always feasible, though that iterate's squared gradient norm is usually
     above ``cfg.grad_tol``. ``solver`` is a key of ``solvers.SOLVERS`` or a
-    workspace ``solvers.make_workspace`` built for ``design``, which can then
-    be reused across fits.
+    workspace ``solvers.make_workspace`` built for ``design``, which holds
+    only its factorization and may be shared by fits in one thread or several.
     """
     sched = sched or AnnealSchedule()
     cfg = cfg or SolverConfig()

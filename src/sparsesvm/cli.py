@@ -322,6 +322,8 @@ def cmd_cv(args) -> int:
     table = cross_validate(ds_cv, folds, grid, solver=args.algorithm, sched=_schedule(args),
                            cfg=_solver_config(args), holdout=holdout, kernel=kernel,
                            n_threads=threads)
+    if all(row.error is not None for row in table.rows):
+        raise RuntimeError(f"every cross-validation fit failed: {table.rows[0].error}")
     text = (table.to_json(include_timings=args.timings) + "\n"
             if args.format == "json" else table.to_csv(include_timings=args.timings))
     _write_text(args.output, text)

@@ -26,7 +26,7 @@ iteration reads the factors in full twice (once for the gram form).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -50,10 +50,10 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MMWorkspace:
-    """Thin SVD of the design, shared across penalty levels and sparsity levels,
-    with per-singular-value update coefficients cached for the current weights.
+    """Thin SVD of the design, shared across penalty levels, sparsity levels and
+    threads: it holds only the factorization.
 
     ``from_design`` takes it from ``data.thin_svd``: the eigendecomposition of
     ``X'X`` (``XX'`` for a wide design) where squaring the design still keeps
@@ -63,9 +63,6 @@ class MMWorkspace:
     """
 
     svd: ThinSVD
-    _key: tuple | None = field(default=None, repr=False)
-    _c1: np.ndarray | None = field(default=None, repr=False)
-    _c2: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def from_design(cls, design: DesignMatrix) -> "MMWorkspace":
@@ -73,14 +70,9 @@ class MMWorkspace:
 
     def coefficients(self, weights: PenaltyWeights):
         """c1_j = a2 s_j / (a2 s_j^2 + b2), c2_j = a2 s_j^2 / (a2 s_j^2 + b2)."""
-        key = (weights.a2, weights.b2)
-        if self._key != key:
-            s = self.svd.s
-            denom = weights.a2 * s * s + weights.b2
-            self._c1 = weights.a2 * s / denom
-            self._c2 = weights.a2 * s * s / denom
-            self._key = key
-        return self._c1, self._c2
+        s = self.svd.s
+        denom = weights.a2 * s * s + weights.b2
+        return weights.a2 * s / denom, weights.a2 * s * s / denom
 
     def coords(self, x, design: DesignMatrix) -> np.ndarray:
         """``V' x``, read from the rows of V where ``x`` is nonzero."""
@@ -95,9 +87,9 @@ class MMWorkspace:
         V = self.svd.V
         return _factored_grad_sq(ev, self.svd.s, V.shape[1] == V.shape[0], weights)
 
-    def step(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights):
+    def step(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights, coefs):
         """The exact minimizer of the anchored majorizer at ``ev``, its scores and
-        coordinates ``t = V' beta``.
+        coordinates ``t = V' beta``; ``coefs`` is ``coefficients(weights)``.
 
         ``z - scores = y * slack`` and ``U' scores = s t``, so ``U' z`` comes from
         the coordinates and the residual's, and the new scores are ``U (s t)``.
@@ -108,7 +100,7 @@ class MMWorkspace:
             # unpenalized system: minimum-norm least-squares solution
             t = uz / svd.s
             return svd.V @ t, svd.U @ uz, t
-        c1, c2 = self.coefficients(weights)
+        c1, c2 = coefs
         vpm = ev.pm_coords
         coef = c1 * uz - c2 * vpm
         t = vpm + coef
@@ -146,11 +138,11 @@ def _factored_grad_sq(ev: ObjectiveState, scale, square: bool, weights: PenaltyW
     return grad_sq
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelMMWorkspace:
     """Eigendecomposition K = Q diag(lam) Q' of the gram matrix of a kernel
-    design [K diag(y) | 1], shared across penalty and sparsity levels, with the
-    update's coefficients cached for the current weights.
+    design [K diag(y) | 1], shared across penalty levels, sparsity levels and
+    threads: it holds only the factorization.
 
     Eigenpairs with ``|lam| <= RANK_TOL max |lam|`` are dropped, as ``thin_svd``
     drops small singular values. ``W = diag(y) Q`` has orthonormal columns and
@@ -167,8 +159,6 @@ class KernelMMWorkspace:
     Q: np.ndarray
     lam: np.ndarray
     q1: np.ndarray          # Q' 1
-    _key: tuple | None = field(default=None, repr=False)
-    _coef: tuple | None = field(default=None, repr=False)
 
     @classmethod
     def from_gram(cls, K: np.ndarray) -> "KernelMMWorkspace":
@@ -184,17 +174,13 @@ class KernelMMWorkspace:
     def coefficients(self, weights: PenaltyWeights):
         """d = a2 lam^2 + b2, g = a2 lam q1 / d, and the intercept's Schur
         complement a2 n + b2 - a2 sum(lam q1 g)."""
-        key = (weights.a2, weights.b2)
-        if self._key != key:
-            if weights.b2 == 0.0:
-                raise ValueError("the gram factorization needs a positive distance weight b2")
-            a2, lam = weights.a2, self.lam
-            d = a2 * lam * lam + weights.b2
-            g = a2 * lam * self.q1 / d
-            schur = a2 * self.Q.shape[0] + weights.b2 - a2 * float((lam * self.q1) @ g)
-            self._coef = (d, g, schur)
-            self._key = key
-        return self._coef
+        if weights.b2 == 0.0:
+            raise ValueError("the gram factorization needs a positive distance weight b2")
+        a2, lam = weights.a2, self.lam
+        d = a2 * lam * lam + weights.b2
+        g = a2 * lam * self.q1 / d
+        schur = a2 * self.Q.shape[0] + weights.b2 - a2 * float((lam * self.q1) @ g)
+        return d, g, schur
 
     def coords(self, x, design: DesignMatrix) -> np.ndarray:
         """``W' x_a = Q' (y x_a)`` of the dual weights ``x_a = x[:-1]``, read from
@@ -213,14 +199,14 @@ class KernelMMWorkspace:
         return (_factored_grad_sq(ev, self.lam, Q.shape[1] == Q.shape[0], weights)
                 + intercept * intercept)
 
-    def step(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights):
+    def step(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights, coefs):
         """The exact minimizer of the anchored majorizer at ``ev``, its scores and
-        coordinates ``u = W' beta_a``.
+        coordinates ``u = W' beta_a``; ``coefs`` is ``coefficients(weights)``.
 
         The scores are ``Q (lam u) + beta0``, so with ``z - scores = y * slack``
         ``Q' z = lam u + beta0 Q'1 + Q' (y slack)`` comes from the coordinates.
         """
-        d, g, schur = self.coefficients(weights)
+        d, g, schur = coefs
         a2, b2, lam, Q, y = weights.a2, weights.b2, self.lam, self.Q, design.y
         pm = ev.pm
         w = ev.pm_coords
@@ -251,7 +237,8 @@ def _require(ws, *kinds):
 
 def mm_update(beta, ws: MMWorkspace | KernelMMWorkspace, design: DesignMatrix,
               constraint: SparsityConstraint, weights: PenaltyWeights) -> np.ndarray:
-    """Exact minimizer of the anchored majorizer via the cached factorization.
+    """Exact minimizer of the anchored majorizer via the workspace's factorization,
+    with the update's coefficients formed for this call.
 
     Four full passes on a thin SVD (three on a gram eigendecomposition):
     ``X @ beta`` and ``V' beta``, ``V @ coef``, and the new scores ``U (s t)``,
@@ -259,7 +246,7 @@ def mm_update(beta, ws: MMWorkspace | KernelMMWorkspace, design: DesignMatrix,
     would need a second step path.
     """
     ev = ObjectiveState.at(beta, design, constraint, weights, _require(ws, *_MM_KINDS))
-    return ws.step(ev, design, weights)[0]
+    return ws.step(ev, design, weights, ws.coefficients(weights))[0]
 
 
 def _exact_step(gsq: float, Xg: np.ndarray, weights: PenaltyWeights, guard: float) -> float:
@@ -272,7 +259,7 @@ def step_size(grad, design: DesignMatrix, weights: PenaltyWeights, guard: float)
     return _exact_step(float(grad @ grad), design.X @ grad, weights, guard)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SDWorkspace:
     """Denominator guard for the exact line search, fixed per design."""
 
@@ -284,7 +271,11 @@ class SDWorkspace:
         fro2 = float(np.sum(design.X * design.X))
         return cls(guard=1e-12 * (1.0 + a2 * fro2))
 
-    def step(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights):
+    def coefficients(self, weights: PenaltyWeights):
+        """None: the line search forms nothing per level."""
+        return None
+
+    def step(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights, coefs):
         """The descent step from ``ev`` and, by linearity, the new iterate's scores;
         ``sd`` keeps no coordinates."""
         Xg = design.X @ ev.grad
@@ -296,7 +287,7 @@ def sd_update(beta, ws: SDWorkspace, design: DesignMatrix,
               constraint: SparsityConstraint, weights: PenaltyWeights) -> np.ndarray:
     """One steepest-descent step with the exact surrogate line search."""
     ev = ObjectiveState.at(beta, design, constraint, weights)
-    return _require(ws, SDWorkspace).step(ev, design, weights)[0]
+    return _require(ws, SDWorkspace).step(ev, design, weights, ws.coefficients(weights))[0]
 
 
 # each solver is its workspace type, whose ``step`` is the solver's update
@@ -349,6 +340,10 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
     """Iterate ``ws.step`` until the squared gradient norm drops below
     ``max(cfg.grad_tol, pull_tol**2 * ||b2 (beta - P(beta))||**2)`` or
     ``cfg.max_inner`` updates have been taken at this level.
+
+    The level's update coefficients (``ws.coefficients``) are formed once,
+    before its first update; the workspace holds nothing per level, so one
+    workspace serves concurrent fits.
 
     ``start`` is a coefficient vector, for a fresh run (one entry per design
     column, else ``ValueError``), or the ``_Run`` the previous penalty level
@@ -404,6 +399,7 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
         start = _Run(ev, (ev.beta, ev.scores, ev.coords), 1, 0)
     kept, last, j, updates = start
     cur = kept.at_weights(weights)
+    coefs = ws.coefficients(weights)
     pull_sq = (pull_tol * weights.b2) ** 2
 
     def small(ev):
@@ -412,7 +408,7 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
 
     iters = restarts = 0
     while iters < cfg.max_inner and not small(cur):
-        beta, scores, coords = new = ws.step(cur, design, weights)
+        beta, scores, coords = new = ws.step(cur, design, weights, coefs)
         iters += 1
         updates += 1
         if cfg.accel and WARMUP < updates and iters < cfg.max_inner:

@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from sparsesvm.config import AnnealSchedule, SolverConfig
 from sparsesvm.data import DesignMatrix, ThinSVD, binarize
 from sparsesvm.multiclass import GaussianKernelSpec, PairProblem, init_heuristic
 from sparsesvm.objective import PenaltyWeights, gradient
-from sparsesvm.simdata import gen_gaussian_causal, gen_spiral
+from sparsesvm.simdata import gen_gaussian_causal, gen_spiral, gen_synthetic_corr
 from sparsesvm.sparsity import SparsityConstraint, sq_distance
 
 from conftest import random_problem
@@ -312,7 +313,7 @@ class TestOneRunPerFit:
         design, constraint, beta0, _ = planted_level()
         ws = solvers.make_workspace(design, solver)
         records, updates = [], []
-        step, past = ws.step, solvers._past
+        step, past = type(ws).step, solvers._past
 
         def counting_step(*args):
             updates.append([len(records) + 1, False])
@@ -322,7 +323,7 @@ class TestOneRunPerFit:
             updates[-1][1] = True
             return past(new, old, w)
 
-        monkeypatch.setattr(ws, "step", counting_step)
+        monkeypatch.setattr(type(ws), "step", counting_step)
         monkeypatch.setattr(solvers, "_past", marking_past)
         _, report = prox_dist_fit(design, constraint, beta0, solver=ws, cfg=cfg,
                                   sched=sched or AnnealSchedule(), trace_hook=records.append)
@@ -594,3 +595,66 @@ class TestRelativeStop:
                      rec.distance) == (off.outer, off.rho, off.inner_iters, off.objective,
                                        off.grad_sq, off.distance))
             np.testing.assert_array_equal(rec.beta, off.beta)
+
+
+def corr_problem(solver):
+    """A correlated-pair design whose factor has 511 columns, its workspace and a
+    constraint per sparsity level."""
+    design = binarize(gen_synthetic_corr(540, 510, 1)[0], 1, 0)
+    return (design, solvers.make_workspace(design, solver),
+            lambda s: SparsityConstraint.from_sparsity(s, design.p))
+
+
+def spiral_problem(solver):
+    """A kernel pair whose gram matrix keeps more than 500 eigenpairs."""
+    problem = PairProblem.build(gen_spiral(350, 200, 20, seed=0), 0, 1,
+                                GaussianKernelSpec(gamma=4.0), solver=solver)
+    assert problem.workspace.lam.size > 500
+    return problem.design, problem.workspace, problem.constraint
+
+
+class TestSharedWorkspace:
+    """One workspace serves fits in several threads at once. On a factor wider
+    than 500 columns numpy releases the interpreter lock inside element-wise
+    operations, so a workspace that kept per-level state would hand one level's
+    update coefficients to another level's fit."""
+
+    LEVELS = (0.5, 0.9, 0.95, 0.99)
+
+    @pytest.mark.parametrize("build, solver",
+                             [(corr_problem, "mm"), (corr_problem, "sd"), (spiral_problem, "mm")])
+    def test_threaded_fits_equal_serial_ones(self, build, solver):
+        design, ws, constraint = build(solver)
+        beta0 = init_heuristic(design)
+        sched, cfg = AnnealSchedule(max_outer=30), SolverConfig(max_inner=200)
+
+        def fit(s):
+            beta, report = prox_dist_fit(design, constraint(s), beta0, solver=ws,
+                                         sched=sched, cfg=cfg)
+            return beta, report.total_inner_iters
+
+        serial = {s: fit(s) for s in self.LEVELS}
+        threaded = {s: [] for s in self.LEVELS}
+        barrier = threading.Barrier(len(self.LEVELS))
+
+        def worker(s):
+            barrier.wait()
+            for _ in range(2):
+                threaded[s].append(fit(s))
+
+        threads = [threading.Thread(target=worker, args=(s,)) for s in self.LEVELS]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for s in self.LEVELS:
+            want_beta, want_iters = serial[s]
+            assert len(threaded[s]) == 2
+            for beta, iters in threaded[s]:
+                assert np.array_equal(beta, want_beta) and iters == want_iters

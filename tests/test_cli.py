@@ -394,6 +394,19 @@ class TestErrors:
         assert err.startswith("error: ") and "rho is too large" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("output", [("--output", "t.json"), ("--format", "csv")],
+                             ids=["file", "stdout"])
+    def test_cv_with_every_fit_failed_exits_nonzero(self, tmp_path, capsys, causal_csv, output):
+        """When no fit of the grid succeeds, ``cv`` writes no table: one line
+        names the first row's error."""
+        output = tuple(str(tmp_path / tok) if tok.endswith(".json") else tok for tok in output)
+        rc, stdout, err = run_cli(capsys, "cv", "--data", str(causal_csv), "--grid", "0,0.5",
+                                  "--folds", "3", "--rho0", "1e300", *output)
+        assert rc == 1 and stdout == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("error: every cross-validation fit failed: rho is too large")
+        assert not (tmp_path / "t.json").exists()
+
     def test_missing_data_file_is_reported(self, tmp_path, capsys):
         rc, _, err = run_cli(capsys, "train", "--data", str(tmp_path / "nope.csv"),
                              "--output", str(tmp_path / "m.json"))

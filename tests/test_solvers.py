@@ -148,7 +148,8 @@ def kernel_problem(rng, n, gamma):
 
 def step_at(ws, beta, design, constraint, weights):
     """``ws.step`` from the state at ``beta`` with its coordinates in ``ws``."""
-    return ws.step(ObjectiveState.at(beta, design, constraint, weights, ws), design, weights)
+    return ws.step(ObjectiveState.at(beta, design, constraint, weights, ws), design, weights,
+                   ws.coefficients(weights))
 
 
 class TestKernelMMWorkspace:
@@ -194,9 +195,8 @@ class TestKernelMMWorkspace:
         K, design = kernel_problem(rng, 20, 0.5)
         constraint = SparsityConstraint(k=10, p=20)
         weights = PenaltyWeights.for_problem(design.n, constraint, 0.0)
-        ev = ObjectiveState.at(rng.standard_normal(21), design, constraint, weights)
         with pytest.raises(ValueError, match="positive distance weight"):
-            KernelMMWorkspace.from_gram(K).step(ev, design, weights)
+            KernelMMWorkspace.from_gram(K).coefficients(weights)
 
     def test_chosen_by_make_workspace_for_mm_given_the_gram(self, rng):
         K, design = kernel_problem(rng, 20, 0.5)
