@@ -194,6 +194,11 @@ def _write_text(path, text: str) -> None:
 
 
 def cmd_gen(args) -> int:
+    out = Path(args.output)
+    sidecar_path = out.with_suffix(".json")
+    if sidecar_path == out:
+        raise ValueError(f"--output {out} would be overwritten by its JSON sidecar; "
+                         "give the CSV another suffix")
     if args.family == "synthetic-corr":
         ds, planted = gen_synthetic_corr(args.n, args.p, args.seed)
         spec = SimSpec("synthetic-corr", args.n, args.p, args.seed)
@@ -206,7 +211,6 @@ def cmd_gen(args) -> int:
         spec = SimSpec("spiral", ds.n, 2, args.seed,
                        params={"n_a": args.n_a, "n_b": args.n_b, "n_c": args.n_c})
 
-    out = Path(args.output)
     with out.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"f{j + 1}" for j in range(ds.p)] + ["label"])
@@ -220,8 +224,8 @@ def cmd_gen(args) -> int:
     else:
         sidecar["beta_true"] = None
         sidecar["support"] = None
-    out.with_suffix(".json").write_text(json.dumps(sidecar), encoding="utf-8")
-    print(f"wrote {out} ({ds.n} rows, {ds.p} features) and {out.with_suffix('.json')}")
+    sidecar_path.write_text(json.dumps(sidecar), encoding="utf-8")
+    print(f"wrote {out} ({ds.n} rows, {ds.p} features) and {sidecar_path}")
     return 0
 
 

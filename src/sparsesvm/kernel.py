@@ -1,9 +1,9 @@
-"""Gaussian-kernel classification through a labeled gram design.
+"""Gaussian kernels: gram matrices, bandwidths and the fitted kernel model.
 
-The trick: build [K diag(y) | 1] and hand it to the linear machinery, whose
-coefficient vector then holds dual weights (one per training sample) plus an
-intercept. Sparsity applied to those weights bounds the number of retained
-training samples.
+A kernel pair is fitted as a linear pair whose features are the columns of
+its gram matrix: the design ``[K | 1]`` holds signed dual weights
+``c_j = y_j alpha_j`` plus an intercept. Sparsity applied to those weights
+bounds the number of retained training samples.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DesignMatrix
-
-__all__ = ["KernelModel", "gram_matrix", "kernel_design", "kernel_predict", "median_bandwidth"]
+__all__ = ["KernelModel", "gram_matrix", "kernel_predict", "median_bandwidth"]
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -44,15 +42,6 @@ def median_bandwidth(features: np.ndarray) -> float:
     if med <= 0.0:
         med = 1.0
     return 1.0 / (X.shape[1] * med)
-
-
-def kernel_design(K: np.ndarray, y: np.ndarray) -> DesignMatrix:
-    """Design [K diag(y) | 1]; its coefficient vector is dual weights + intercept."""
-    K = np.asarray(K, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if K.shape != (y.size, y.size):
-        raise ValueError(f"gram matrix shape {K.shape} does not match {y.size} labels")
-    return DesignMatrix(np.column_stack([K * y[None, :], np.ones(K.shape[0])]), y)
 
 
 @dataclass(frozen=True)

@@ -178,6 +178,8 @@ def load_model(path) -> SavedModel:
     """Read a model file; any malformed document raises ``ValueError("<path>: ...")``."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not a valid model file: {exc}") from exc
     try:

@@ -11,7 +11,7 @@ import numpy as np
 from .anneal import FitError, prox_dist_fit
 from .config import AnnealSchedule, FitReport, SolverConfig
 from .data import DataError, Dataset, DesignMatrix, binarize
-from .kernel import KernelModel, gram_matrix, kernel_design, kernel_predict, median_bandwidth
+from .kernel import KernelModel, gram_matrix, kernel_predict, median_bandwidth
 from .solvers import make_workspace
 from .sparsity import SparsityConstraint
 
@@ -102,20 +102,20 @@ def ordered_map(func, items, n_threads: int = 1) -> list:
 class PairProblem:
     """One class pair as a binary design, fitted into ``PairClassifier``s.
 
-    The design is ``binarize``'s; with a kernel it becomes [K diag(y) | 1]
-    over that design's feature rows and +/-1 labels, which the fitted
-    ``KernelModel`` keeps as its training rows. The solver's workspace is
-    built at ``build`` (for ``mm`` on a kernel pair, from the gram matrix K);
-    the last coefficients and the penalty of the last level solved persist
-    across ``fit`` calls, so each call after the first warm-starts where the
-    previous one stopped.
+    The design is ``binarize``'s; with a kernel it becomes ``[K | 1]`` over
+    the gram matrix K of its feature rows, whose coefficients are the signed
+    dual weights ``c = y alpha`` and an intercept; the fitted ``KernelModel``
+    keeps ``alpha`` and the feature rows and labels. The solver's workspace is
+    built at ``build``; the last coefficients and the penalty of the last
+    level solved persist across ``fit`` calls, so each call after the first
+    warm-starts where the previous one stopped.
     """
 
     positive: int
     negative: int
     design: DesignMatrix
     workspace: object
-    kernel_rows: tuple[np.ndarray, np.ndarray, float] | None = None
+    kernel_rows: tuple[np.ndarray, float] | None = None
     warm: np.ndarray | None = None
     rho: float | None = None
 
@@ -123,14 +123,13 @@ class PairProblem:
     def build(cls, ds: Dataset, pos: int, neg: int,
               kernel: GaussianKernelSpec | None = None, solver: str = "mm") -> "PairProblem":
         design = binarize(ds, pos, neg)
-        kernel_rows = gram = None
+        kernel_rows = None
         if kernel is not None:
             feats = np.ascontiguousarray(design.X[:, :-1])
             gamma = kernel.gamma if kernel.gamma is not None else median_bandwidth(feats)
-            kernel_rows = (feats, design.y, gamma)
-            gram = gram_matrix(feats, gamma)
-            design = kernel_design(gram, design.y)
-        return cls(pos, neg, design, make_workspace(design, solver, gram), kernel_rows)
+            kernel_rows = (feats, gamma)
+            design = DesignMatrix.from_features(gram_matrix(feats, gamma), design.y)
+        return cls(pos, neg, design, make_workspace(design, solver), kernel_rows)
 
     def constraint(self, sparsity) -> SparsityConstraint:
         """A SparsityConstraint for this design's p, or a fraction of it."""
@@ -154,8 +153,11 @@ class PairProblem:
         self.rho = report.rho
         if self.kernel_rows is None:
             return PairClassifier(self.positive, self.negative, coef=beta, report=report)
-        feats, y, gamma = self.kernel_rows
-        model = KernelModel(alpha=beta, gamma=gamma, train_features=feats, train_labels=y)
+        feats, gamma = self.kernel_rows
+        y = self.design.y
+        # alpha = y c, where + 0.0 turns the -0.0 of a dropped weight with y = -1 into 0.0
+        alpha = np.append(y * beta[:-1] + 0.0, beta[-1])
+        model = KernelModel(alpha=alpha, gamma=gamma, train_features=feats, train_labels=y)
         return PairClassifier(self.positive, self.negative, kernel=model, report=report)
 
 

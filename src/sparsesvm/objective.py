@@ -107,7 +107,7 @@ class ObjectiveState:
         self.sq_dist = float(diff @ diff)
         if basis is not None:
             self.residual_coords = basis.residual_coords(design.y * self.slack)
-            self.pm_coords = basis.coords(self.pm, design)
+            self.pm_coords = basis.coords(self.pm)
         self._weigh(weights)
 
     @classmethod
@@ -116,7 +116,7 @@ class ObjectiveState:
         """The state at ``beta``, its scores (and its coordinates in ``basis``,
         if given) computed from the design."""
         beta = np.asarray(beta, dtype=float)
-        coords = None if basis is None else basis.coords(beta, design)
+        coords = None if basis is None else basis.coords(beta)
         return cls(beta, design.X @ beta, design, constraint, weights, coords, basis)
 
     def _weigh(self, weights: PenaltyWeights) -> None:

@@ -10,14 +10,14 @@ wide) at about half the cost of LAPACK's SVD. Squaring the design squares its
 condition number, and the factors lose orthogonality in step, so that route is
 guarded: a design whose gram eigenvalues span ``data.GRAM_SPAN (n + p)`` or
 more, a rank-deficient one among them, is factored by LAPACK's SVD instead.
-For a kernel design [K diag(y) | 1] it is an eigendecomposition of the
-symmetric gram matrix K, with the intercept column solved by a
-one-dimensional Schur complement.
+For a design [F | 1] whose feature block F is square and exactly symmetric,
+as a kernel pair's [K | 1] is, it is an eigendecomposition of F, with the
+intercept column solved by a one-dimensional Schur complement.
 Each solver is its workspace type (``SOLVERS``), whose ``step`` is its update;
-``make_workspace`` picks the gram form of ``mm`` when it is given K.
+``make_workspace`` picks the gram form of ``mm`` for such a design.
 
 The ``mm`` loop runs in the factorization's coordinates: each point carries
-its coordinates in the factor basis (``V' beta``, or ``W' beta_a`` for the
+its coordinates in the factor basis (``V' beta``, or ``Q' beta_a`` for the
 gram form), which give its working response, its new scores and its squared
 gradient norm without a full pass over the design, so an accelerated
 iteration reads the factors in full twice (once for the gram form).
@@ -74,7 +74,7 @@ class MMWorkspace:
         denom = weights.a2 * s * s + weights.b2
         return weights.a2 * s / denom, weights.a2 * s * s / denom
 
-    def coords(self, x, design: DesignMatrix) -> np.ndarray:
+    def coords(self, x) -> np.ndarray:
         """``V' x``, read from the rows of V where ``x`` is nonzero."""
         return _rows_dot(x, self.svd.V)
 
@@ -110,7 +110,7 @@ class MMWorkspace:
 def _factored_grad_sq(ev: ObjectiveState, scale, square: bool, weights: PenaltyWeights) -> float:
     """``||grad||^2`` at ``ev`` for a factorization ``X = R diag(scale) C'`` with
     orthonormal R (n x r) and C (p x r): ``U, s, V`` of a thin SVD, or ``Q, lam,
-    W`` of a gram eigendecomposition (whose intercept column ``kernel`` adds).
+    Q`` of a gram eigendecomposition (whose intercept column it adds).
 
     With ``t = C' beta`` and ``dt = t - C' pm``, the gradient
     ``X' (-a2 y slack) + b2 (beta - pm)`` has the coordinates
@@ -140,18 +140,18 @@ def _factored_grad_sq(ev: ObjectiveState, scale, square: bool, weights: PenaltyW
 
 @dataclass(frozen=True)
 class KernelMMWorkspace:
-    """Eigendecomposition K = Q diag(lam) Q' of the gram matrix of a kernel
-    design [K diag(y) | 1], shared across penalty levels, sparsity levels and
-    threads: it holds only the factorization.
+    """Eigendecomposition F = Q diag(lam) Q' of the square symmetric feature
+    block of a design [F | 1], such as a kernel pair's gram matrix K, shared
+    across penalty levels, sparsity levels and threads: it holds only the
+    factorization.
 
     Eigenpairs with ``|lam| <= RANK_TOL max |lam|`` are dropped, as ``thin_svd``
-    drops small singular values. ``W = diag(y) Q`` has orthonormal columns and
-    ``K diag(y) = Q diag(lam) W'``, so the normal matrix of the update is
-    diagonal in the coordinates ``u = W' beta_a`` of the dual weights but for
-    the intercept's border row and column. With the projection ``pm = (pa,
-    pm0)``, ``w = W' pa`` and ``r = a2 lam Q'z + b2 w``, the intercept ``beta0``
-    solves that border's scalar Schur complement, then
-    ``u = (r - a2 lam q1 beta0) / d``, ``beta_a = pa + W (u - w)`` and the
+    drops small singular values. The normal matrix of the update is diagonal
+    in the coordinates ``u = Q' beta_a`` of the feature weights ``beta_a`` but
+    for the intercept's border row and column. With the projection ``pm =
+    (pa, pm0)``, ``w = Q' pa`` and ``r = a2 lam Q'z + b2 w``, the intercept
+    ``beta0`` solves that border's scalar Schur complement, then
+    ``u = (r - a2 lam q1 beta0) / d``, ``beta_a = pa + Q (u - w)`` and the
     scores are ``Q (lam u) + beta0``. The Schur complement is at least ``b2``
     and can vanish without a distance penalty, so ``b2 = 0`` is rejected.
     """
@@ -161,9 +161,9 @@ class KernelMMWorkspace:
     q1: np.ndarray          # Q' 1
 
     @classmethod
-    def from_gram(cls, K: np.ndarray) -> "KernelMMWorkspace":
+    def from_design(cls, design: DesignMatrix) -> "KernelMMWorkspace":
         try:
-            lam, Q = np.linalg.eigh(np.asarray(K, dtype=float))
+            lam, Q = np.linalg.eigh(design.X[:, :-1])
         except np.linalg.LinAlgError as exc:
             raise DataError(f"eigendecomposition failed to converge: {exc}") from exc
         top = float(np.max(np.abs(lam))) if lam.size else 0.0
@@ -182,10 +182,10 @@ class KernelMMWorkspace:
         schur = a2 * self.Q.shape[0] + weights.b2 - a2 * float((lam * self.q1) @ g)
         return d, g, schur
 
-    def coords(self, x, design: DesignMatrix) -> np.ndarray:
-        """``W' x_a = Q' (y x_a)`` of the dual weights ``x_a = x[:-1]``, read from
-        the rows of Q where ``x_a`` is nonzero."""
-        return _rows_dot(design.y * x[:-1], self.Q)
+    def coords(self, x) -> np.ndarray:
+        """``Q' x_a`` of the feature weights ``x_a = x[:-1]``, read from the rows
+        of Q where ``x_a`` is nonzero."""
+        return _rows_dot(x[:-1], self.Q)
 
     def residual_coords(self, v) -> np.ndarray:
         """``Q' v``, read from the rows of Q where ``v`` is nonzero."""
@@ -201,26 +201,23 @@ class KernelMMWorkspace:
 
     def step(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights, coefs):
         """The exact minimizer of the anchored majorizer at ``ev``, its scores and
-        coordinates ``u = W' beta_a``; ``coefs`` is ``coefficients(weights)``.
+        coordinates ``u = Q' beta_a``; ``coefs`` is ``coefficients(weights)``.
 
         The scores are ``Q (lam u) + beta0``, so with ``z - scores = y * slack``
         ``Q' z = lam u + beta0 Q'1 + Q' (y slack)`` comes from the coordinates.
         """
         d, g, schur = coefs
-        a2, b2, lam, Q, y = weights.a2, weights.b2, self.lam, self.Q, design.y
+        a2, b2, lam, Q = weights.a2, weights.b2, self.lam, self.Q
         pm = ev.pm
         w = ev.pm_coords
         qz = lam * ev.coords + ev.beta[-1] * self.q1 + ev.residual_coords
         r = a2 * lam * qz + b2 * w
-        z_sum = float(ev.scores.sum()) + float(y @ ev.slack)
+        z_sum = float(ev.scores.sum()) + float(design.y @ ev.slack)
         beta0 = (a2 * z_sum + b2 * pm[-1] - float(g @ r)) / schur
         u = r / d - g * beta0
         # Q (u - w) and Q (lam u) in one pass over Q
         prod = Q @ np.column_stack([u - w, lam * u])
-        beta = np.empty_like(pm)
-        beta[:-1] = pm[:-1] + y * prod[:, 0]
-        beta[-1] = beta0
-        return beta, prod[:, 1] + beta0, u
+        return np.append(pm[:-1] + prod[:, 0], beta0), prod[:, 1] + beta0, u
 
 
 _MM_KINDS = (MMWorkspace, KernelMMWorkspace)
@@ -294,20 +291,19 @@ def sd_update(beta, ws: SDWorkspace, design: DesignMatrix,
 SOLVERS = {"mm": MMWorkspace, "sd": SDWorkspace}
 
 
-def make_workspace(design: DesignMatrix, solver: str, gram=None):
+def make_workspace(design: DesignMatrix, solver: str):
     """The workspace of ``solver`` (a key of ``SOLVERS``, any case) for ``design``.
 
-    ``gram`` is the gram matrix K of a kernel design [K diag(y) | 1]; ``mm``
-    then factors K by ``KernelMMWorkspace`` instead of the design by a thin SVD.
+    ``mm`` factors a design whose feature block ``X[:, :-1]`` is square and
+    exactly symmetric, as a kernel pair's [K | 1] is, by ``KernelMMWorkspace``,
+    and any other design by a thin SVD.
     """
     kind = SOLVERS.get(solver.lower())
     if kind is None:
         raise ValueError(f"unknown solver {solver!r}; expected one of {tuple(SOLVERS)}")
-    if kind is MMWorkspace and gram is not None:
-        if np.shape(gram) != (design.n, design.p):
-            raise ValueError(f"gram matrix shape {np.shape(gram)} does not match "
-                             f"a kernel design of {design.n} rows")
-        return KernelMMWorkspace.from_gram(gram)
+    F = design.X[:, :-1]
+    if kind is MMWorkspace and F.shape[0] == F.shape[1] and np.array_equal(F, F.T):
+        return KernelMMWorkspace.from_design(design)
     return kind.from_design(design)
 
 

@@ -40,26 +40,13 @@ def project(beta: np.ndarray, constraint: SparsityConstraint) -> np.ndarray:
     """Zero all but the k largest-magnitude entries among the first p coordinates.
 
     Anything past the first ``p`` entries (the intercept) passes through
-    untouched. Magnitude ties at the selection boundary keep the lower index,
-    making the output deterministic. Runs in O(p) expected time via partial
-    selection.
+    untouched. The entries are ranked by a stable sort of their negated
+    magnitudes, so magnitude ties at the selection boundary keep the lower
+    index, making the output deterministic.
     """
     beta = np.asarray(beta, dtype=float)
-    k, p = constraint.k, constraint.p
-    if k >= p:
-        return beta.copy()
-    out = np.zeros(beta.shape)
-    out[p:] = beta[p:]
-    if k == 0:
-        return out
-    mags = np.abs(beta[:p])
-    kth = np.partition(mags, p - k)[p - k]
-    keep = np.flatnonzero(mags >= kth)
-    if keep.size > k:
-        tied = mags[keep] == kth
-        above = keep[~tied]
-        keep = np.concatenate([above, keep[tied][:k - above.size]])
-    out[keep] = beta[keep]
+    out = beta.copy()
+    out[np.argsort(-np.abs(beta[:constraint.p]), kind="stable")[constraint.k:]] = 0.0
     return out
 
 

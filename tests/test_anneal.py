@@ -370,14 +370,14 @@ class TestLinearScores:
                              ids=["mm", "sd", "mm-gram"])
     def test_scores_match_fresh_products_along_fit(self, monkeypatch, solver, kernel):
         """Every kept point, extrapolated or not, gets its scores (and with
-        ``mm`` its coordinates ``V' beta`` or ``W' beta_a``) by linearity;
+        ``mm`` its coordinates ``V' beta`` or ``Q' beta_a``) by linearity;
         along a whole fit those stay within 1e-9 of the fresh products,
         relative to their largest entry."""
         errors = []
 
-        def fresh_coords(basis, beta, y):
+        def fresh_coords(basis, beta):
             if isinstance(basis, solvers.KernelMMWorkspace):
-                return basis.Q.T @ (y * beta[:-1])
+                return basis.Q.T @ beta[:-1]
             return basis.svd.V.T @ beta
 
         class Checked(solvers.ObjectiveState):
@@ -387,7 +387,7 @@ class TestLinearScores:
                          basis=None):
                 pairs = [(scores, design.X @ beta)]
                 if solver == "mm":
-                    pairs.append((coords, fresh_coords(basis, beta, design.y)))
+                    pairs.append((coords, fresh_coords(basis, beta)))
                 for got, fresh in pairs:
                     errors.append((float(np.max(np.abs(got - fresh))),
                                    float(np.max(np.abs(fresh)))))

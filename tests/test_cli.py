@@ -67,6 +67,15 @@ class TestGen:
                     "--p", "5", "--seed", "11", "--output", str(path))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_json_output_rejected_before_writing(self, tmp_path, capsys):
+        """The sidecar of ``x.json`` is ``x.json`` itself, which would replace the CSV."""
+        out = tmp_path / "data.json"
+        rc, stdout, err = run_cli(capsys, "gen", "--family", "spiral", "--n-a", "20",
+                                  "--n-b", "10", "--n-c", "5", "--output", str(out))
+        assert rc == 1 and stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: --output")
+        assert not out.exists()
+
 
 class TestTrainPredict:
     def test_pipeline_recovers_labels(self, tmp_path, capsys, causal_csv):
@@ -167,6 +176,24 @@ class TestCV:
         doc = json.loads(out.read_text())
         assert len(doc["rows"]) == 6
         assert "fold_plan" in doc
+
+
+class TestModelFiles:
+    @pytest.mark.parametrize("flags", [("--keep", "2"),
+                                       ("--kernel", "gaussian", "--dual-sparsity", "0.5")],
+                             ids=["linear", "kernel"])
+    def test_reruns_and_threads_byte_identical(self, tmp_path, capsys, spiral_csv, flags):
+        """``train`` writes the same model bytes on a rerun and on 3 threads
+        (the 3-class spiral has 3 pairs)."""
+        outs = []
+        for name, threads in (("a.json", "1"), ("b.json", "1"), ("c.json", "3")):
+            out = tmp_path / name
+            rc, _, _ = run_cli(capsys, "train", "--data", str(spiral_csv), *flags,
+                               "--threads", threads, "--output", str(out))
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+        assert len(json.loads(outs[0])["pairs"]) == 3
 
 
 class TestTrace:

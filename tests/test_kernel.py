@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsesvm.kernel import (KernelModel, gram_matrix, kernel_design,
-                              kernel_predict, median_bandwidth)
+from sparsesvm.data import DataError, DesignMatrix
+from sparsesvm.kernel import KernelModel, gram_matrix, kernel_predict, median_bandwidth
 
 
 def naive_gram(X, gamma):
@@ -62,20 +62,22 @@ class TestMedianBandwidth:
 
 
 class TestKernelDesign:
-    def test_columns_are_label_signed_kernel_values(self, rng):
+    """A kernel pair's design is ``DesignMatrix.from_features(K, y)``."""
+
+    def test_columns_are_kernel_values(self, rng):
         X = rng.standard_normal((8, 3))
         y = np.where(rng.standard_normal(8) > 0, 1.0, -1.0)
         K = gram_matrix(X, 0.5)
-        design = kernel_design(K, y)
+        design = DesignMatrix.from_features(K, y)
         assert design.X.shape == (8, 9)
         np.testing.assert_array_equal(design.X[:, -1], np.ones(8))
-        np.testing.assert_allclose(design.X[:, :-1], K * y[None, :])
+        np.testing.assert_array_equal(design.X[:, :-1], K)
         np.testing.assert_array_equal(design.y, y)
 
     def test_shape_mismatch_rejected(self, rng):
         K = gram_matrix(rng.standard_normal((5, 2)), 1.0)
-        with pytest.raises(ValueError, match="labels"):
-            kernel_design(K, np.ones(4))
+        with pytest.raises(DataError, match="label vector length"):
+            DesignMatrix.from_features(K, np.ones(4))
 
 
 class TestKernelModel:
@@ -83,10 +85,12 @@ class TestKernelModel:
         X = rng.standard_normal((10, 2))
         y = np.where(rng.standard_normal(10) > 0, 1.0, -1.0)
         gamma = 0.8
-        design = kernel_design(gram_matrix(X, gamma), y)
+        design = DesignMatrix.from_features(gram_matrix(X, gamma), y)
         alpha = rng.standard_normal(11)
         model = KernelModel(alpha, gamma, X, y)
-        np.testing.assert_allclose(kernel_predict(model, X), design.X @ alpha,
+        # the design's coefficients are the signed weights y alpha and the intercept
+        signed = np.append(y * alpha[:-1], alpha[-1])
+        np.testing.assert_allclose(kernel_predict(model, X), design.X @ signed,
                                    rtol=0, atol=1e-10)
 
     def test_scalar_and_batch_agree(self, rng):

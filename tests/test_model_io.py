@@ -78,6 +78,12 @@ class TestFormatValidation:
         with pytest.raises(ValueError, match="not a valid model file"):
             load_model(path)
 
+    def test_non_utf8_file_names_the_path(self, tmp_path):
+        path = tmp_path / "image.json"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8 text")):
+            load_model(path)
+
     def test_integer_too_large_for_a_float(self, rng, tmp_path):
         ds = blob_dataset(rng, n_per=8, classes=2)
         path = tmp_path / "m.json"

@@ -200,6 +200,19 @@ class TestPairProblem:
         assert first.report.rho == first_levels[-1].rho
 
 
+def test_kernel_model_keeps_unsigned_dual_weights(rng):
+    """A kernel pair is fitted on [K | 1] in the signed weights c = y alpha;
+    its model holds alpha, with +0.0 for every dropped sample."""
+    prob = PairProblem.build(blob_dataset(rng, n_per=10), 0, 1, GaussianKernelSpec(gamma=0.5))
+    np.testing.assert_array_equal(prob.design.X[:, :-1], prob.design.X[:, :-1].T)
+    alpha = prob.fit(0.5).kernel.alpha
+    y, c = prob.design.y, prob.warm
+    np.testing.assert_array_equal(alpha, np.append(y * c[:-1], c[-1]))
+    dropped = alpha[:-1] == 0.0
+    assert np.any(dropped & (y < 0))
+    assert not np.any(np.signbit(alpha[:-1][dropped]))
+
+
 class ThinSVDCalled(Exception):
     pass
 

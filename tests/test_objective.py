@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsesvm.data import DesignMatrix
-from sparsesvm.kernel import gram_matrix, kernel_design
+from sparsesvm.kernel import gram_matrix
 from sparsesvm.objective import (ObjectiveState, PenaltyWeights, _rows_dot, gradient, hinge_loss,
                                  penalized_objective, surrogate_value,
                                  working_response)
@@ -276,9 +276,9 @@ def test_at_weights_shares_weight_free_pieces(rng, basis):
     if basis == "gram":
         features = rng.standard_normal((n, 2))
         y = np.where(features[:, 0] * features[:, 1] > 0, 1.0, -1.0)
-        K = gram_matrix(features, 0.5)
-        design, constraint = kernel_design(K, y), SparsityConstraint(k=10, p=n)
-        ws = KernelMMWorkspace.from_gram(K)
+        design = DesignMatrix.from_features(gram_matrix(features, 0.5), y)
+        constraint = SparsityConstraint(k=10, p=n)
+        ws = KernelMMWorkspace.from_design(design)
     else:
         design, constraint, _ = random_problem(rng, n, p, k)
         ws = MMWorkspace.from_design(design) if basis == "thin_svd" else None

@@ -7,7 +7,7 @@ from sparsesvm import anneal
 from sparsesvm.anneal import prox_dist_fit
 from sparsesvm.config import AnnealSchedule, SolverConfig
 from sparsesvm.data import RANK_TOL, DesignMatrix
-from sparsesvm.kernel import gram_matrix, kernel_design
+from sparsesvm.kernel import gram_matrix
 from sparsesvm.objective import (ObjectiveState, PenaltyWeights, gradient, penalized_objective,
                                  surrogate_value, working_response)
 from sparsesvm.solvers import (WARMUP, KernelMMWorkspace, MMWorkspace, SDWorkspace,
@@ -140,10 +140,10 @@ class TestMMUpdate:
 
 
 def kernel_problem(rng, n, gamma):
-    """A gram matrix of random 2-d points and its kernel design [K diag(y) | 1]."""
+    """The kernel design [K | 1] of random 2-d points and random labels."""
     K = gram_matrix(rng.standard_normal((n, 2)), gamma)
     y = np.where(rng.standard_normal(n) > 0, 1.0, -1.0)
-    return K, kernel_design(K, y)
+    return DesignMatrix.from_features(K, y)
 
 
 def step_at(ws, beta, design, constraint, weights):
@@ -160,57 +160,62 @@ class TestKernelMMWorkspace:
 
     def states(self, rng):
         for gamma, rho in self.CASES:
-            K, design = kernel_problem(rng, 40, gamma)
+            design = kernel_problem(rng, 40, gamma)
             constraint = SparsityConstraint(k=20, p=40)
             weights = PenaltyWeights.for_problem(design.n, constraint, rho)
-            yield K, design, constraint, rng.standard_normal(41), weights
+            yield design, constraint, rng.standard_normal(41), weights
 
     def test_rank_cut_drops_part_of_a_smooth_spectrum(self, rng):
-        ranks = [KernelMMWorkspace.from_gram(kernel_problem(rng, 40, gamma)[0]).lam.size
+        ranks = [KernelMMWorkspace.from_design(kernel_problem(rng, 40, gamma)).lam.size
                  for gamma in (0.5, 0.01)]
         assert ranks[0] == 40 and ranks[1] < 40
 
     def test_step_matches_normal_equations(self, rng):
-        for K, design, constraint, beta, weights in self.states(rng):
-            got = step_at(KernelMMWorkspace.from_gram(K), beta, design, constraint, weights)[0]
+        for design, constraint, beta, weights in self.states(rng):
+            got = step_at(KernelMMWorkspace.from_design(design), beta, design, constraint,
+                          weights)[0]
             want = normal_equation_oracle(beta, design, constraint, weights)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
 
     def test_scores_are_the_design_product(self, rng):
-        for K, design, constraint, beta, weights in self.states(rng):
-            ws = KernelMMWorkspace.from_gram(K)
+        for design, constraint, beta, weights in self.states(rng):
+            ws = KernelMMWorkspace.from_design(design)
             new, scores, coords = step_at(ws, beta, design, constraint, weights)
             want = design.X @ new
             np.testing.assert_allclose(scores, want, rtol=0, atol=1e-10 * np.abs(want).max())
-            want = ws.coords(new, design)
+            want = ws.coords(new)
             np.testing.assert_allclose(coords, want, rtol=0, atol=1e-10 * np.abs(want).max())
 
     def test_agrees_with_thin_svd_workspace(self, rng):
-        for K, design, constraint, beta, weights in self.states(rng):
-            got = step_at(KernelMMWorkspace.from_gram(K), beta, design, constraint, weights)[0]
+        for design, constraint, beta, weights in self.states(rng):
+            got = step_at(KernelMMWorkspace.from_design(design), beta, design, constraint,
+                          weights)[0]
             want = step_at(MMWorkspace.from_design(design), beta, design, constraint, weights)[0]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
 
     def test_zero_distance_weight_rejected(self, rng):
-        K, design = kernel_problem(rng, 20, 0.5)
+        design = kernel_problem(rng, 20, 0.5)
         constraint = SparsityConstraint(k=10, p=20)
         weights = PenaltyWeights.for_problem(design.n, constraint, 0.0)
         with pytest.raises(ValueError, match="positive distance weight"):
-            KernelMMWorkspace.from_gram(K).coefficients(weights)
+            KernelMMWorkspace.from_design(design).coefficients(weights)
 
-    def test_chosen_by_make_workspace_for_mm_given_the_gram(self, rng):
-        K, design = kernel_problem(rng, 20, 0.5)
-        assert isinstance(make_workspace(design, "mm", K), KernelMMWorkspace)
-        assert isinstance(make_workspace(design, "mm"), MMWorkspace)
-        assert isinstance(make_workspace(design, "sd", K), SDWorkspace)
-        with pytest.raises(ValueError, match="does not match"):
-            make_workspace(design, "mm", K[:-1, :-1])
+    def test_chosen_by_make_workspace_for_mm_on_a_symmetric_block(self, rng):
+        design = kernel_problem(rng, 20, 0.5)
+        assert isinstance(make_workspace(design, "mm"), KernelMMWorkspace)
+        assert isinstance(make_workspace(design, "sd"), SDWorkspace)
+        # a square block off symmetry in one entry, and a tall block, take the thin SVD
+        X = design.X.copy()
+        X[0, 1] += 1e-12
+        assert isinstance(make_workspace(DesignMatrix(X, design.y), "mm"), MMWorkspace)
+        assert isinstance(make_workspace(DesignMatrix(design.X[:, 10:], design.y), "mm"),
+                          MMWorkspace)
 
     def test_mm_entry_points_accept_it(self, rng):
-        K, design = kernel_problem(rng, 20, 0.5)
+        design = kernel_problem(rng, 20, 0.5)
         constraint = SparsityConstraint(k=10, p=20)
         weights = PenaltyWeights.for_problem(design.n, constraint, 10.0)
-        ws, beta = KernelMMWorkspace.from_gram(K), rng.standard_normal(21)
+        ws, beta = KernelMMWorkspace.from_design(design), rng.standard_normal(21)
         np.testing.assert_array_equal(
             mm_update(beta, ws, design, constraint, weights),
             step_at(ws, beta, design, constraint, weights)[0])
@@ -239,7 +244,7 @@ def test_coordinate_grad_sq_matches_gradient(kind, rows, flip, kf, rho, gamma, s
          "wide": lambda: int(rng.integers(n, 60)), "gram": lambda: n}[kind]()
     if kind == "gram":
         K = gram_matrix(rng.standard_normal((n, 2)), gamma)
-        # dual weights times labels, then the intercept: scores K alpha + alpha0
+        # signed dual weights, then the intercept: scores K alpha + alpha0
         alpha = rng.standard_normal(n + 1)
         scores = K @ alpha[:-1] + alpha[-1]
     else:
@@ -258,13 +263,13 @@ def test_coordinate_grad_sq_matches_gradient(kind, rows, flip, kf, rho, gamma, s
         if rows == "mixed":
             y = np.where(rng.random(n) < flip, -y, y)
     if kind == "gram":
-        design = kernel_design(K, y)
-        beta = np.append(y * alpha[:-1], alpha[-1])
-        ws = make_workspace(design, "mm", K)
+        design, beta = DesignMatrix.from_features(K, y), alpha
+        ws = make_workspace(design, "mm")
         cut = ws.lam.size < n
     else:
+        # a 1 x 1 feature block is symmetric, so make_workspace would take the gram form
         design, beta = DesignMatrix(X, y), alpha
-        ws = make_workspace(design, "mm")
+        ws = MMWorkspace.from_design(design)
         cut = ws.svd.r < min(X.shape)
     constraint = SparsityConstraint(k=int(round(kf * p)), p=p)
     weights = PenaltyWeights.for_problem(n, constraint, rho)
