@@ -5,6 +5,7 @@ hard-project the result onto the sparsity set.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -90,7 +91,7 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
                                                      weights, cfg, pull_tol=TAU)
         beta = ev.beta
         total_inner += iters
-        if not np.isfinite(ev.objective):
+        if not math.isfinite(ev.objective):
             raise FitError(
                 f"objective became non-finite at outer iteration {outer} (rho={rho:g})")
         d_cur = ev.sq_dist / norm

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -47,8 +46,15 @@ class PenaltyWeights:
         return cls(a2=1.0 / n, b2=b2, rho=float(rho))
 
 
+# Products in the inner loop (here and in ``solvers``) use ``ndarray.dot``
+# rather than ``@``: on float64 vectors and matrices numpy 2.4 returns the same
+# bits either way (checked on 15000 random products up to 900 x 900, OpenBLAS),
+# and ``dot`` spends about 1 us less per matrix-vector product on the 200x101
+# planted designs.
+
+
 def _loss_from_slack(slack: np.ndarray) -> float:
-    return float(slack @ slack) / (2.0 * slack.size)
+    return float(slack.dot(slack)) / (2.0 * slack.size)
 
 
 # Gathering rows costs about as much as a dense product over this many matrix
@@ -71,8 +77,8 @@ def _rows_dot(v: np.ndarray, A: np.ndarray) -> np.ndarray:
     if v.size * width > _GATHER_COST:
         rows = np.flatnonzero(v)
         if (v.size - 3 * rows.size) * width > _GATHER_COST:
-            return v[rows] @ A[rows]
-    return v @ A
+            return v[rows].dot(A[rows])
+    return v.dot(A)
 
 
 class ObjectiveState:
@@ -103,8 +109,8 @@ class ObjectiveState:
         self.slack = np.maximum(0.0, 1.0 - self.margins)
         self.loss = _loss_from_slack(self.slack)
         self.pm = project(beta, constraint)
-        diff = beta - self.pm
-        self.sq_dist = float(diff @ diff)
+        self._diff = diff = beta - self.pm
+        self.sq_dist = float(diff.dot(diff))
         if basis is not None:
             self.residual_coords = basis.residual_coords(design.y * self.slack)
             self.pm_coords = basis.coords(self.pm)
@@ -117,7 +123,7 @@ class ObjectiveState:
         if given) computed from the design."""
         beta = np.asarray(beta, dtype=float)
         coords = None if basis is None else basis.coords(beta)
-        return cls(beta, design.X @ beta, design, constraint, weights, coords, basis)
+        return cls(beta, design.X.dot(beta), design, constraint, weights, coords, basis)
 
     def _weigh(self, weights: PenaltyWeights) -> None:
         """Form the pieces that depend on ``weights``."""
@@ -125,7 +131,7 @@ class ObjectiveState:
         self.objective = self.loss + self.penalty
         self._grad = None
         if self._basis is None:
-            self.grad_sq = float(self.grad @ self.grad)
+            self.grad_sq = float(self.grad.dot(self.grad))
         else:
             self.grad_sq = self._basis.grad_sq(self, self._design, weights)
 
@@ -134,7 +140,8 @@ class ObjectiveState:
         shallow copy sharing every weight-free piece, weighed anew."""
         if weights == self._weights:
             return self
-        state = copy.copy(self)
+        state = object.__new__(ObjectiveState)
+        state.__dict__.update(self.__dict__)
         state._weigh(weights)
         return state
 
@@ -149,18 +156,18 @@ class ObjectiveState:
             # v vanishes on the rows outside the margin, so only the others are read
             weights = self._weights
             g = _rows_dot(-weights.a2 * self._design.y * self.slack, self._design.X)
-            self._grad = g + weights.b2 * (self.beta - self.pm)
+            self._grad = g + weights.b2 * self._diff
         return self._grad
 
 
 def hinge_loss(beta: np.ndarray, design: DesignMatrix) -> float:
     """Averaged squared hinge: (1/2n) sum_i max(0, 1 - y_i x_i' beta)^2."""
-    return _loss_from_slack(np.maximum(0.0, 1.0 - design.y * (design.X @ beta)))
+    return _loss_from_slack(np.maximum(0.0, 1.0 - design.y * design.X.dot(beta)))
 
 
 def working_response(beta: np.ndarray, design: DesignMatrix) -> np.ndarray:
     """Surrogate targets: the fitted score where the margin is met, else the label."""
-    scores = design.X @ beta
+    scores = design.X.dot(beta)
     return np.where(design.y * scores >= 1.0, scores, design.y)
 
 
@@ -183,6 +190,7 @@ def surrogate_value(beta, anchor, design, constraint, weights) -> float:
     beta = np.asarray(beta, dtype=float)
     z = working_response(anchor, design)
     pm = project(np.asarray(anchor, dtype=float), constraint)
-    r_loss = z - design.X @ beta
+    r_loss = z - design.X.dot(beta)
     r_pen = pm - beta
-    return 0.5 * weights.a2 * float(r_loss @ r_loss) + 0.5 * weights.b2 * float(r_pen @ r_pen)
+    return (0.5 * weights.a2 * float(r_loss.dot(r_loss))
+            + 0.5 * weights.b2 * float(r_pen.dot(r_pen)))

@@ -57,7 +57,8 @@ def gen_synthetic_corr(n: int, p: int, seed: int):
     The covariance has unit variance on the first feature, 3 on the second,
     2 elsewhere, 0.9 covariance between the causal pair, and tiny random
     symmetric off-diagonals; it is repaired to positive definite by clipping
-    eigenvalues at 1e-8 before the Cholesky draw.
+    eigenvalues at 1e-8 before the Cholesky draw. The check reads the
+    eigenvalues alone; eigenvectors are computed only for a repair.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
@@ -71,9 +72,9 @@ def gen_synthetic_corr(n: int, p: int, seed: int):
     sigma[0, 0] = 1.0
     sigma[1, 1] = 3.0
     sigma[0, 1] = sigma[1, 0] = 0.9
-    evals, evecs = np.linalg.eigh(sigma)
-    min_eig = float(evals.min())
+    min_eig = float(np.linalg.eigvalsh(sigma).min())
     if min_eig < 1e-8:
+        evals, evecs = np.linalg.eigh(sigma)
         sigma = (evecs * np.maximum(evals, 1e-8)) @ evecs.T
         sigma = 0.5 * (sigma + sigma.T)
     try:

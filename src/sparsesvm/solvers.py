@@ -70,9 +70,10 @@ class MMWorkspace:
 
     def coefficients(self, weights: PenaltyWeights):
         """c1_j = a2 s_j / (a2 s_j^2 + b2), c2_j = a2 s_j^2 / (a2 s_j^2 + b2)."""
-        s = self.svd.s
-        denom = weights.a2 * s * s + weights.b2
-        return weights.a2 * s / denom, weights.a2 * s * s / denom
+        a2s = weights.a2 * self.svd.s
+        a2s2 = a2s * self.svd.s
+        denom = a2s2 + weights.b2
+        return a2s / denom, a2s2 / denom
 
     def coords(self, x) -> np.ndarray:
         """``V' x``, read from the rows of V where ``x`` is nonzero."""
@@ -88,23 +89,31 @@ class MMWorkspace:
         return _factored_grad_sq(ev, self.svd.s, V.shape[1] == V.shape[0], weights)
 
     def step(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights, coefs):
-        """The exact minimizer of the anchored majorizer at ``ev``, its scores and
-        coordinates ``t = V' beta``; ``coefs`` is ``coefficients(weights)``.
+        """The exact minimizer of the anchored majorizer at ``ev``, packed with its
+        scores and coordinates ``t = V' beta`` into one vector ``[beta | scores |
+        t]``; ``coefs`` is ``coefficients(weights)``.
 
         ``z - scores = y * slack`` and ``U' scores = s t``, so ``U' z`` comes from
         the coordinates and the residual's, and the new scores are ``U (s t)``.
         """
         svd = self.svd
+        x = np.empty(svd.V.shape[0] + svd.U.shape[0] + svd.s.size)
+        beta, scores, t = _unpack(x, svd.V.shape[0], svd.U.shape[0])
         uz = svd.s * ev.coords + ev.residual_coords
         if weights.b2 == 0.0:
             # unpenalized system: minimum-norm least-squares solution
-            t = uz / svd.s
-            return svd.V @ t, svd.U @ uz, t
+            np.divide(uz, svd.s, out=t)
+            svd.V.dot(t, out=beta)
+            svd.U.dot(uz, out=scores)
+            return x
         c1, c2 = coefs
         vpm = ev.pm_coords
         coef = c1 * uz - c2 * vpm
-        t = vpm + coef
-        return ev.pm + svd.V @ coef, svd.U @ (svd.s * t), t
+        np.add(vpm, coef, out=t)
+        svd.V.dot(coef, out=beta)
+        beta += ev.pm
+        svd.U.dot(svd.s * t, out=scores)
+        return x
 
 
 def _factored_grad_sq(ev: ObjectiveState, scale, square: bool, weights: PenaltyWeights) -> float:
@@ -132,9 +141,9 @@ def _factored_grad_sq(ev: ObjectiveState, scale, square: bool, weights: PenaltyW
     g = -weights.a2 * scale * ev.residual_coords
     dt = ev.coords - ev.pm_coords
     g += weights.b2 * dt
-    grad_sq = float(g @ g)
+    grad_sq = float(g.dot(g))
     if not square:
-        grad_sq += weights.b2 ** 2 * max(0.0, ev.sq_dist - float(dt @ dt))
+        grad_sq += weights.b2 ** 2 * max(0.0, ev.sq_dist - float(dt.dot(dt)))
     return grad_sq
 
 
@@ -179,7 +188,7 @@ class KernelMMWorkspace:
         a2, lam = weights.a2, self.lam
         d = a2 * lam * lam + weights.b2
         g = a2 * lam * self.q1 / d
-        schur = a2 * self.Q.shape[0] + weights.b2 - a2 * float((lam * self.q1) @ g)
+        schur = a2 * self.Q.shape[0] + weights.b2 - a2 * float((lam * self.q1).dot(g))
         return d, g, schur
 
     def coords(self, x) -> np.ndarray:
@@ -195,32 +204,45 @@ class KernelMMWorkspace:
         """The squared gradient norm at ``ev`` from its coordinates, plus the
         intercept's ``(-a2 sum(y slack))^2``: the intercept is never projected."""
         Q = self.Q
-        intercept = weights.a2 * float(design.y @ ev.slack)
+        intercept = weights.a2 * float(design.y.dot(ev.slack))
         return (_factored_grad_sq(ev, self.lam, Q.shape[1] == Q.shape[0], weights)
                 + intercept * intercept)
 
     def step(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights, coefs):
-        """The exact minimizer of the anchored majorizer at ``ev``, its scores and
-        coordinates ``u = Q' beta_a``; ``coefs`` is ``coefficients(weights)``.
+        """The exact minimizer of the anchored majorizer at ``ev``, packed with its
+        scores and coordinates ``u = Q' beta_a`` into one vector ``[beta | scores
+        | u]``; ``coefs`` is ``coefficients(weights)``.
 
         The scores are ``Q (lam u) + beta0``, so with ``z - scores = y * slack``
         ``Q' z = lam u + beta0 Q'1 + Q' (y slack)`` comes from the coordinates.
         """
         d, g, schur = coefs
         a2, b2, lam, Q = weights.a2, weights.b2, self.lam, self.Q
+        n = Q.shape[0]
+        x = np.empty(2 * n + 1 + lam.size)
+        beta, scores, u = _unpack(x, n + 1, n)
         pm = ev.pm
         w = ev.pm_coords
         qz = lam * ev.coords + ev.beta[-1] * self.q1 + ev.residual_coords
         r = a2 * lam * qz + b2 * w
-        z_sum = float(ev.scores.sum()) + float(design.y @ ev.slack)
-        beta0 = (a2 * z_sum + b2 * pm[-1] - float(g @ r)) / schur
-        u = r / d - g * beta0
+        z_sum = float(ev.scores.sum()) + float(design.y.dot(ev.slack))
+        beta0 = (a2 * z_sum + b2 * pm[-1] - float(g.dot(r))) / schur
+        np.subtract(r / d, g * beta0, out=u)
         # Q (u - w) and Q (lam u) in one pass over Q
-        prod = Q @ np.column_stack([u - w, lam * u])
-        return np.append(pm[:-1] + prod[:, 0], beta0), prod[:, 1] + beta0, u
+        prod = Q.dot(np.column_stack([u - w, lam * u]))
+        np.add(pm[:-1], prod[:, 0], out=beta[:-1])
+        beta[-1] = beta0
+        np.add(prod[:, 1], beta0, out=scores)
+        return x
 
 
 _MM_KINDS = (MMWorkspace, KernelMMWorkspace)
+
+
+def _unpack(x: np.ndarray, p1: int, n: int):
+    """Views of a packed iterate ``[beta | scores | coords]`` with ``p1``
+    coefficients and ``n`` scores; ``coords`` is empty for ``sd``."""
+    return x[:p1], x[p1:p1 + n], x[p1 + n:]
 
 
 def _require(ws, *kinds):
@@ -239,21 +261,22 @@ def mm_update(beta, ws: MMWorkspace | KernelMMWorkspace, design: DesignMatrix,
 
     Four full passes on a thin SVD (three on a gram eigendecomposition):
     ``X @ beta`` and ``V' beta``, ``V @ coef``, and the new scores ``U (s t)``,
-    unused here but returned by ``step`` for the inner loop; dropping them
-    would need a second step path.
+    unused here but packed by ``step`` for the inner loop; dropping them
+    would need a second step path. Returns the ``beta`` part of that packed
+    iterate.
     """
     ev = ObjectiveState.at(beta, design, constraint, weights, _require(ws, *_MM_KINDS))
-    return ws.step(ev, design, weights, ws.coefficients(weights))[0]
+    return ws.step(ev, design, weights, ws.coefficients(weights))[:design.X.shape[1]]
 
 
 def _exact_step(gsq: float, Xg: np.ndarray, weights: PenaltyWeights, guard: float) -> float:
-    return gsq / (weights.a2 * float(Xg @ Xg) + weights.b2 * gsq + guard)
+    return gsq / (weights.a2 * float(Xg.dot(Xg)) + weights.b2 * gsq + guard)
 
 
 def step_size(grad, design: DesignMatrix, weights: PenaltyWeights, guard: float) -> float:
     """Exact minimizer of the majorizer along -grad, guarded against 0/0."""
     grad = np.asarray(grad, dtype=float)
-    return _exact_step(float(grad @ grad), design.X @ grad, weights, guard)
+    return _exact_step(float(grad.dot(grad)), design.X.dot(grad), weights, guard)
 
 
 @dataclass(frozen=True)
@@ -273,18 +296,25 @@ class SDWorkspace:
         return None
 
     def step(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights, coefs):
-        """The descent step from ``ev`` and, by linearity, the new iterate's scores;
-        ``sd`` keeps no coordinates."""
-        Xg = design.X @ ev.grad
+        """The descent step from ``ev`` packed with, by linearity, the new
+        iterate's scores into one vector ``[beta | scores]``; ``sd`` keeps no
+        coordinates."""
+        X = design.X
+        x = np.empty(X.shape[1] + X.shape[0])
+        beta, scores, _ = _unpack(x, X.shape[1], X.shape[0])
+        Xg = X.dot(ev.grad, out=scores)
         eta = _exact_step(ev.grad_sq, Xg, weights, self.guard)
-        return ev.beta - eta * ev.grad, ev.scores - eta * Xg, None
+        np.subtract(ev.beta, eta * ev.grad, out=beta)
+        np.subtract(ev.scores, eta * Xg, out=scores)
+        return x
 
 
 def sd_update(beta, ws: SDWorkspace, design: DesignMatrix,
               constraint: SparsityConstraint, weights: PenaltyWeights) -> np.ndarray:
     """One steepest-descent step with the exact surrogate line search."""
     ev = ObjectiveState.at(beta, design, constraint, weights)
-    return _require(ws, SDWorkspace).step(ev, design, weights, ws.coefficients(weights))[0]
+    return _require(ws, SDWorkspace).step(ev, design, weights,
+                                          ws.coefficients(weights))[:design.X.shape[1]]
 
 
 # each solver is its workspace type, whose ``step`` is the solver's update
@@ -314,19 +344,19 @@ def make_workspace(design: DesignMatrix, solver: str):
 WARMUP = 10
 
 
-def _past(new, old, w: float):
-    """``new + w (new - old)``, or None for a point without coordinates."""
-    return None if new is None else new + w * (new - old)
+def _past(new, move, w: float):
+    """``new + w move``: the point past ``new`` along the momentum ``move = new - old``."""
+    return new + w * move
 
 
 class _Run(NamedTuple):
     """The accelerated sequence of one fit, handed from each penalty level to
-    the next: the kept point ``y_k``, the last update's iterate ``x_k`` as
-    ``(beta, scores, coords)``, the Nesterov counter ``j`` and the number of
+    the next: the kept point ``y_k``, the last update's iterate ``x_k`` packed
+    as ``ws.step`` packs it, the Nesterov counter ``j`` and the number of
     updates taken so far in the fit."""
 
     kept: ObjectiveState
-    last: tuple
+    last: np.ndarray
     j: int
     updates: int
 
@@ -371,9 +401,11 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
     Each update forms one point, the kept one, with every piece of its
     evaluation at once (see ``ObjectiveState``), and convergence is tested
     there. Scores, and an ``mm`` point's coordinates in its workspace's factor
-    basis, are linear in the coefficients: each step hands back its
-    iterate's, and the kept point's are extrapolated from those of the last
-    two iterates. An accelerated
+    basis, are linear in the coefficients: each step hands back its iterate
+    packed as one vector ``[beta | scores | coords]`` (``[beta | scores]``
+    for ``sd``), the restart test reads its ``beta`` part, and the kept point
+    is extrapolated from the last two packed iterates at once, so that its
+    ``ObjectiveState`` is built from views of one vector. An accelerated
     iteration thus reads the factors in full twice with ``mm`` on a thin SVD
     (``V @ coef`` and the new scores ``U @ (s t)``), once with ``mm`` on a
     gram eigendecomposition (``Q @ [u - w, lam u]``), and the design once
@@ -386,13 +418,15 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
     level.
     """
     basis = ws if isinstance(ws, _MM_KINDS) else None
+    p1, n = design.X.shape[1], design.n
     if not isinstance(start, _Run):
         beta = np.array(start, dtype=float)
-        if beta.shape != (design.X.shape[1],):
-            raise ValueError(f"beta0 has shape {beta.shape}, expected ({design.X.shape[1]},)")
+        if beta.shape != (p1,):
+            raise ValueError(f"beta0 has shape {beta.shape}, expected ({p1},)")
         ev = ObjectiveState.at(beta, design, constraint, weights, basis)
         # x_k before the first update is the start
-        start = _Run(ev, (ev.beta, ev.scores, ev.coords), 1, 0)
+        parts = (ev.beta, ev.scores) if basis is None else (ev.beta, ev.scores, ev.coords)
+        start = _Run(ev, np.concatenate(parts), 1, 0)
     kept, last, j, updates = start
     cur = kept.at_weights(weights)
     coefs = ws.coefficients(weights)
@@ -404,19 +438,22 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
 
     iters = restarts = 0
     while iters < cfg.max_inner and not small(cur):
-        beta, scores, coords = new = ws.step(cur, design, weights, coefs)
+        new = x = ws.step(cur, design, weights, coefs)
         iters += 1
         updates += 1
         if cfg.accel and WARMUP < updates and iters < cfg.max_inner:
-            if (cur.beta - beta) @ (beta - last[0]) > 0.0:
+            move = new - last
+            if (cur.beta - new[:p1]).dot(move[:p1]) > 0.0:
                 j = 1
                 restarts += 1
             w = (j - 1) / (j + 2)
             j += 1
             if w > 0.0:
-                beta, scores, coords = (_past(x, old, w) for x, old in zip(new, last))
+                x = _past(new, move, w)
         last = new
-        cur = ObjectiveState(beta, scores, design, constraint, weights, coords, basis)
+        beta, scores, coords = _unpack(x, p1, n)
+        cur = ObjectiveState(beta, scores, design, constraint, weights,
+                             None if basis is None else coords, basis)
         if history is not None:
             history.append(cur.objective)
     return cur, iters, restarts, _Run(cur, last, j, updates)

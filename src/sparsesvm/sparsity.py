@@ -40,13 +40,26 @@ def project(beta: np.ndarray, constraint: SparsityConstraint) -> np.ndarray:
     """Zero all but the k largest-magnitude entries among the first p coordinates.
 
     Anything past the first ``p`` entries (the intercept) passes through
-    untouched. The entries are ranked by a stable sort of their negated
-    magnitudes, so magnitude ties at the selection boundary keep the lower
-    index, making the output deterministic.
+    untouched. The output is that of ranking the entries by a stable sort of
+    their negated magnitudes, NaN last: magnitude ties at the selection
+    boundary keep the lower index, making the output deterministic. It is
+    found by selection in O(p): every entry at or below the (k+1)-th largest
+    magnitude is dropped, except that the entries tied with it take the
+    places left, lowest index first.
     """
-    beta = np.asarray(beta, dtype=float)
-    out = beta.copy()
-    out[np.argsort(-np.abs(beta[:constraint.p]), kind="stable")[constraint.k:]] = 0.0
+    out = np.asarray(beta, dtype=float).copy()
+    k, p = constraint.k, constraint.p
+    if k < p:
+        # np.fmax ignores NaN: a NaN entry ranks at -1, below every magnitude
+        mag = np.fmax(np.abs(out[:p]), -1.0)
+        part = mag.copy()
+        part.partition(p - k - 1)
+        cut = part[p - k - 1]
+        drop = mag <= cut
+        left = np.count_nonzero(drop) - (p - k)
+        if left:
+            drop[np.flatnonzero(mag == cut)[:left]] = False
+        np.putmask(out[:p], drop, 0.0)
     return out
 
 

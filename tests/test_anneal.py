@@ -222,9 +222,10 @@ class TestWorkCount:
 
 
 class Counted(np.ndarray):
-    """A named factor or design whose matrix products are appended to
-    ``products`` as (name, the other operand's shape); ``_rows_dot``, patched
-    by ``count_products``, reads plain views and is not counted."""
+    """A named factor or design whose matrix products, by ``@`` or by its
+    ``dot`` method, are appended to ``products`` as (name, the other operand's
+    shape); ``_rows_dot``, patched by ``count_products``, reads plain views
+    and is not counted."""
 
     products = None
 
@@ -237,6 +238,10 @@ class Counted(np.ndarray):
             Counted.products.append((mine.name, np.shape(other)))
         inputs = tuple(np.asarray(x) for x in inputs)
         return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def dot(self, other, out=None):
+        Counted.products.append((self.name, np.shape(other)))
+        return np.asarray(self).dot(other, out=out)
 
 
 def counted(a, name):

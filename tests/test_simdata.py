@@ -43,6 +43,21 @@ class TestSyntheticCorr:
         with pytest.raises(ValueError, match="p"):
             gen_synthetic_corr(10, 1, seed=0)
 
+    def test_eigenvectors_only_for_a_repair(self, monkeypatch):
+        """The positive-definiteness check reads eigenvalues alone. Made to
+        fail here by shifting them, it rebuilds the covariance from its
+        clipped eigendecomposition; that covariance is positive definite
+        already, so the repair only rounds it."""
+        calls = []
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        plain, _ = gen_synthetic_corr(200, 6, seed=4)
+        assert calls == []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) - 10.0)
+        repaired, _ = gen_synthetic_corr(200, 6, seed=4)
+        assert calls == [(6, 6)]
+        np.testing.assert_allclose(repaired.features, plain.features, rtol=1e-9, atol=1e-12)
+
 
 class TestGaussianCausal:
     def test_planted_coefficients_in_band(self):
