@@ -87,8 +87,9 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
     run = beta0
     for outer in range(1, sched.max_outer + 1):
         weights = PenaltyWeights.for_problem(design.n, constraint, rho)
-        ev, iters, restarts, run = _solve_subproblem(run, workspace, design, constraint,
-                                                     weights, cfg, pull_tol=TAU)
+        iters, restarts, run = _solve_subproblem(run, workspace, design, constraint,
+                                                 weights, cfg, pull_tol=TAU)
+        ev = run.kept
         beta = ev.beta
         total_inner += iters
         if not math.isfinite(ev.objective):

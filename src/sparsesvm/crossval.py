@@ -125,9 +125,6 @@ class CVTable:
     selected_k: float
     fold_plan: FoldPlan | None = None
 
-    def grid(self) -> list[float]:
-        return sorted({row.s for row in self.rows})
-
     def mean_over_folds(self, s: float) -> dict:
         """Means of the numeric statistics (all but the stop reasons) over the folds
         whose fit at ``s`` succeeded; if none did, NaN rates."""

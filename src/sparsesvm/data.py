@@ -140,10 +140,6 @@ class ThinSVD:
     s: np.ndarray
     V: np.ndarray
 
-    @property
-    def r(self) -> int:
-        return self.s.size
-
 
 @dataclass(frozen=True)
 class FoldPlan:
@@ -382,9 +378,5 @@ def make_folds(n: int, num_folds: int, seed: int, labels=None) -> FoldPlan:
             raise DataError("labels length does not match n")
         groups = [rng.permutation(np.flatnonzero(labels == c)) for c in np.unique(labels)]
     assignments = np.empty(n, dtype=int)
-    slot = 0
-    for idx in groups:
-        for i in idx:
-            assignments[i] = slot % num_folds
-            slot += 1
+    assignments[np.concatenate(groups)] = np.arange(n) % num_folds
     return FoldPlan(int(num_folds), assignments, int(seed))

@@ -84,19 +84,17 @@ def _rows_dot(v: np.ndarray, A: np.ndarray) -> np.ndarray:
 class ObjectiveState:
     """The penalized objective at one point, every piece formed once, at once.
 
-    Built from ``beta`` and its scores ``X @ beta``, which ``at`` computes:
-    the margins, slack, loss, projection ``pm`` and squared distance depend
-    only on the point; ``_weigh`` forms the objective, ``grad_sq`` and, for a
-    point without a basis, ``grad`` at the weights. ``at_weights`` moves a
-    point to other weights and shares every weight-free piece, so none may be
-    written in place.
-
-    A point of the ``mm`` loop also carries ``coords``, its coordinates in the
-    factor basis of its workspace ``basis`` (``V' beta`` for a thin SVD, see
-    ``solvers``), and the coordinates of the loss residual ``y * slack`` and
-    of ``pm``, each read from the nonzero rows of a factor; its ``grad_sq`` is
-    formed from those, which the next step reads too. No solver reads the
-    vector ``grad`` of such a point, so it is formed only on request.
+    Built from ``beta``, its scores ``X @ beta`` and its coordinates
+    ``coords`` in the factor basis of its workspace ``basis`` (``V' beta`` for
+    a thin SVD, see ``solvers``; empty without a basis), which ``at``
+    computes: the margins, slack, loss, projection ``pm`` and squared distance
+    depend only on the point, and so do, with a basis, the coordinates of the
+    loss residual ``y * slack`` and of ``pm``, each read from the nonzero rows
+    of a factor. ``_weigh`` forms the pieces at ``weights``: ``penalty``,
+    ``objective`` and ``grad_sq``, the last from the coordinates on a point
+    with a basis, whose step reads those too; only a point without a basis
+    gets the vector ``grad``, which its step reads. A point moved to other
+    weights is weighed again in place.
     """
 
     def __init__(self, beta, scores, design, constraint, weights, coords=None, basis=None):
@@ -119,45 +117,25 @@ class ObjectiveState:
     @classmethod
     def at(cls, beta, design: DesignMatrix, constraint: SparsityConstraint,
            weights: PenaltyWeights, basis=None) -> ObjectiveState:
-        """The state at ``beta``, its scores (and its coordinates in ``basis``,
-        if given) computed from the design."""
+        """The state at ``beta``, its scores and its coordinates in ``basis``
+        computed from the design."""
         beta = np.asarray(beta, dtype=float)
-        coords = None if basis is None else basis.coords(beta)
+        coords = beta[:0] if basis is None else basis.coords(beta)
         return cls(beta, design.X.dot(beta), design, constraint, weights, coords, basis)
 
     def _weigh(self, weights: PenaltyWeights) -> None:
-        """Form the pieces that depend on ``weights``."""
-        self._weights = weights
+        """Form the pieces that depend on ``weights``, replacing any earlier ones."""
+        self.weights = weights
+        self.penalty = 0.5 * weights.b2 * self.sq_dist
         self.objective = self.loss + self.penalty
-        self._grad = None
         if self._basis is None:
-            self.grad_sq = float(self.grad.dot(self.grad))
-        else:
-            self.grad_sq = self._basis.grad_sq(self, self._design, weights)
-
-    def at_weights(self, weights: PenaltyWeights) -> ObjectiveState:
-        """This point at ``weights``: itself if it is already there, else a
-        shallow copy sharing every weight-free piece, weighed anew."""
-        if weights == self._weights:
-            return self
-        state = object.__new__(ObjectiveState)
-        state.__dict__.update(self.__dict__)
-        state._weigh(weights)
-        return state
-
-    @property
-    def penalty(self) -> float:
-        return 0.5 * self._weights.b2 * self.sq_dist
-
-    @property
-    def grad(self) -> np.ndarray:
-        if self._grad is None:
             # X^T v with v_i = -a2 * y_i * max(0, 1 - margin_i), plus the penalty pull;
             # v vanishes on the rows outside the margin, so only the others are read
-            weights = self._weights
             g = _rows_dot(-weights.a2 * self._design.y * self.slack, self._design.X)
-            self._grad = g + weights.b2 * self._diff
-        return self._grad
+            self.grad = g = g + weights.b2 * self._diff
+            self.grad_sq = float(g.dot(g))
+        else:
+            self.grad_sq = self._basis.grad_sq(self, self._design, weights)
 
 
 def hinge_loss(beta: np.ndarray, design: DesignMatrix) -> float:

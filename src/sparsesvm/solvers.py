@@ -374,12 +374,11 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
     ``start`` is a coefficient vector, for a fresh run (one entry per design
     column, else ``ValueError``), or the ``_Run`` the previous penalty level
     handed back: the level then continues that level's accelerated sequence
-    from its kept point, moved to these weights
-    by ``ObjectiveState.at_weights``: its scores, coordinates, projection,
+    from its kept point, weighed again in place (``ObjectiveState._weigh``)
+    if its weights differ from these: its scores, coordinates, projection,
     distance, loss and residual and projection coordinates carry over, and
-    only its objective and gradient are formed anew; a fresh start is already
-    at these weights and is not weighed again. One fit thus computes
-    ``X @ beta`` once and projects each point once.
+    only its penalty, objective and gradient are formed anew. One fit thus
+    computes ``X @ beta`` once and projects each point once.
 
     The second term is the squared pull of the distance penalty, which at the
     level's exact solution balances the loss gradient; ``pull_tol > 0`` thus
@@ -402,8 +401,8 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
     evaluation at once (see ``ObjectiveState``), and convergence is tested
     there. Scores, and an ``mm`` point's coordinates in its workspace's factor
     basis, are linear in the coefficients: each step hands back its iterate
-    packed as one vector ``[beta | scores | coords]`` (``[beta | scores]``
-    for ``sd``), the restart test reads its ``beta`` part, and the kept point
+    packed as one vector ``[beta | scores | coords]`` (``coords`` empty for
+    ``sd``), the restart test reads its ``beta`` part, and the kept point
     is extrapolated from the last two packed iterates at once, so that its
     ``ObjectiveState`` is built from views of one vector. An accelerated
     iteration thus reads the factors in full twice with ``mm`` on a thin SVD
@@ -413,9 +412,9 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
     inside the margin once, for the kept point's gradient (see
     ``_rows_dot``), and with ``mm`` the rows of its projection's support.
 
-    Returns the evaluation at the final point, the number of updates taken at
-    this level, the number of restarts and the ``_Run`` to hand to the next
-    level.
+    Returns the number of updates taken at this level, the number of restarts
+    and the ``_Run`` to hand to the next level, whose kept point is the final
+    one.
     """
     basis = ws if isinstance(ws, _MM_KINDS) else None
     p1, n = design.X.shape[1], design.n
@@ -425,10 +424,10 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
             raise ValueError(f"beta0 has shape {beta.shape}, expected ({p1},)")
         ev = ObjectiveState.at(beta, design, constraint, weights, basis)
         # x_k before the first update is the start
-        parts = (ev.beta, ev.scores) if basis is None else (ev.beta, ev.scores, ev.coords)
-        start = _Run(ev, np.concatenate(parts), 1, 0)
-    kept, last, j, updates = start
-    cur = kept.at_weights(weights)
+        start = _Run(ev, np.concatenate((ev.beta, ev.scores, ev.coords)), 1, 0)
+    cur, last, j, updates = start
+    if cur.weights != weights:
+        cur._weigh(weights)
     coefs = ws.coefficients(weights)
     pull_sq = (pull_tol * weights.b2) ** 2
 
@@ -452,11 +451,10 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
                 x = _past(new, move, w)
         last = new
         beta, scores, coords = _unpack(x, p1, n)
-        cur = ObjectiveState(beta, scores, design, constraint, weights,
-                             None if basis is None else coords, basis)
+        cur = ObjectiveState(beta, scores, design, constraint, weights, coords, basis)
         if history is not None:
             history.append(cur.objective)
-    return cur, iters, restarts, _Run(cur, last, j, updates)
+    return iters, restarts, _Run(cur, last, j, updates)
 
 
 def _report(ev: ObjectiveState, iters, constraint, weights, cfg, t0) -> FitReport:
@@ -477,7 +475,8 @@ def _solve(beta0, ws, design, constraint, weights, cfg, history):
     constraint.require_p(design.p)
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
-    ev, iters, _, _ = _solve_subproblem(beta0, ws, design, constraint, weights, cfg, history)
+    iters, _, run = _solve_subproblem(beta0, ws, design, constraint, weights, cfg, history)
+    ev = run.kept
     return ev.beta, _report(ev, iters, constraint, weights, cfg, t0)
 
 

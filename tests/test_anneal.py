@@ -292,7 +292,7 @@ class TestFactorPasses:
         names = [name for name, _ in products]
         assert names.count("X") == 2
         assert names.count("U") <= iters and names.count("V") <= iters
-        assert all(shape == (svd.r,) for name, shape in products if name != "X")
+        assert all(shape == (svd.s.size,) for name, shape in products if name != "X")
 
     def test_gram(self, monkeypatch):
         problem = PairProblem.build(gen_spiral(200, 150, 20, seed=0), 0, 1,
@@ -464,8 +464,8 @@ class TestStopReason:
             beta0 = rng.standard_normal(7)
             for accel in (True, False):
                 cfg = SolverConfig(grad_tol=1e-14, accel=accel)
-                _, iters, restarts, _ = solvers._solve_subproblem(beta0, ws, design,
-                                                                  constraint, weights, cfg)
+                iters, restarts, _ = solvers._solve_subproblem(beta0, ws, design,
+                                                               constraint, weights, cfg)
                 assert restarts <= max(0, iters - solvers.WARMUP - 1)
                 totals[accel] += restarts
             cfg = SolverConfig(grad_tol=1e-14)
@@ -473,8 +473,8 @@ class TestStopReason:
             prox_dist_fit(design, constraint, beta0, solver=ws, cfg=cfg,
                           sched=AnnealSchedule(rho0=weights.rho, max_outer=2),
                           trace_hook=records.append)
-            _, _, first, _ = solvers._solve_subproblem(beta0, ws, design, constraint, weights,
-                                                       cfg, pull_tol=anneal.TAU)
+            _, first, _ = solvers._solve_subproblem(beta0, ws, design, constraint, weights,
+                                                    cfg, pull_tol=anneal.TAU)
             assert records[0].restarts == first
             levels += first > 0
         assert totals[False] == 0 < totals[True]

@@ -281,7 +281,7 @@ def lapack_svd_calls(monkeypatch):
 
 def assert_thin_svd_of(svd, X, s_ref, orth_tol):
     n, p = X.shape
-    r = svd.r
+    r = svd.s.size
     assert svd.U.shape == (n, r) and svd.V.shape == (p, r)
     assert svd.U.flags.c_contiguous and svd.V.flags.c_contiguous
     assert np.all(np.diff(svd.s) <= 0)
@@ -299,19 +299,19 @@ class TestThinSvd:
     def test_identity(self):
         svd = thin_svd(np.eye(3))
         np.testing.assert_allclose(svd.s, np.ones(3))
-        assert svd.r == 3
+        assert svd.s.size == 3
 
     def test_rank_one(self, rng):
         u = rng.standard_normal(8)
         v = rng.standard_normal(3)
         svd = thin_svd(np.outer(u, v))
-        assert svd.r == 1
+        assert svd.s.size == 1
 
     @pytest.mark.parametrize("shape", [(50, 10), (10, 50), (30, 30)])
     def test_orthonormal_and_reconstructs(self, rng, shape):
         X = rng.standard_normal(shape)
         svd = thin_svd(X)
-        r = svd.r
+        r = svd.s.size
         assert np.max(np.abs(svd.U.T @ svd.U - np.eye(r))) <= 1e-10
         assert np.max(np.abs(svd.V.T @ svd.V - np.eye(r))) <= 1e-10
         err = np.linalg.norm(svd.U @ np.diag(svd.s) @ svd.V.T - X)
@@ -325,7 +325,7 @@ class TestThinSvd:
         s_ref = np.linalg.svd(X, compute_uv=False)
         monkeypatch.setattr(np.linalg, "svd", refuse_svd)
         svd = thin_svd(X)
-        assert svd.r == min(shape)
+        assert svd.s.size == min(shape)
         assert_thin_svd_of(svd, X, s_ref, 8 * EPS * sum(shape))
 
     @pytest.mark.parametrize("shape", [(3, 2), (12, 6), (40, 39), (6, 30), (200, 101)])
@@ -359,7 +359,7 @@ class TestThinSvd:
         del lapack_svd_calls[:]
         svd = thin_svd(X)
         assert lapack_svd_calls == [X.shape]
-        assert svd.r == r
+        assert svd.s.size == r
         for got, ref in zip((svd.U, svd.s, svd.V), want):
             np.testing.assert_array_equal(got, ref)
 
@@ -370,13 +370,13 @@ class TestThinSvd:
         design = binarize(ds.take(folds.train_indices(0)), 1, 0)
         assert design.X.shape == (600, 501)
         svd = thin_svd(design.X)
-        assert svd.r == 501
+        assert svd.s.size == 501
         assert np.max(np.abs(svd.U.T @ svd.U - np.eye(501))) <= 8 * EPS * 1101
 
     def test_planted_design_takes_the_gram_route(self, no_lapack_svd):
         ds, _ = gen_gaussian_causal(200, 100, 5, 0)
         svd = thin_svd(binarize(ds, 1, 0).X)
-        assert svd.r == 101
+        assert svd.s.size == 101
         assert np.max(np.abs(svd.U.T @ svd.U - np.eye(101))) <= 8 * EPS * 301
 
 

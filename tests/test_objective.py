@@ -268,10 +268,10 @@ class TestSurrogate:
 
 
 @pytest.mark.parametrize("basis", ["thin_svd", "gram", "none"])
-def test_at_weights_shares_weight_free_pieces(rng, basis):
-    """A state moved to other weights shares its weight-free pieces with the
-    source and forms its objective and gradient exactly as a fresh state at
-    those weights would, leaving the source's untouched."""
+def test_reweigh_in_place_keeps_weight_free_pieces(rng, basis):
+    """A state weighed again at other weights keeps its weight-free pieces, the
+    same objects, and forms its objective and gradient exactly as a fresh state
+    at those weights would."""
     n, p, k = 30, 8, 3
     if basis == "gram":
         features = rng.standard_normal((n, 2))
@@ -285,21 +285,21 @@ def test_at_weights_shares_weight_free_pieces(rng, basis):
     w1 = PenaltyWeights.for_problem(design.n, constraint, 2.0)
     w2 = PenaltyWeights.for_problem(design.n, constraint, 2.4)
     beta = 0.3 * rng.standard_normal(design.X.shape[1])
-    shared = ("pm", "slack") if ws is None else ("pm", "slack", "residual_coords", "pm_coords")
+    kept = ("pm", "slack") if ws is None else ("pm", "slack", "residual_coords", "pm_coords")
 
     state = ObjectiveState.at(beta, design, constraint, w1, ws)
-    pieces = {name: getattr(state, name) for name in shared + ("sq_dist", "loss")}
-    before = (state.objective, state.grad, state.grad_sq)
+    pieces = {name: getattr(state, name) for name in kept}
+    values = (state.sq_dist, state.loss)
+    before = state.objective
 
-    moved = state.at_weights(w2)
+    state._weigh(w2)
     fresh = ObjectiveState.at(beta, design, constraint, w2, ws)
-    for name in shared:
-        assert getattr(moved, name) is pieces[name]
-    assert moved.objective == fresh.objective
-    np.testing.assert_array_equal(moved.grad, fresh.grad)
-    assert moved.grad_sq == fresh.grad_sq
-    assert moved.objective != before[0]
-
-    assert (state.objective, state.grad_sq) == (before[0], before[2])
-    assert state.grad is before[1]
-    assert {name: getattr(state, name) for name in pieces} == pieces
+    for name in kept:
+        assert getattr(state, name) is pieces[name]
+    assert (state.sq_dist, state.loss) == values
+    assert state.objective == fresh.objective != before
+    assert state.grad_sq == fresh.grad_sq
+    if ws is None:
+        np.testing.assert_array_equal(state.grad, fresh.grad)
+    else:
+        assert not hasattr(state, "grad")
