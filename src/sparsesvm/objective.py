@@ -53,14 +53,17 @@ class PenaltyWeights:
 # planted designs.
 
 
-def _loss_from_slack(slack: np.ndarray) -> float:
-    return float(slack.dot(slack)) / (2.0 * slack.size)
-
-
 # Gathering rows costs about as much as a dense product over this many matrix
 # entries, besides copying them (numpy call overhead; measured with OpenBLAS on
 # a 2-vCPU x86 VM for designs from 101x101 to 600x501).
 _GATHER_COST = 40_000
+
+
+def _loss_scale(weights: PenaltyWeights, design: DesignMatrix, basis) -> np.ndarray:
+    """The loss gradient's scale at ``weights``: ``-a2 y``, by which the slack
+    is multiplied, or with a basis ``-a2`` times its ``scale`` (its singular
+    values or eigenvalues), by which the residual coordinates are."""
+    return -weights.a2 * (design.y if basis is None else basis.scale)
 
 
 def _rows_dot(v: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -75,7 +78,7 @@ def _rows_dot(v: np.ndarray, A: np.ndarray) -> np.ndarray:
     """
     width = A.shape[1]
     if v.size * width > _GATHER_COST:
-        rows = np.flatnonzero(v)
+        rows = v.nonzero()[0]
         if (v.size - 3 * rows.size) * width > _GATHER_COST:
             return v[rows].dot(A[rows])
     return v.dot(A)
@@ -94,25 +97,30 @@ class ObjectiveState:
     ``objective`` and ``grad_sq``, the last from the coordinates on a point
     with a basis, whose step reads those too; only a point without a basis
     gets the vector ``grad``, which its step reads. A point moved to other
-    weights is weighed again in place.
+    weights is weighed again in place. ``scale``, the loss gradient's scale
+    ``_loss_scale(weights, design, basis)``, is formed per point when not
+    given; the inner loop forms it once per level.
     """
 
-    def __init__(self, beta, scores, design, constraint, weights, coords=None, basis=None):
+    def __init__(self, beta, scores, design, constraint, weights, coords=None, basis=None,
+                 scale=None):
         self.beta = beta
         self.scores = scores
         self.coords = coords
         self._design = design
         self._basis = basis
         self.margins = design.y * scores
-        self.slack = np.maximum(0.0, 1.0 - self.margins)
-        self.loss = _loss_from_slack(self.slack)
-        self.pm = project(beta, constraint)
-        self._diff = diff = beta - self.pm
+        self.slack = slack = 1.0 - self.margins
+        np.maximum(0.0, slack, out=slack)
+        # the averaged squared hinge, as in hinge_loss
+        self.loss = float(slack.dot(slack)) / (2.0 * slack.size)
+        self.pm = pm = project(beta, constraint)
+        self._diff = diff = beta - pm
         self.sq_dist = float(diff.dot(diff))
         if basis is not None:
-            self.residual_coords = basis.residual_coords(design.y * self.slack)
-            self.pm_coords = basis.coords(self.pm)
-        self._weigh(weights)
+            self.residual_coords = basis.residual_coords(design.y * slack)
+            self.pm_coords = basis.coords(pm)
+        self._weigh(weights, scale)
 
     @classmethod
     def at(cls, beta, design: DesignMatrix, constraint: SparsityConstraint,
@@ -123,24 +131,28 @@ class ObjectiveState:
         coords = beta[:0] if basis is None else basis.coords(beta)
         return cls(beta, design.X.dot(beta), design, constraint, weights, coords, basis)
 
-    def _weigh(self, weights: PenaltyWeights) -> None:
-        """Form the pieces that depend on ``weights``, replacing any earlier ones."""
+    def _weigh(self, weights: PenaltyWeights, scale=None) -> None:
+        """Form the pieces that depend on ``weights``, replacing any earlier ones;
+        ``scale`` is ``_loss_scale`` at ``weights``, formed here when not given."""
+        if scale is None:
+            scale = _loss_scale(weights, self._design, self._basis)
         self.weights = weights
         self.penalty = 0.5 * weights.b2 * self.sq_dist
         self.objective = self.loss + self.penalty
         if self._basis is None:
             # X^T v with v_i = -a2 * y_i * max(0, 1 - margin_i), plus the penalty pull;
             # v vanishes on the rows outside the margin, so only the others are read
-            g = _rows_dot(-weights.a2 * self._design.y * self.slack, self._design.X)
-            self.grad = g = g + weights.b2 * self._diff
+            self.grad = g = _rows_dot(scale * self.slack, self._design.X)
+            g += weights.b2 * self._diff
             self.grad_sq = float(g.dot(g))
         else:
-            self.grad_sq = self._basis.grad_sq(self, self._design, weights)
+            self.grad_sq = self._basis.grad_sq(self, self._design, weights, scale)
 
 
 def hinge_loss(beta: np.ndarray, design: DesignMatrix) -> float:
     """Averaged squared hinge: (1/2n) sum_i max(0, 1 - y_i x_i' beta)^2."""
-    return _loss_from_slack(np.maximum(0.0, 1.0 - design.y * design.X.dot(beta)))
+    slack = np.maximum(0.0, 1.0 - design.y * design.X.dot(beta))
+    return float(slack.dot(slack)) / (2.0 * slack.size)
 
 
 def working_response(beta: np.ndarray, design: DesignMatrix) -> np.ndarray:
@@ -159,15 +171,33 @@ def penalized_objective(beta, design, constraint, weights) -> ObjectiveState:
     return ObjectiveState.at(beta, design, constraint, weights)
 
 
+# The anchor's working response and projection at the last surrogate_value
+# call, with what they were formed from: (anchor shape and bytes, design,
+# constraint, z, pm). A line search evaluates many points against one anchor.
+# The design is held, so that its id cannot be reused while it is compared
+# with ``is``; the entry is replaced as one tuple, so a thread reads either
+# the old or the new entry whole.
+_anchor_memo = None
+
+
 def surrogate_value(beta, anchor, design, constraint, weights) -> float:
     """Anchored majorizer: 0.5 a2 ||z - X beta||^2 + 0.5 b2 ||p_m - beta||^2.
 
     z and p_m are the working response and projection at ``anchor``. Touches
-    the true objective at the anchor and dominates it everywhere else.
+    the true objective at the anchor and dominates it everywhere else. They
+    are kept from the previous call while its anchor (compared by value), its
+    design (the same object) and its constraint stay the same.
     """
+    global _anchor_memo
     beta = np.asarray(beta, dtype=float)
-    z = working_response(anchor, design)
-    pm = project(np.asarray(anchor, dtype=float), constraint)
+    anchor = np.asarray(anchor, dtype=float)
+    key = (anchor.shape, anchor.tobytes())
+    memo = _anchor_memo
+    if memo is None or memo[0] != key or memo[1] is not design or memo[2] != constraint:
+        memo = (key, design, constraint, working_response(anchor, design),
+                project(anchor, constraint))
+        _anchor_memo = memo
+    z, pm = memo[3], memo[4]
     r_loss = z - design.X.dot(beta)
     r_pen = pm - beta
     return (0.5 * weights.a2 * float(r_loss.dot(r_loss))

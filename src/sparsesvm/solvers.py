@@ -33,7 +33,7 @@ import numpy as np
 
 from .config import FitReport, SolverConfig
 from .data import RANK_TOL, DataError, DesignMatrix, ThinSVD, thin_svd
-from .objective import ObjectiveState, PenaltyWeights, _rows_dot
+from .objective import ObjectiveState, PenaltyWeights, _loss_scale, _rows_dot
 from .sparsity import SparsityConstraint
 
 __all__ = [
@@ -75,6 +75,11 @@ class MMWorkspace:
         denom = a2s2 + weights.b2
         return a2s / denom, a2s2 / denom
 
+    @property
+    def scale(self) -> np.ndarray:
+        """The singular values, which ``objective._loss_scale`` reads."""
+        return self.svd.s
+
     def coords(self, x) -> np.ndarray:
         """``V' x``, read from the rows of V where ``x`` is nonzero."""
         return _rows_dot(x, self.svd.V)
@@ -83,10 +88,12 @@ class MMWorkspace:
         """``U' v``, read from the rows of U where ``v`` is nonzero."""
         return _rows_dot(v, self.svd.U)
 
-    def grad_sq(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights) -> float:
-        """The squared gradient norm at ``ev`` from its coordinates."""
+    def grad_sq(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights,
+                scale) -> float:
+        """The squared gradient norm at ``ev`` from its coordinates; ``scale`` is
+        ``-a2 s``."""
         V = self.svd.V
-        return _factored_grad_sq(ev, self.svd.s, V.shape[1] == V.shape[0], weights)
+        return _factored_grad_sq(ev, scale, V.shape[1] == V.shape[0], weights)
 
     def step(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights, coefs):
         """The exact minimizer of the anchored majorizer at ``ev``, packed with its
@@ -95,11 +102,15 @@ class MMWorkspace:
 
         ``z - scores = y * slack`` and ``U' scores = s t``, so ``U' z`` comes from
         the coordinates and the residual's, and the new scores are ``U (s t)``.
+        One vector of r entries holds ``U' z``, then the coefficients ``coef =
+        c1 U'z - c2 V'pm`` of ``beta - pm``, then ``s t``.
         """
         svd = self.svd
-        x = np.empty(svd.V.shape[0] + svd.U.shape[0] + svd.s.size)
-        beta, scores, t = _unpack(x, svd.V.shape[0], svd.U.shape[0])
-        uz = svd.s * ev.coords + ev.residual_coords
+        p1, n = svd.V.shape[0], svd.U.shape[0]
+        x = np.empty(p1 + n + svd.s.size)
+        beta, scores, t = x[:p1], x[p1:p1 + n], x[p1 + n:]
+        uz = svd.s * ev.coords
+        uz += ev.residual_coords
         if weights.b2 == 0.0:
             # unpenalized system: minimum-norm least-squares solution
             np.divide(uz, svd.s, out=t)
@@ -108,22 +119,25 @@ class MMWorkspace:
             return x
         c1, c2 = coefs
         vpm = ev.pm_coords
-        coef = c1 * uz - c2 * vpm
+        coef = uz
+        coef *= c1
+        coef -= np.multiply(c2, vpm, out=t)
         np.add(vpm, coef, out=t)
         svd.V.dot(coef, out=beta)
         beta += ev.pm
-        svd.U.dot(svd.s * t, out=scores)
+        svd.U.dot(np.multiply(svd.s, t, out=coef), out=scores)
         return x
 
 
 def _factored_grad_sq(ev: ObjectiveState, scale, square: bool, weights: PenaltyWeights) -> float:
-    """``||grad||^2`` at ``ev`` for a factorization ``X = R diag(scale) C'`` with
+    """``||grad||^2`` at ``ev`` for a factorization ``X = R diag(sigma) C'`` with
     orthonormal R (n x r) and C (p x r): ``U, s, V`` of a thin SVD, or ``Q, lam,
-    Q`` of a gram eigendecomposition (whose intercept column it adds).
+    Q`` of a gram eigendecomposition (whose intercept column it adds);
+    ``scale`` is ``-a2 sigma``, formed once per level.
 
     With ``t = C' beta`` and ``dt = t - C' pm``, the gradient
     ``X' (-a2 y slack) + b2 (beta - pm)`` has the coordinates
-    ``C' grad = -a2 scale (R' y slack) + b2 dt``; the rest of it is
+    ``C' grad = -a2 sigma (R' y slack) + b2 dt``; the rest of it is
     ``b2 (I - C C') (beta - pm)``, of squared norm ``b2^2 (sq_dist - ||dt||^2)``.
     That difference cancels: its rounding error is about ``eps b2^2 sq_dist``,
     which can exceed the gradient itself near a stationary point far from
@@ -138,7 +152,7 @@ def _factored_grad_sq(ev: ObjectiveState, scale, square: bool, weights: PenaltyW
     with ``G = a2 ||X|| ||slack|| + b2 ||beta||`` (``RANK_TOL`` only when the
     rank cut dropped a factor).
     """
-    g = -weights.a2 * scale * ev.residual_coords
+    g = scale * ev.residual_coords
     dt = ev.coords - ev.pm_coords
     g += weights.b2 * dt
     grad_sq = float(g.dot(g))
@@ -191,6 +205,11 @@ class KernelMMWorkspace:
         schur = a2 * self.Q.shape[0] + weights.b2 - a2 * float((lam * self.q1).dot(g))
         return d, g, schur
 
+    @property
+    def scale(self) -> np.ndarray:
+        """The eigenvalues, which ``objective._loss_scale`` reads."""
+        return self.lam
+
     def coords(self, x) -> np.ndarray:
         """``Q' x_a`` of the feature weights ``x_a = x[:-1]``, read from the rows
         of Q where ``x_a`` is nonzero."""
@@ -200,12 +219,14 @@ class KernelMMWorkspace:
         """``Q' v``, read from the rows of Q where ``v`` is nonzero."""
         return _rows_dot(v, self.Q)
 
-    def grad_sq(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights) -> float:
+    def grad_sq(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights,
+                scale) -> float:
         """The squared gradient norm at ``ev`` from its coordinates, plus the
-        intercept's ``(-a2 sum(y slack))^2``: the intercept is never projected."""
+        intercept's ``(-a2 sum(y slack))^2``: the intercept is never projected;
+        ``scale`` is ``-a2 lam``."""
         Q = self.Q
         intercept = weights.a2 * float(design.y.dot(ev.slack))
-        return (_factored_grad_sq(ev, self.lam, Q.shape[1] == Q.shape[0], weights)
+        return (_factored_grad_sq(ev, scale, Q.shape[1] == Q.shape[0], weights)
                 + intercept * intercept)
 
     def step(self, ev: ObjectiveState, design: DesignMatrix, weights: PenaltyWeights, coefs):
@@ -220,16 +241,21 @@ class KernelMMWorkspace:
         a2, b2, lam, Q = weights.a2, weights.b2, self.lam, self.Q
         n = Q.shape[0]
         x = np.empty(2 * n + 1 + lam.size)
-        beta, scores, u = _unpack(x, n + 1, n)
+        beta, scores, u = x[:n + 1], x[n + 1:2 * n + 1], x[2 * n + 1:]
         pm = ev.pm
         w = ev.pm_coords
-        qz = lam * ev.coords + ev.beta[-1] * self.q1 + ev.residual_coords
+        qz = lam * ev.coords
+        qz += ev.beta[-1] * self.q1
+        qz += ev.residual_coords
         r = a2 * lam * qz + b2 * w
         z_sum = float(ev.scores.sum()) + float(design.y.dot(ev.slack))
         beta0 = (a2 * z_sum + b2 * pm[-1] - float(g.dot(r))) / schur
         np.subtract(r / d, g * beta0, out=u)
         # Q (u - w) and Q (lam u) in one pass over Q
-        prod = Q.dot(np.column_stack([u - w, lam * u]))
+        cols = np.empty((lam.size, 2))
+        np.subtract(u, w, out=cols[:, 0])
+        np.multiply(lam, u, out=cols[:, 1])
+        prod = Q.dot(cols)
         np.add(pm[:-1], prod[:, 0], out=beta[:-1])
         beta[-1] = beta0
         np.add(prod[:, 1], beta0, out=scores)
@@ -237,12 +263,6 @@ class KernelMMWorkspace:
 
 
 _MM_KINDS = (MMWorkspace, KernelMMWorkspace)
-
-
-def _unpack(x: np.ndarray, p1: int, n: int):
-    """Views of a packed iterate ``[beta | scores | coords]`` with ``p1``
-    coefficients and ``n`` scores; ``coords`` is empty for ``sd``."""
-    return x[:p1], x[p1:p1 + n], x[p1 + n:]
 
 
 def _require(ws, *kinds):
@@ -300,12 +320,14 @@ class SDWorkspace:
         iterate's scores into one vector ``[beta | scores]``; ``sd`` keeps no
         coordinates."""
         X = design.X
-        x = np.empty(X.shape[1] + X.shape[0])
-        beta, scores, _ = _unpack(x, X.shape[1], X.shape[0])
+        p1 = X.shape[1]
+        x = np.empty(p1 + X.shape[0])
+        beta, scores = x[:p1], x[p1:]
         Xg = X.dot(ev.grad, out=scores)
         eta = _exact_step(ev.grad_sq, Xg, weights, self.guard)
-        np.subtract(ev.beta, eta * ev.grad, out=beta)
-        np.subtract(ev.scores, eta * Xg, out=scores)
+        np.subtract(ev.beta, np.multiply(ev.grad, eta, out=beta), out=beta)
+        Xg *= eta
+        np.subtract(ev.scores, Xg, out=scores)
         return x
 
 
@@ -345,8 +367,11 @@ WARMUP = 10
 
 
 def _past(new, move, w: float):
-    """``new + w move``: the point past ``new`` along the momentum ``move = new - old``."""
-    return new + w * move
+    """``new + w move``: the point past ``new`` along the momentum ``move = new - old``,
+    formed in the storage of ``move``, which the loop does not read again."""
+    move *= w
+    move += new
+    return move
 
 
 class _Run(NamedTuple):
@@ -367,9 +392,11 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
     ``max(cfg.grad_tol, pull_tol**2 * ||b2 (beta - P(beta))||**2)`` or
     ``cfg.max_inner`` updates have been taken at this level.
 
-    The level's update coefficients (``ws.coefficients``) are formed once,
-    before its first update; the workspace holds nothing per level, so one
-    workspace serves concurrent fits.
+    The level's update coefficients (``ws.coefficients``) and the loss
+    gradient's scale every point's gradient reads (``-a2 s``, ``-a2 lam`` or
+    ``-a2 y``, see ``objective._loss_scale``) are formed once, before its
+    first update; the workspace holds nothing per level, so one workspace
+    serves concurrent fits.
 
     ``start`` is a coefficient vector, for a fresh run (one entry per design
     column, else ``ValueError``), or the ``_Run`` the previous penalty level
@@ -403,8 +430,9 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
     basis, are linear in the coefficients: each step hands back its iterate
     packed as one vector ``[beta | scores | coords]`` (``coords`` empty for
     ``sd``), the restart test reads its ``beta`` part, and the kept point
-    is extrapolated from the last two packed iterates at once, so that its
-    ``ObjectiveState`` is built from views of one vector. An accelerated
+    is extrapolated from the last two packed iterates at once, in the storage
+    of their difference, so that its ``ObjectiveState`` is built from views
+    of one vector that no later update writes. An accelerated
     iteration thus reads the factors in full twice with ``mm`` on a thin SVD
     (``V @ coef`` and the new scores ``U @ (s t)``), once with ``mm`` on a
     gram eigendecomposition (``Q @ [u - w, lam u]``), and the design once
@@ -426,21 +454,23 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
         # x_k before the first update is the start
         start = _Run(ev, np.concatenate((ev.beta, ev.scores, ev.coords)), 1, 0)
     cur, last, j, updates = start
+    scale = _loss_scale(weights, design, basis)
     if cur.weights != weights:
-        cur._weigh(weights)
+        cur._weigh(weights, scale)
     coefs = ws.coefficients(weights)
+    step = ws.step
+    grad_tol, max_inner, accel = cfg.grad_tol, cfg.max_inner, cfg.accel
     pull_sq = (pull_tol * weights.b2) ** 2
 
-    def small(ev):
-        grad_sq = ev.grad_sq
-        return grad_sq < cfg.grad_tol or (pull_sq > 0.0 and grad_sq < pull_sq * ev.sq_dist)
-
     iters = restarts = 0
-    while iters < cfg.max_inner and not small(cur):
-        new = x = ws.step(cur, design, weights, coefs)
+    while iters < max_inner:
+        grad_sq = cur.grad_sq
+        if grad_sq < grad_tol or (pull_sq > 0.0 and grad_sq < pull_sq * cur.sq_dist):
+            break
+        new = x = step(cur, design, weights, coefs)
         iters += 1
         updates += 1
-        if cfg.accel and WARMUP < updates and iters < cfg.max_inner:
+        if accel and WARMUP < updates and iters < max_inner:
             move = new - last
             if (cur.beta - new[:p1]).dot(move[:p1]) > 0.0:
                 j = 1
@@ -450,8 +480,8 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
             if w > 0.0:
                 x = _past(new, move, w)
         last = new
-        beta, scores, coords = _unpack(x, p1, n)
-        cur = ObjectiveState(beta, scores, design, constraint, weights, coords, basis)
+        cur = ObjectiveState(x[:p1], x[p1:p1 + n], design, constraint, weights, x[p1 + n:],
+                             basis, scale)
         if history is not None:
             history.append(cur.objective)
     return iters, restarts, _Run(cur, last, j, updates)

@@ -47,18 +47,19 @@ def project(beta: np.ndarray, constraint: SparsityConstraint) -> np.ndarray:
     magnitude is dropped, except that the entries tied with it take the
     places left, lowest index first.
     """
-    out = np.asarray(beta, dtype=float).copy()
+    out = np.array(beta, dtype=float)
     k, p = constraint.k, constraint.p
     if k < p:
         # np.fmax ignores NaN: a NaN entry ranks at -1, below every magnitude
-        mag = np.fmax(np.abs(out[:p]), -1.0)
+        mag = np.abs(out[:p])
+        np.fmax(mag, -1.0, out=mag)
         part = mag.copy()
         part.partition(p - k - 1)
         cut = part[p - k - 1]
         drop = mag <= cut
         left = np.count_nonzero(drop) - (p - k)
         if left:
-            drop[np.flatnonzero(mag == cut)[:left]] = False
+            drop[(mag == cut).nonzero()[0][:left]] = False
         np.putmask(out[:p], drop, 0.0)
     return out
 

@@ -389,14 +389,14 @@ class TestLinearScores:
             __slots__ = ()
 
             def __init__(self, beta, scores, design, constraint, weights, coords=None,
-                         basis=None):
+                         basis=None, scale=None):
                 pairs = [(scores, design.X @ beta)]
                 if solver == "mm":
                     pairs.append((coords, fresh_coords(basis, beta)))
                 for got, fresh in pairs:
                     errors.append((float(np.max(np.abs(got - fresh))),
                                    float(np.max(np.abs(fresh)))))
-                super().__init__(beta, scores, design, constraint, weights, coords, basis)
+                super().__init__(beta, scores, design, constraint, weights, coords, basis, scale)
 
         monkeypatch.setattr(solvers, "ObjectiveState", Checked)
         if kernel:
@@ -412,6 +412,49 @@ class TestLinearScores:
         err, scale = np.asarray(errors).T
         assert np.count_nonzero(err) > report.total_inner_iters // 2
         assert np.all(err <= 1e-9 * scale)
+
+
+class TestTestedPointsStayPut:
+    @pytest.mark.parametrize("solver,kernel", [("mm", False), ("sd", False), ("mm", True)],
+                             ids=["mm", "sd", "mm-gram"])
+    def test_arrays_unchanged_by_later_updates(self, monkeypatch, solver, kernel):
+        """The steps, ``_past`` and the states write in place; with extrapolation
+        on, no array of a point the loop has tested is written by a later
+        update: each equals the copy taken when the point was weighed."""
+        names = ("beta", "scores", "coords", "margins", "slack", "pm")
+        if solver == "mm":
+            names += ("residual_coords", "pm_coords")
+        seen = []
+
+        class Recording(solvers.ObjectiveState):
+            __slots__ = ()
+
+            def _weigh(self, weights, scale=None):
+                super()._weigh(weights, scale)
+                seen.append((self, [getattr(self, name).copy() for name in names]))
+
+        extrapolated = []
+        past = solvers._past
+
+        def counting_past(new, move, w):
+            extrapolated.append(w)
+            return past(new, move, w)
+
+        monkeypatch.setattr(solvers, "ObjectiveState", Recording)
+        monkeypatch.setattr(solvers, "_past", counting_past)
+        if kernel:
+            problem = PairProblem.build(gen_spiral(120, 60, 20, seed=0), 0, 1,
+                                        GaussianKernelSpec(gamma=1.0), solver=solver)
+            design, constraint, ws = problem.design, problem.constraint(0.8), problem.workspace
+        else:
+            ds, _ = gen_gaussian_causal(120, 40, 4, 5)
+            design, constraint, ws = binarize(ds, 1, 0), SparsityConstraint(k=4, p=40), solver
+        _, report = prox_dist_fit(design, constraint, init_heuristic(design), solver=ws)
+        assert report.outer_iters > 1 and len(extrapolated) > report.total_inner_iters // 2
+        assert len(seen) == report.total_inner_iters + report.outer_iters
+        for point, copies in seen:
+            for name, copy in zip(names, copies):
+                np.testing.assert_array_equal(getattr(point, name), copy, err_msg=name)
 
 
 class TestStopReason:
@@ -490,8 +533,8 @@ def record_tested_points(monkeypatch):
     class Recording(solvers.ObjectiveState):
         __slots__ = ()
 
-        def _weigh(self, weights):
-            super()._weigh(weights)
+        def _weigh(self, weights, scale=None):
+            super()._weigh(weights, scale)
             b2 = weights.b2
             bound = (anneal.TAU * b2) ** 2 * self.sq_dist if b2 != 0.0 else 0.0
             tested.append((self, self.grad_sq, bound))

@@ -266,6 +266,35 @@ class TestSurrogate:
             np.testing.assert_allclose(sur_grad, gradient(beta, design, constraint, weights),
                                        atol=1e-10)
 
+    def test_anchor_pieces_reused_only_for_the_same_anchor(self, rng):
+        """A repeated anchor gives the bits a fresh computation gives; another
+        anchor, the same anchor array changed in place, another design object
+        or another constraint is computed anew."""
+
+        def fresh(beta, anchor, design, constraint, weights):
+            r_loss = working_response(anchor, design) - design.X @ beta
+            r_pen = project(anchor, constraint) - beta
+            return (0.5 * weights.a2 * float(r_loss @ r_loss)
+                    + 0.5 * weights.b2 * float(r_pen @ r_pen))
+
+        design, constraint, weights = random_problem(rng, 15, 6, 2, rho=1.5)
+        anchor = rng.standard_normal(7)
+        cases = []
+        for _ in range(3):
+            cases.append((rng.standard_normal(7), anchor, design, constraint))
+        cases.append((rng.standard_normal(7), rng.standard_normal(7), design, constraint))
+        cases.append((rng.standard_normal(7), anchor, design, SparsityConstraint(k=4, p=6)))
+        other, _, _ = random_problem(rng, 15, 6, 2)
+        cases.append((rng.standard_normal(7), anchor, other, constraint))
+        for beta, anc, des, con in cases:
+            assert surrogate_value(beta, anc, des, con, weights) == fresh(beta, anc, des, con,
+                                                                          weights)
+        beta = rng.standard_normal(7)
+        surrogate_value(beta, anchor, design, constraint, weights)
+        anchor[:3] *= -2.0
+        assert surrogate_value(beta, anchor, design, constraint, weights) == fresh(
+            beta, anchor, design, constraint, weights)
+
 
 @pytest.mark.parametrize("basis", ["thin_svd", "gram", "none"])
 def test_reweigh_in_place_keeps_weight_free_pieces(rng, basis):

@@ -72,6 +72,25 @@ def test_all_ties_resolved_in_index_order():
     np.testing.assert_array_equal(out, [1.0, -1.0, 0.0, 0.0, 9.0])
 
 
+def test_any_array_like_input_projects_as_its_float_copy(rng):
+    """A list, an integer array, a strided view and a read-only array give the
+    output of their float copy, and the input is never written."""
+    constraint = SparsityConstraint(k=3, p=7)
+    base = rng.standard_normal(16)
+    kept = base.copy()
+    readonly = base[:8].copy()
+    readonly.flags.writeable = False
+    inputs = [list(base[:8]), rng.integers(-9, 10, 8), base[::2], readonly]
+    for beta in inputs:
+        before = np.array(beta, dtype=float)
+        want = project(before.copy(), constraint)
+        got = project(beta, constraint)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.asarray(beta, dtype=float), before)
+        assert np.count_nonzero(got[:7]) == 3
+    np.testing.assert_array_equal(base, kept)
+
+
 def test_constraint_validation():
     with pytest.raises(ValueError):
         SparsityConstraint(k=4, p=3)
