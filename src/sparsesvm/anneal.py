@@ -43,6 +43,7 @@ class OuterRecord:
     grad_sq: float
     distance: float
     beta: np.ndarray
+    time_s: float           # wall seconds the level's solve took
 
 
 def sv_count(beta, design: DesignMatrix) -> int:
@@ -86,9 +87,11 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
     # continues the run
     run = beta0
     for outer in range(1, sched.max_outer + 1):
+        t_level = time.perf_counter()
         weights = PenaltyWeights.for_problem(design.n, constraint, rho)
         iters, restarts, run = _solve_subproblem(run, workspace, design, constraint,
                                                  weights, cfg, pull_tol=TAU)
+        t_level = time.perf_counter() - t_level
         ev = run.kept
         beta = ev.beta
         total_inner += iters
@@ -98,7 +101,7 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
         d_cur = ev.sq_dist / norm
         if trace_hook is not None:
             trace_hook(OuterRecord(outer, rho, iters, restarts, ev.objective, ev.grad_sq,
-                                   d_cur, beta.copy()))
+                                   d_cur, beta.copy(), t_level))
         if d_cur <= sched.dist_tol:
             stop_reason = "distance"
             break

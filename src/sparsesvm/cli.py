@@ -1,7 +1,8 @@
 """Command-line front end: gen / train / predict / cv / trace.
 
 All file outputs are deterministic for fixed flags and seed; wall-clock
-timings only appear in cross-validation tables when explicitly requested.
+timings only appear in cross-validation tables and traces when explicitly
+requested with ``--timings``.
 """
 
 from __future__ import annotations
@@ -127,6 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("trace", help="fit once, logging one row per penalty level")
     _add_data_flags(sp)
     _add_fit_flags(sp)
+    sp.add_argument("--timings", action="store_true",
+                    help="add each level's wall-clock time_s column (not reproducible)")
     sp.add_argument("--output", required=True, help="trace CSV path")
     sp.set_defaults(func=cmd_trace)
 
@@ -338,10 +341,11 @@ def cmd_cv(args) -> int:
     return 0
 
 
-_TRACE_FIELDS = tuple(f.name for f in fields(OuterRecord) if f.name != "beta")
+_TRACE_FIELDS = tuple(f.name for f in fields(OuterRecord) if f.name not in ("beta", "time_s"))
 
 
 def cmd_trace(args) -> int:
+    columns = _TRACE_FIELDS + ("time_s",) if args.timings else _TRACE_FIELDS
     ds = _load_training_data(args)
     sparsity, kernel = _resolve_sparsity(args, ds.p)
     cfg = _solver_config(args)
@@ -358,11 +362,11 @@ def cmd_trace(args) -> int:
             bp = project(rec.beta, constraint)
             acc = 100.0 * float(np.mean(((X @ bp) >= 0.0) == (y > 0)))
             out_rows.append([ds.class_names[i], ds.class_names[j],
-                             *(getattr(rec, name) for name in _TRACE_FIELDS), acc])
+                             *(getattr(rec, name) for name in columns), acc])
 
     with Path(args.output).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["positive", "negative", *_TRACE_FIELDS, "train_acc"])
+        writer.writerow(["positive", "negative", *columns, "train_acc"])
         writer.writerows(out_rows)
     print(f"wrote {args.output} ({len(out_rows)} rows)")
     return 0

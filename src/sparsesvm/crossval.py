@@ -13,7 +13,7 @@ import numpy as np
 
 from .anneal import FitError
 from .config import AnnealSchedule, SolverConfig
-from .data import Dataset, FoldPlan
+from .data import DataError, Dataset, FoldPlan
 from .multiclass import (GaussianKernelSpec, OVOModel, PairProblem, class_pairs,
                          ordered_map, predict_ovo)
 
@@ -166,10 +166,11 @@ class CVTable:
 def _run_fold(ds, folds, fold, grid, solver, sched, cfg, holdout, kernel):
     tr_idx = folds.train_indices(fold)
     va_idx = folds.val_indices(fold)
-    ds_tr = ds.take(tr_idx)
-    problems = [PairProblem.build(ds_tr, i, j, kernel, solver)
-                for i, j in class_pairs(len(ds_tr.class_names))]
+    # each pair gathers its own training rows of ds into its design
+    problems = [PairProblem.build(ds, i, j, kernel, solver, rows=tr_idx)
+                for i, j in class_pairs(len(ds.class_names))]
     rows = []
+    fitted = []   # (row, model) of each level fitted, for the Train column
     # the densest fit roots the warm-start chain even when 0 is not on the grid
     work_grid = grid if grid[0] == 0.0 else [0.0] + grid
     for s in work_grid:
@@ -195,13 +196,38 @@ def _run_fold(ds, folds, fold, grid, solver, sched, cfg, holdout, kernel):
             time_s=elapsed,
             objective=float(np.mean([rep.objective for rep in reports])),
             sq_dist=float(np.mean([rep.distance for rep in reports])),
-            train_pct=accuracy_pct(model, ds_tr.features, ds_tr.labels),
             valid_pct=accuracy_pct(model, ds.features[va_idx], ds.labels[va_idx]),
             test_pct=test_pct,
             sv=float(np.mean([rep.sv_count for rep in reports])),
             stop_reason="/".join(rep.stop_reason for rep in reports),
         ))
+        fitted.append((rows[-1], model))
+    # the training rows are gathered whole once, after the designs and their
+    # factorizations are freed, so that no copy of them is alive while a pair
+    # factors or fits
+    del problems
+    if fitted:
+        train = ds.take(tr_idx)
+        for row, model in fitted:
+            row.train_pct = accuracy_pct(model, train.features, train.labels)
     return rows
+
+
+def _check_fold_classes(ds: Dataset, folds: FoldPlan) -> None:
+    """Every class must have a sample among every fold's training rows."""
+    num = len(ds.class_names)
+    counts = np.bincount(ds.labels, minlength=num)
+    for fold in range(folds.num_folds):
+        held = np.bincount(ds.labels[folds.assignments == fold], minlength=num)
+        missing = np.flatnonzero(counts == held)
+        if missing.size:
+            c = int(missing[0])
+            name = ds.class_names[c]
+            if counts[c] == 0:
+                raise DataError(f"class {name!r} has no samples")
+            raise DataError(
+                f"class {name!r} has {counts[c]} cross-validation sample(s), all held out "
+                f"by fold {fold}, which leaves that fold none to train on")
 
 
 def cross_validate(ds: Dataset, folds: FoldPlan, sparsity_grid, solver: str = "mm",
@@ -213,7 +239,8 @@ def cross_validate(ds: Dataset, folds: FoldPlan, sparsity_grid, solver: str = "m
     Every fold is fitted dense first (from the regression-slope heuristic),
     then each grid solution seeds the next, sparser one. The sparsity level
     with the best mean validation accuracy wins; ties go to the sparser model.
-    ``holdout`` supplies the untouched test split reported per row.
+    ``holdout`` supplies the untouched test split reported per row. A class
+    missing from some fold's training rows is a ``DataError`` before any fit.
     """
     sched = sched or AnnealSchedule()
     cfg = cfg or SolverConfig()
@@ -226,6 +253,7 @@ def cross_validate(ds: Dataset, folds: FoldPlan, sparsity_grid, solver: str = "m
         raise ValueError("grid must be strictly ascending")
     if folds.assignments.size != ds.n:
         raise ValueError("fold plan does not match dataset size")
+    _check_fold_classes(ds, folds)
 
     def run(fold):
         return _run_fold(ds, folds, fold, grid, solver, sched, cfg, holdout, kernel)

@@ -91,10 +91,15 @@ class Dataset:
 
     def take(self, indices) -> "Dataset":
         """Rows ``indices`` (integers, not a mask), sharing class names and transform metadata."""
-        idx = np.asarray(indices)
-        if not np.issubdtype(idx.dtype, np.integer):
-            raise DataError(f"row indices must be integers, got dtype {idx.dtype}")
+        idx = _row_indices(indices)
         return replace(self, features=self.features[idx], labels=self.labels[idx])
+
+
+def _row_indices(indices) -> np.ndarray:
+    idx = np.asarray(indices)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise DataError(f"row indices must be integers, got dtype {idx.dtype}")
+    return idx
 
 
 @dataclass(frozen=True)
@@ -291,19 +296,42 @@ def apply_transform(ds: Dataset, kind: str) -> Dataset:
     return replace(ds, features=params.apply(X), transform=kind, transform_params=params)
 
 
-def binarize(ds: Dataset, positive_class: int, negative_class: int) -> DesignMatrix:
-    """Rows of the two classes with labels mapped to +/-1 and an intercept column."""
+# feature cells ``binarize`` copies per block of rows: the gather's temporary
+# is one block, not a second copy of the design
+GATHER_BLOCK = 1 << 15
+
+
+def binarize(ds: Dataset, positive_class: int, negative_class: int,
+             rows=None) -> DesignMatrix:
+    """Rows of the two classes with labels mapped to +/-1 and an intercept column.
+
+    ``rows`` (integers, not a mask) restricts ``ds`` to those rows first:
+    ``binarize(ds, i, j, rows=r)`` equals ``binarize(ds.take(r), i, j)`` bit
+    for bit, without the copy of the features that ``take`` makes. The rows
+    are gathered block by block straight into the design's ``[X | 1]`` array,
+    so that array is the only one of its size the call allocates.
+    """
     pos, neg = int(positive_class), int(negative_class)
     if pos == neg:
         raise DataError("positive and negative class must differ")
+    labels = ds.labels
+    if rows is not None:
+        rows = _row_indices(rows)
+        labels = labels[rows]
     for cid in (pos, neg):
         if not 0 <= cid < len(ds.class_names):
             raise DataError(f"class id {cid} out of range")
-        if not np.any(ds.labels == cid):
+        if not np.any(labels == cid):
             raise DataError(f"class {ds.class_names[cid]!r} has no samples")
-    mask = (ds.labels == pos) | (ds.labels == neg)
-    y = np.where(ds.labels[mask] == pos, 1.0, -1.0)
-    return DesignMatrix.from_features(ds.features[mask], y)
+    mask = (labels == pos) | (labels == neg)
+    y = np.where(labels[mask] == pos, 1.0, -1.0)
+    sel = np.flatnonzero(mask) if rows is None else rows[mask]
+    X = np.empty((sel.size, ds.p + 1))
+    X[:, -1] = 1.0
+    step = max(1, GATHER_BLOCK // ds.p)
+    for start in range(0, sel.size, step):
+        X[start:start + step, :-1] = ds.features[sel[start:start + step]]
+    return DesignMatrix(X, y)
 
 
 # share of the largest singular value or eigenvalue below which factors are dropped

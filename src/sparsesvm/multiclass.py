@@ -38,8 +38,9 @@ def init_heuristic(design: DesignMatrix) -> np.ndarray:
     X = design.X[:, :-1]
     y = design.y
     xc = X - X.mean(axis=0)
-    denom = np.sum(xc * xc, axis=0)
     num = xc.T @ (y - y.mean())
+    # squared in place: the centred copy is the only n x p temporary
+    denom = np.sum(np.multiply(xc, xc, out=xc), axis=0)
     beta = np.zeros(design.X.shape[1])
     live = denom > 0
     beta[:-1][live] = num[live] / denom[live]
@@ -121,8 +122,10 @@ class PairProblem:
 
     @classmethod
     def build(cls, ds: Dataset, pos: int, neg: int,
-              kernel: GaussianKernelSpec | None = None, solver: str = "mm") -> "PairProblem":
-        design = binarize(ds, pos, neg)
+              kernel: GaussianKernelSpec | None = None, solver: str = "mm",
+              rows=None) -> "PairProblem":
+        """The pair's problem on ``ds``, or on its rows ``rows`` (see ``binarize``)."""
+        design = binarize(ds, pos, neg, rows)
         kernel_rows = None
         if kernel is not None:
             feats = np.ascontiguousarray(design.X[:, :-1])

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,25 @@ def child_pythonpath(monkeypatch):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def traced_peak():
+    """``peak(fn, *args)``: ``fn(*args)`` and the bytes that tracemalloc saw
+    allocated at its peak beyond what was allocated when it was called."""
+    def peak(fn, *args, **kwargs):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn(*args, **kwargs)
+            return out, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+    return peak
 
 
 def random_problem(rng, n, p, k, rho=1.0):

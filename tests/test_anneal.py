@@ -98,6 +98,15 @@ class TestProxDistFit:
         outers = [r.outer for r in records]
         assert outers == list(range(1, len(records) + 1))
 
+    def test_records_time_each_level_within_the_fit(self, rng):
+        design, constraint, _ = random_problem(rng, 25, 6, 2)
+        records = []
+        _, report = prox_dist_fit(design, constraint, rng.standard_normal(7),
+                                  sched=AnnealSchedule(max_outer=7), trace_hook=records.append)
+        times = [r.time_s for r in records]
+        assert all(t > 0.0 for t in times)
+        assert sum(times) <= report.wall_time
+
     def test_rho_sequence_strictly_increasing(self, rng):
         design, constraint, _ = random_problem(rng, 25, 6, 2)
         records = []

@@ -211,6 +211,21 @@ class TestTrace:
         for prev, cur in zip(rhos, rhos[1:]):
             assert cur == pytest.approx(prev * 1.2, rel=1e-12)
 
+    def test_timings_add_only_a_level_time_column(self, tmp_path, capsys, spiral_csv):
+        plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+        for out, extra in ((plain, ()), (timed, ("--timings",))):
+            rc, _, _ = run_cli(capsys, "trace", "--data", str(spiral_csv), "--keep", "1",
+                               *extra, "--output", str(out))
+            assert rc == 0
+        with timed.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index("time_s")
+        assert rows[0][col + 1:] == ["train_acc"]
+        assert all(float(row[col]) > 0.0 for row in rows[1:])
+        # without the column the timed trace is the default trace, byte for byte
+        stripped = "".join(",".join(row[:col] + row[col + 1:]) + "\n" for row in rows)
+        assert stripped.encode() == plain.read_bytes()
+
     def test_rerun_byte_identical(self, tmp_path, capsys, causal_csv):
         a, b = tmp_path / "t1.csv", tmp_path / "t2.csv"
         for out in (a, b):
@@ -323,6 +338,25 @@ class TestErrors:
                                   "--output", str(out))
         assert rc == 1 and stdout == ""
         assert err.splitlines() == ["error: class 'c' has no samples"]
+        assert not out.exists()
+
+    def test_cv_class_held_out_whole_by_a_fold(self, tmp_path, capsys):
+        """Its one sample in the CV data sits in one fold's validation rows."""
+        rng = np.random.default_rng(0)
+        rows = ["f1,f2,label"]
+        for name, count, center in (("a", 12, 0.0), ("b", 12, 3.0), ("C", 1, -3.0)):
+            for x in center + rng.standard_normal((count, 2)):
+                rows.append(f"{float(x[0])!r},{float(x[1])!r},{name}")
+        data = tmp_path / "three.csv"
+        data.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "t.json"
+        rc, stdout, err = run_cli(capsys, "cv", "--data", str(data), "--grid", "0",
+                                  "--folds", "3", "--output", str(out))
+        assert rc == 1 and stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "error: class 'C' has 1 cross-validation sample(s), all held out by fold ")
+        assert lines[0].endswith(", which leaves that fold none to train on")
         assert not out.exists()
 
     def test_kernel_rejects_feature_sparsity(self, tmp_path, capsys, causal_csv):

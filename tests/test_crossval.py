@@ -6,11 +6,12 @@ import pytest
 
 from sparsesvm.anneal import FitError
 from sparsesvm.config import AnnealSchedule, SolverConfig
-from sparsesvm.crossval import (CSV_HEADERS, CVRow, CVTable, accuracy_pct,
+from sparsesvm.crossval import (CSV_HEADERS, CVRow, CVTable, _run_fold, accuracy_pct,
                                 cross_validate, selection_metrics)
-from sparsesvm.data import Dataset, make_folds
+from sparsesvm.data import DataError, Dataset, apply_transform, make_folds
 from sparsesvm.multiclass import (GaussianKernelSpec, OVOModel, PairClassifier,
                                   PairProblem, class_pairs, train_ovo)
+from sparsesvm.simdata import gen_synthetic_corr
 
 from test_multiclass import blob_dataset
 
@@ -395,6 +396,41 @@ def test_programming_error_in_a_fit_propagates(monkeypatch):
         cross_validate(ds, folds, [0.0, 0.5])
     with pytest.raises(TypeError, match="broken fit"):
         train_ovo(ds, 0.5)
+
+
+def test_a_class_held_out_whole_by_a_fold_is_named_before_any_fit(monkeypatch):
+    ds = blob_dataset(np.random.default_rng(5), n_per=10)
+    labels = ds.labels.copy()
+    labels[labels == 2] = 1
+    labels[7] = 2
+    ds = Dataset(ds.features, labels, ds.class_names)
+    folds = make_folds(ds.n, 3, seed=0, labels=ds.labels)
+    fold = int(folds.assignments[7])
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a pair was built")
+
+    monkeypatch.setattr(PairProblem, "build", no_build)
+    with pytest.raises(DataError) as err:
+        cross_validate(ds, folds, [0.0])
+    assert str(err.value) == (f"class 'c' has 1 cross-validation sample(s), all held out by "
+                              f"fold {fold}, which leaves that fold none to train on")
+
+
+def test_fold_keeps_one_copy_of_its_rows_at_a_time(traced_peak):
+    """One fold of the correlated-pair CV (600 training rows, 500 features)
+    peaks below 4.2 arrays of its training features' size: a pair design,
+    the design's U and V, and one transient. A fold that held its own copy of
+    the training rows while the pair factored peaked near 5.9."""
+    raw, _ = gen_synthetic_corr(1000, 500, 1)
+    rows = np.sort(np.random.default_rng(1).permutation(1000)[:800])
+    ds = apply_transform(raw.take(rows), "standardized")
+    folds = make_folds(ds.n, 4, 1, labels=ds.labels)
+    block = folds.train_indices(0).size * ds.p * 8
+    cv_rows, peak = traced_peak(_run_fold, ds, folds, 0, [0.0, 0.9], "mm", AnnealSchedule(),
+                                SolverConfig(), None, None)
+    assert [row.error for row in cv_rows] == [None, None]
+    assert peak / block < 4.2
 
 
 @pytest.mark.parametrize("n_threads", [0, -3])

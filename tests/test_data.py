@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sparsesvm import data
 from sparsesvm.data import (GRAM_SPAN, RANK_TOL, DataError, Dataset, DesignMatrix,
                             apply_transform, binarize, load_csv, load_features_csv,
                             make_folds, thin_svd)
@@ -227,6 +228,48 @@ class TestBinarize:
         ds = Dataset(rng.standard_normal((4, 2)), np.array([0, 1, 0, 1]), ("a", "b"))
         with pytest.raises(DataError):
             binarize(ds, 0, 0)
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    @pytest.mark.parametrize("order", ["sorted", "unsorted", "repeated", "negative"])
+    def test_rows_equal_take_bit_for_bit(self, rng, classes, order):
+        ds = Dataset(rng.standard_normal((90, 7)), np.arange(90) % classes,
+                     tuple("abc"[:classes]))
+        rows = {"sorted": np.sort(rng.choice(90, 60, replace=False)),
+                "unsorted": rng.choice(90, 60, replace=False),
+                "repeated": rng.integers(0, 90, size=120),
+                "negative": rng.integers(-90, 90, size=60)}[order]
+        for pos, neg in [(0, 1), (1, 0), (classes - 1, 0)]:
+            want = binarize(ds.take(rows), pos, neg)
+            got = binarize(ds, pos, neg, rows=rows)
+            assert got.X.tobytes() == want.X.tobytes() and got.X.shape == want.X.shape
+            assert got.y.tobytes() == want.y.tobytes()
+
+    def test_rows_gathered_across_blocks(self, rng, monkeypatch):
+        monkeypatch.setattr(data, "GATHER_BLOCK", 12)
+        ds = Dataset(rng.standard_normal((50, 5)), np.arange(50) % 2, ("a", "b"))
+        rows = rng.permutation(50)[:37]
+        want = binarize(ds.take(rows), 1, 0)
+        got = binarize(ds, 1, 0, rows=rows)
+        np.testing.assert_array_equal(got.X, want.X)
+        np.testing.assert_array_equal(binarize(ds, 1, 0).X,
+                                      np.column_stack([ds.features, np.ones(50)]))
+
+    def test_rows_checked_like_take(self, rng):
+        ds = Dataset(rng.standard_normal((6, 2)), np.array([0, 1, 0, 1, 0, 2]), ("a", "b", "c"))
+        with pytest.raises(DataError, match="must be integers"):
+            binarize(ds, 0, 1, rows=[0.0, 1.0])
+        with pytest.raises(DataError, match="class 'c' has no samples"):
+            binarize(ds, 0, 2, rows=[0, 1, 2])
+
+    @pytest.mark.parametrize("rows", [None, "subset"])
+    def test_allocates_one_design_and_nothing_larger(self, rng, traced_peak, rows):
+        ds = Dataset(rng.standard_normal((1500, 400)), np.arange(1500) % 3, ("a", "b", "c"))
+        if rows is not None:
+            rows = rng.permutation(1500)[:1300]
+        design, peak = traced_peak(binarize, ds, 0, 2, rows=rows)
+        # one block of the gather and a few vectors of one entry per row beside
+        # the design; a masked copy of the rows would add about a second design
+        assert peak <= design.X.nbytes + 8 * data.GATHER_BLOCK + 64 * ds.n
 
 
 class TestDesignMatrix:

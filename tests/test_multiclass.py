@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,6 +51,14 @@ class TestInitHeuristic:
         beta = init_heuristic(DesignMatrix.from_features(X, y))
         assert beta[1] == 0.0
         assert np.isfinite(beta).all()
+
+    def test_adds_at_most_one_feature_block(self, rng, traced_peak):
+        n, p = 1200, 300
+        design = DesignMatrix.from_features(rng.standard_normal((n, p)),
+                                            np.where(rng.random(n) < 0.5, 1.0, -1.0))
+        _, peak = traced_peak(init_heuristic, design)
+        # the centred copy; squaring it out of place would add a second one
+        assert peak <= 1.05 * n * p * 8
 
 
 class TestVoting:
@@ -182,6 +191,19 @@ class TestPairProblem:
         assert isinstance(prob.workspace, SOLVERS[solver])
         prob.fit(0.0)
         prob.fit(0.5)
+
+    @pytest.mark.parametrize("kernel", [None, GaussianKernelSpec(gamma=0.5)],
+                             ids=["linear", "kernel"])
+    def test_build_on_rows_equals_build_on_their_take(self, rng, kernel):
+        ds = blob_dataset(rng, n_per=10)
+        rows = rng.permutation(ds.n)[:20]
+        got = PairProblem.build(ds, 2, 0, kernel, rows=rows)
+        want = PairProblem.build(ds.take(rows), 2, 0, kernel)
+        assert got.design.X.tobytes() == want.design.X.tobytes()
+        assert got.design.y.tobytes() == want.design.y.tobytes()
+        a, b = got.fit(0.5), want.fit(0.5)
+        assert replace(a.report, wall_time=0.0) == replace(b.report, wall_time=0.0)
+        assert got.warm.tobytes() == want.warm.tobytes()
 
     def test_build_rejects_unknown_solver(self, rng):
         with pytest.raises(ValueError, match="unknown solver"):

@@ -4,8 +4,9 @@ Run from the root of a checkout:
 
     python3 tools/pairs.py --parent HEAD~1 --output BENCH_<n>.json
 
-The parent is checked out with ``git worktree`` into a temporary directory,
-removed at the end. Pair i runs seed ``--seed + i`` on both sides, each run
+The parent's committed files are exported with ``git archive`` into a
+temporary directory, removed at the end. Pair i runs seed ``--seed + i`` on
+both sides, each run
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -17,8 +18,13 @@ won, its median against the parent's, the verdict against the metric's bound
 and the gain rule: the change won at least nine tenths of the pairs and its
 median is better than the parent's by more than the parent's interquartile
 distance. It then runs ``tools/fingerprint.py`` on both sides and records
-whether every line matches. The report is JSON, written to ``--output`` or
-standard output; progress goes to standard error.
+whether every line matches. With ``--trace`` each side also runs
+
+    python3 perfbench/run.py --workload W --seed S --trace 1
+
+once per workload, at ``--seed``, and the report holds the work counters of
+both runs (``COUNTERS``) and whether they are equal. The report is JSON,
+written to ``--output`` or standard output; progress goes to standard error.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = ROOT / "BENCHMARK.json"
 RUN_TIMEOUT = 1800
+# the traced run's work counters: equal on both sides when a change leaves
+# every fit's iterations and every factorization as they were
+COUNTERS = ("solvers.inner_iters_per_fit", "anneal.levels_per_fit", "data.thin_svd.calls")
 
 
 def git(*args, cwd=ROOT) -> str:
@@ -42,10 +51,10 @@ def git(*args, cwd=ROOT) -> str:
                           text=True).stdout.strip()
 
 
-def bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last-line JSON of one untraced bench run from ``root``, with its ``meta``."""
+def bench(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """The last-line JSON of one bench run from ``root``, with its ``meta``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     res = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT)
     lines = res.stdout.splitlines()
     if res.returncode != 0 or not lines:
@@ -148,6 +157,30 @@ def pairs(parent_root: Path, workloads, seeds, seconds: float, better, bounds):
     return out, host
 
 
+def counters(parent_root: Path, workloads, seed: int, seconds: float) -> dict:
+    """Per workload, the ``COUNTERS`` of one traced run on each side."""
+    out = {}
+    for workload in workloads:
+        entry = {"correct": {}}
+        for name, root in (("parent", parent_root), ("change", ROOT)):
+            run = bench(root, workload, seed, seconds, trace=1)
+            entry[name] = {k: run["metrics"][k]["value"] for k in COUNTERS}
+            entry["correct"][name] = run["correct"]
+            print(f"{workload} traced seed {seed} {name}: {json.dumps(entry[name])}",
+                  file=sys.stderr, flush=True)
+        entry["equal"] = entry["parent"] == entry["change"]
+        out[workload] = entry
+    return out
+
+
+def export(rev: str, dest: Path) -> None:
+    """The files of commit ``rev`` under ``dest``."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
+                         capture_output=True).stdout
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
+
+
 def main(argv=None) -> int:
     spec = json.loads(SPEC.read_text(encoding="utf-8"))
     names = [w["name"] for w in spec["workloads"]]
@@ -158,6 +191,8 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0, help="seed of the first pair")
     ap.add_argument("--seconds", type=float, default=float(spec["run_seconds"]))
+    ap.add_argument("--trace", action="store_true",
+                    help="also compare the work counters of one traced run per side")
     ap.add_argument("--output", type=Path, help="report file (default: standard output)")
     args = ap.parse_args(argv)
     if args.pairs < 1 or args.seed < 0 or args.seconds <= 0:
@@ -168,15 +203,14 @@ def main(argv=None) -> int:
     seeds = list(range(args.seed, args.seed + args.pairs))
     parent = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
 
+    workloads = args.workload or names
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         parent_root = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent_root), parent)
-        try:
-            results, host = pairs(parent_root, args.workload or names, seeds, args.seconds,
-                                  better, bounds)
-            prints = fingerprints(parent_root, ROOT)
-        finally:
-            git("worktree", "remove", "--force", str(parent_root))
+        export(parent, parent_root)
+        results, host = pairs(parent_root, workloads, seeds, args.seconds, better, bounds)
+        prints = fingerprints(parent_root, ROOT)
+        traced = (counters(parent_root, workloads, args.seed, args.seconds)
+                  if args.trace else None)
 
     report = {
         "command": (f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}"
@@ -196,6 +230,14 @@ def main(argv=None) -> int:
         "workloads": results,
         "fingerprint": prints,
     }
+    if traced is not None:
+        report["traced"] = {
+            "command": (f"python3 perfbench/run.py --workload W --seed {args.seed}"
+                        f" --seconds {args.seconds:g} --trace 1"),
+            "counters": list(COUNTERS),
+            "workloads": traced,
+            "equal": all(entry["equal"] for entry in traced.values()),
+        }
     text = json.dumps(report, indent=1) + "\n"
     if args.output:
         args.output.write_text(text, encoding="utf-8")
