@@ -19,8 +19,7 @@ import numpy as np
 from .anneal import OuterRecord
 from .config import AnnealSchedule, SolverConfig
 from .crossval import cross_validate
-from .data import (DataError, apply_transform, load_csv, load_features_csv, load_labeled_csv,
-                   make_folds)
+from .data import DataError, apply_transform, load_csv, load_labeled_csv, make_folds
 from .model_io import load_model, save_model
 from .multiclass import GaussianKernelSpec, PairProblem, class_pairs, train_ovo
 from .simdata import SimSpec, gen_gaussian_causal, gen_spiral, gen_synthetic_corr
@@ -267,13 +266,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     saved = load_model(args.model)
-    if args.label_column is not None:
-        # scoring needs no second class: a file of one class has an accuracy too
-        feats, truth = load_labeled_csv(args.data, args.label_column,
-                                        has_header=not args.no_header)
-    else:
-        feats = load_features_csv(args.data, has_header=not args.no_header)
-        truth = None
+    # scoring needs no second class: a file of one class has an accuracy too
+    feats, truth = load_labeled_csv(args.data, args.label_column, has_header=not args.no_header)
     names = saved.predict_names(feats)
 
     lines = ["prediction"] + names
@@ -317,6 +311,9 @@ def cmd_cv(args) -> int:
         raise UsageError("--grid is empty")
 
     test_idx, cv_idx = _stratified_split(raw.labels, args.holdout_fraction, args.seed)
+    if not cv_idx.size:
+        raise DataError(f"--holdout-fraction {args.holdout_fraction} holds out all {raw.n} "
+                        "rows, which leaves none to cross-validate")
     ds_cv = raw.take(cv_idx)
     holdout = raw.take(test_idx) if test_idx.size else None
     if args.transform != "none":

@@ -17,7 +17,6 @@ __all__ = [
     "FoldPlan",
     "load_csv",
     "load_labeled_csv",
-    "load_features_csv",
     "apply_transform",
     "binarize",
     "thin_svd",
@@ -48,15 +47,16 @@ class ColumnTransform:
             raise DataError(
                 f"expected {self.center.size} feature columns, got shape {X.shape}"
             )
-        out = np.zeros_like(X)
-        live = self.scale != 0
-        out[:, live] = (X[:, live] - self.center[live]) / self.scale[live]
+        out = X - self.center
+        out /= np.where(self.scale != 0, self.scale, 1.0)
+        out[:, self.scale == 0] = 0.0
         return out
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix with integer class ids indexing ``class_names``."""
+    """Feature matrix with integer class ids indexing ``class_names``, of which
+    there are at least two; a class may have no rows (a holdout is only scored)."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -78,8 +78,8 @@ class Dataset:
             raise DataError("feature matrix contains non-finite entries")
         if labels.min() < 0 or labels.max() >= len(self.class_names):
             raise DataError("label ids must index into class_names")
-        if np.unique(labels).size < 2:
-            raise DataError("fewer than 2 classes present")
+        if len(self.class_names) < 2:
+            raise DataError("fewer than 2 class names")
 
     @property
     def n(self) -> int:
@@ -180,9 +180,41 @@ def _read_rows(path: Path) -> list[list[str]]:
         raise DataError(f"{path}: malformed CSV: {exc}") from None
 
 
-def _parse_rows(path, rows, ncol: int, label_idx: int | None = None):
-    """Feature values and raw labels of ``rows``: each row must have ``ncol``
-    cells, and each cell but the label a finite float. Rows count from 1."""
+def load_labeled_csv(path, label_column=None, has_header: bool = True):
+    """Read a comma-delimited UTF-8 file into an n x p feature array and the
+    list of its raw label strings, however many classes they hold.
+
+    ``label_column`` is a header name (requires ``has_header``) or a 0-based
+    column index; with None every cell is a feature and the labels are None.
+    Every row must be as wide as the header, or as the first row without one,
+    and every cell but the label must parse as a finite float.
+    """
+    path = Path(path)
+    rows = _read_rows(path)
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header = None
+    if has_header:
+        header, rows = [c.strip() for c in rows[0]], rows[1:]
+        if not rows:
+            raise DataError(f"{path}: no data rows")
+    ncol = len(header) if header is not None else len(rows[0])
+
+    if label_column is None:
+        label_idx = None
+    elif isinstance(label_column, str) and not label_column.lstrip("-").isdecimal():
+        if header is None:
+            raise DataError("label column given by name but the file has no header")
+        if label_column not in header:
+            raise DataError(f"label column {label_column!r} not found in header {header}")
+        label_idx = header.index(label_column)
+    else:
+        label_idx = int(label_column)
+        if not -ncol <= label_idx < ncol:
+            raise DataError(f"label column index {label_idx} out of range for {ncol} columns")
+        label_idx %= ncol
+
+    # rows count from 1
     feats = []
     raw_labels = []
     for i, row in enumerate(rows, start=1):
@@ -208,54 +240,7 @@ def _parse_rows(path, rows, ncol: int, label_idx: int | None = None):
                 raise DataError(f"{path}: non-finite value at row {i}, column {j}")
             vals.append(v)
         feats.append(vals)
-    return feats, raw_labels
-
-
-def load_features_csv(path, has_header: bool = True) -> np.ndarray:
-    """Read a comma-delimited UTF-8 file of feature cells only (no label
-    column) into an n x p array; every cell must parse as a finite float."""
-    path = Path(path)
-    rows = _read_rows(path)
-    if has_header:
-        rows = rows[1:]
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    feats, _ = _parse_rows(path, rows, len(rows[0]))
-    return np.asarray(feats, dtype=float)
-
-
-def load_labeled_csv(path, label_column, has_header: bool = True):
-    """Read a comma-delimited UTF-8 file into an n x p feature array and the
-    list of its raw label strings, however many classes they hold.
-
-    ``label_column`` is a header name (requires ``has_header``) or a 0-based
-    column index; every other cell must parse as a finite float.
-    """
-    path = Path(path)
-    rows = _read_rows(path)
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = None
-    if has_header:
-        header, rows = [c.strip() for c in rows[0]], rows[1:]
-        if not rows:
-            raise DataError(f"{path}: no data rows")
-    ncol = len(header) if header is not None else len(rows[0])
-
-    if isinstance(label_column, str) and not label_column.lstrip("-").isdecimal():
-        if header is None:
-            raise DataError("label column given by name but the file has no header")
-        if label_column not in header:
-            raise DataError(f"label column {label_column!r} not found in header {header}")
-        label_idx = header.index(label_column)
-    else:
-        label_idx = int(label_column)
-        if not -ncol <= label_idx < ncol:
-            raise DataError(f"label column index {label_idx} out of range for {ncol} columns")
-        label_idx %= ncol
-
-    feats, raw_labels = _parse_rows(path, rows, ncol, label_idx)
-    return np.asarray(feats, dtype=float), raw_labels
+    return np.asarray(feats, dtype=float), None if label_idx is None else raw_labels
 
 
 def load_csv(path, label_column, has_header: bool = True) -> Dataset:

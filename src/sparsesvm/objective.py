@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,11 +173,11 @@ def penalized_objective(beta, design, constraint, weights) -> ObjectiveState:
 
 
 # The anchor's working response and projection at the last surrogate_value
-# call, with what they were formed from: (anchor shape and bytes, design,
-# constraint, z, pm). A line search evaluates many points against one anchor.
-# The design is held, so that its id cannot be reused while it is compared
-# with ``is``; the entry is replaced as one tuple, so a thread reads either
-# the old or the new entry whole.
+# call, with what they were formed from: (anchor shape and bytes, a weak
+# reference to the design, constraint, z, pm). A line search evaluates many
+# points against one anchor. The design is not kept alive, and a dead
+# reference never resolves to a new object; the entry is replaced as one
+# tuple, so a thread reads either the old or the new entry whole.
 _anchor_memo = None
 
 
@@ -193,8 +194,8 @@ def surrogate_value(beta, anchor, design, constraint, weights) -> float:
     anchor = np.asarray(anchor, dtype=float)
     key = (anchor.shape, anchor.tobytes())
     memo = _anchor_memo
-    if memo is None or memo[0] != key or memo[1] is not design or memo[2] != constraint:
-        memo = (key, design, constraint, working_response(anchor, design),
+    if memo is None or memo[0] != key or memo[1]() is not design or memo[2] != constraint:
+        memo = (key, weakref.ref(design), constraint, working_response(anchor, design),
                 project(anchor, constraint))
         _anchor_memo = memo
     z, pm = memo[3], memo[4]

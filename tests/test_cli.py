@@ -129,6 +129,18 @@ class TestTrainPredict:
         assert lines[0] == "prediction"
         assert len(lines) == 81
 
+    def test_predict_checks_rows_against_the_header(self, tmp_path, capsys, causal_csv):
+        """Feature rows must be as wide as the header, as in every other command."""
+        model_path = tmp_path / "m.json"
+        run_cli(capsys, "train", "--data", str(causal_csv), "--output", str(model_path))
+        rows = [r.rsplit(",", 1)[0] for r in causal_csv.read_text().splitlines()[1:]]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(["a,b,c"] + rows) + "\n")
+        rc, out, err = run_cli(capsys, "predict", "--model", str(model_path),
+                               "--data", str(bad))
+        assert rc == 1 and out == ""
+        assert err.splitlines() == [f"error: {bad}: row 1 has 8 cells, expected 3"]
+
     def test_csv_report_format(self, tmp_path, capsys, causal_csv):
         rc, out, _ = run_cli(capsys, "train", "--data", str(causal_csv),
                              "--format", "csv", "--output", str(tmp_path / "m.json"))
@@ -146,6 +158,24 @@ class TestCV:
     def cv_args(self, data, out, *extra):
         return ["cv", "--data", str(data), "--grid", "0,0.5", "--folds", "3",
                 "--seed", "1", "--format", "csv", "--output", str(out), *extra]
+
+    def test_holdout_of_one_class_is_scored(self, tmp_path, capsys):
+        """A 5% stratified holdout of 30 + 6 rows holds 2 rows of the larger class only."""
+        rng = np.random.default_rng(0)
+        rows = ["f1,f2,label"]
+        for name, count, center in (("a", 30, 0.0), ("b", 6, 3.0)):
+            for x in center + rng.standard_normal((count, 2)):
+                rows.append(f"{float(x[0])!r},{float(x[1])!r},{name}")
+        data = tmp_path / "two.csv"
+        data.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "t.json"
+        rc, stdout, err = run_cli(capsys, "cv", "--data", str(data), "--grid", "0",
+                                  "--folds", "3", "--holdout-fraction", "0.05",
+                                  "--output", str(out))
+        assert rc == 0, err
+        assert 0.0 <= json.loads(stdout)["test_pct"] <= 100.0
+        assert all(row["test"] in (0.0, 50.0, 100.0)
+                   for row in json.loads(out.read_text())["rows"])
 
     def test_table_and_summary(self, tmp_path, capsys, causal_csv):
         out = tmp_path / "table.csv"
@@ -338,6 +368,15 @@ class TestErrors:
                                   "--output", str(out))
         assert rc == 1 and stdout == ""
         assert err.splitlines() == ["error: class 'c' has no samples"]
+        assert not out.exists()
+
+    def test_cv_holdout_fraction_leaves_no_rows(self, tmp_path, capsys, causal_csv):
+        out = tmp_path / "t.json"
+        rc, stdout, err = run_cli(capsys, "cv", "--data", str(causal_csv), "--grid", "0",
+                                  "--holdout-fraction", "0.99", "--output", str(out))
+        assert rc == 1 and stdout == ""
+        assert err.splitlines() == ["error: --holdout-fraction 0.99 holds out all 80 rows, "
+                                    "which leaves none to cross-validate"]
         assert not out.exists()
 
     def test_cv_class_held_out_whole_by_a_fold(self, tmp_path, capsys):

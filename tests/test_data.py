@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sparsesvm import data
 from sparsesvm.data import (GRAM_SPAN, RANK_TOL, DataError, Dataset, DesignMatrix,
-                            apply_transform, binarize, load_csv, load_features_csv,
+                            apply_transform, binarize, load_csv, load_labeled_csv,
                             make_folds, thin_svd)
 from sparsesvm.simdata import gen_gaussian_causal, gen_synthetic_corr
 
@@ -64,37 +64,52 @@ class TestLoadCsv:
 
 
 class TestLoadFeaturesCsv:
+    """Files of feature cells only: ``load_labeled_csv`` with no label column."""
+
     def test_readback(self, tmp_path):
         path = write(tmp_path, "f1,f2\n1.0,2.0\n3.0,4.0\n")
-        np.testing.assert_array_equal(load_features_csv(path), [[1, 2], [3, 4]])
+        feats, labels = load_labeled_csv(path)
+        np.testing.assert_array_equal(feats, [[1, 2], [3, 4]])
+        assert labels is None
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_cell_reports_row(self, tmp_path, cell):
         path = write(tmp_path, f"f1,f2\n1.0,2.0\n3.0,{cell}\n")
         with pytest.raises(DataError, match="non-finite value at row 2, column 1"):
-            load_features_csv(path)
+            load_labeled_csv(path)
 
     def test_ragged_row_reported(self, tmp_path):
         path = write(tmp_path, "1.0,2.0\n3.0\n", name="r.csv")
         with pytest.raises(DataError, match="row 2 has 1 cells, expected 2"):
-            load_features_csv(path, has_header=False)
+            load_labeled_csv(path, has_header=False)
+
+    def test_rows_as_wide_as_the_header(self, tmp_path):
+        path = write(tmp_path, "a,b,c\n" + "1,2,3,4,5,6\n" * 2, name="bad.csv")
+        with pytest.raises(DataError, match="bad.csv: row 1 has 6 cells, expected 3$"):
+            load_labeled_csv(path)
+
+    @pytest.mark.parametrize("text,reason", [("", "empty file"), ("f1,f2\n", "no data rows")])
+    def test_no_rows(self, tmp_path, text, reason):
+        path = write(tmp_path, text)
+        with pytest.raises(DataError, match=reason):
+            load_labeled_csv(path)
 
     def test_field_over_csv_limit(self, tmp_path):
         path = write(tmp_path, "f1\n" + "1" * 200_000 + "\n")
         with pytest.raises(DataError, match="malformed CSV"):
-            load_features_csv(path)
+            load_labeled_csv(path)
 
     def test_byte_order_mark_without_header(self, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_bytes("1.0,2.0\n3.0,4.0\n".encode("utf-8-sig"))
-        np.testing.assert_array_equal(load_features_csv(path, has_header=False),
-                                      [[1, 2], [3, 4]])
+        feats, _ = load_labeled_csv(path, has_header=False)
+        np.testing.assert_array_equal(feats, [[1, 2], [3, 4]])
 
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_bytes(b"f1\n\xff\n")
         with pytest.raises(DataError, match="not UTF-8"):
-            load_features_csv(path)
+            load_labeled_csv(path)
 
 
 # Cells a CSV loader meets: numbers, non-finite spellings, blanks, words and
@@ -131,10 +146,10 @@ def test_load_features_csv_gives_array_or_data_error(tmp_path, content, header):
     path = tmp_path / "fuzz.csv"
     path.write_bytes(content)
     try:
-        feats = load_features_csv(path, has_header=header)
+        feats, labels = load_labeled_csv(path, has_header=header)
     except DataError:
         return
-    assert feats.ndim == 2 and feats.shape[0] >= 1
+    assert feats.ndim == 2 and feats.shape[0] >= 1 and labels is None
     assert np.all(np.isfinite(feats))
 
 
@@ -180,8 +195,26 @@ class TestTransforms:
         assert replayed[0, 2] < 0.0
         np.testing.assert_allclose(ds.transform_params.apply(X), ds.features)
 
+    @pytest.mark.parametrize("kind", ["standardized", "minmax"])
+    def test_apply_holds_one_copy_of_the_features(self, rng, traced_peak, kind):
+        X = rng.standard_normal((400, 250))
+        X[:, 7] = 2.5
+        params = apply_transform(Dataset(X, np.arange(400) % 2, ("a", "b")), kind).transform_params
+        out, peak = traced_peak(params.apply, X)
+        assert peak <= 1.2 * X.nbytes
+        live = params.scale != 0
+        want = np.zeros_like(X)
+        want[:, live] = (X[:, live] - params.center[live]) / params.scale[live]
+        assert out.tobytes() == want.tobytes()
+
 
 class TestDatasetValidation:
+    def test_a_class_may_have_no_rows(self, rng):
+        ds = Dataset(rng.standard_normal((3, 2)), np.zeros(3, dtype=int), ("a", "b"))
+        assert ds.n == 3
+        with pytest.raises(DataError, match="fewer than 2 class names"):
+            Dataset(ds.features, ds.labels, ("a",))
+
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
             Dataset(np.array([[1.0], [np.nan]]), np.array([0, 1]), ("a", "b"))

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -294,6 +297,15 @@ class TestSurrogate:
         anchor[:3] *= -2.0
         assert surrogate_value(beta, anchor, design, constraint, weights) == fresh(
             beta, anchor, design, constraint, weights)
+
+    def test_design_freed_after_its_last_reference(self, rng):
+        design, constraint, weights = random_problem(rng, 15, 6, 2)
+        beta = rng.standard_normal(7)
+        surrogate_value(beta, beta, design, constraint, weights)
+        ref = weakref.ref(design)
+        del design
+        gc.collect()
+        assert ref() is None
 
 
 @pytest.mark.parametrize("basis", ["thin_svd", "gram", "none"])
