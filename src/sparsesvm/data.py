@@ -214,7 +214,7 @@ def load_labeled_csv(path, label_column=None, has_header: bool = True):
             raise DataError(f"label column index {label_idx} out of range for {ncol} columns")
         label_idx %= ncol
 
-    # rows count from 1
+    # the messages number data rows from 1
     feats = []
     raw_labels = []
     for i, row in enumerate(rows, start=1):
