@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import csv
+import itertools
+import math
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -168,79 +171,75 @@ class FoldPlan:
         }
 
 
-def _read_rows(path: Path) -> list[list[str]]:
-    """The non-empty rows of a comma-delimited UTF-8 file, with or without a
-    byte-order mark."""
-    try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            return [row for row in csv.reader(fh) if row]
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    except csv.Error as exc:
-        raise DataError(f"{path}: malformed CSV: {exc}") from None
-
-
 def load_labeled_csv(path, label_column=None, has_header: bool = True):
-    """Read a comma-delimited UTF-8 file into an n x p feature array and the
-    list of its raw label strings, however many classes they hold.
+    """Read a comma-delimited UTF-8 file, with or without a byte-order mark,
+    into an n x p feature array and the list of its raw label strings, however
+    many classes they hold.
 
     ``label_column`` is a header name (requires ``has_header``) or a 0-based
     column index; with None every cell is a feature and the labels are None.
     Every row must be as wide as the header, or as the first row without one,
-    and every cell but the label must parse as a finite float.
+    and every cell but the label must parse as a finite float. Rows are parsed
+    as they are read, into one buffer of floats, so the first fault in the file
+    is reported; the text is decoded a block of 8 KiB ahead of the rows parsed.
     """
     path = Path(path)
-    rows = _read_rows(path)
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = None
-    if has_header:
-        header, rows = [c.strip() for c in rows[0]], rows[1:]
-        if not rows:
-            raise DataError(f"{path}: no data rows")
-    ncol = len(header) if header is not None else len(rows[0])
-
-    if label_column is None:
-        label_idx = None
-    elif isinstance(label_column, str) and not label_column.lstrip("-").isdecimal():
-        if header is None:
-            raise DataError("label column given by name but the file has no header")
-        if label_column not in header:
-            raise DataError(f"label column {label_column!r} not found in header {header}")
-        label_idx = header.index(label_column)
-    else:
-        label_idx = int(label_column)
-        if not -ncol <= label_idx < ncol:
-            raise DataError(f"label column index {label_idx} out of range for {ncol} columns")
-        label_idx %= ncol
-
-    # the messages number data rows from 1
-    feats = []
+    values = array("d")
     raw_labels = []
-    for i, row in enumerate(rows, start=1):
-        if len(row) != ncol:
-            raise DataError(f"{path}: row {i} has {len(row)} cells, expected {ncol}")
-        vals = []
-        for j, cell in enumerate(row):
-            cell = cell.strip()
-            if j == label_idx:
-                if not cell:
-                    raise DataError(f"{path}: missing label at row {i}")
-                raw_labels.append(cell)
-                continue
-            if not cell:
-                raise DataError(f"{path}: missing value at row {i}, column {j}")
-            try:
-                v = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: cannot parse {cell!r} as a number at row {i}, column {j}"
-                ) from None
-            if not np.isfinite(v):
-                raise DataError(f"{path}: non-finite value at row {i}, column {j}")
-            vals.append(v)
-        feats.append(vals)
-    return np.asarray(feats, dtype=float), None if label_idx is None else raw_labels
+    i = 0  # data rows read; the messages number them from 1
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            rows = filter(None, csv.reader(fh))
+            first = next(rows, None)
+            if first is None:
+                raise DataError(f"{path}: empty file")
+            ncol = len(first)
+            header = [c.strip() for c in first] if has_header else None
+            if label_column is None:
+                label_idx = None
+            elif isinstance(label_column, str) and not label_column.lstrip("-").isdecimal():
+                if header is None:
+                    raise DataError("label column given by name but the file has no header")
+                if label_column not in header:
+                    raise DataError(f"label column {label_column!r} not found in header {header}")
+                label_idx = header.index(label_column)
+            else:
+                label_idx = int(label_column)
+                if not -ncol <= label_idx < ncol:
+                    raise DataError(
+                        f"label column index {label_idx} out of range for {ncol} columns")
+                label_idx %= ncol
+            if header is None:
+                rows = itertools.chain([first], rows)
+            for i, row in enumerate(rows, start=1):
+                if len(row) != ncol:
+                    raise DataError(f"{path}: row {i} has {len(row)} cells, expected {ncol}")
+                for j, cell in enumerate(row):
+                    cell = cell.strip()
+                    if j == label_idx:
+                        if not cell:
+                            raise DataError(f"{path}: missing label at row {i}")
+                        raw_labels.append(cell)
+                        continue
+                    if not cell:
+                        raise DataError(f"{path}: missing value at row {i}, column {j}")
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: cannot parse {cell!r} as a number at row {i}, column {j}"
+                        ) from None
+                    if not math.isfinite(v):
+                        raise DataError(f"{path}: non-finite value at row {i}, column {j}")
+                    values.append(v)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: malformed CSV: {exc}") from None
+    if not i:
+        raise DataError(f"{path}: no data rows")
+    feats = np.frombuffer(values, dtype=float).reshape(i, ncol - (label_idx is not None))
+    return feats, None if label_idx is None else raw_labels
 
 
 def load_csv(path, label_column, has_header: bool = True) -> Dataset:
@@ -257,7 +256,8 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
 
 
 def apply_transform(ds: Dataset, kind: str) -> Dataset:
-    """Column-wise standardize or min-max scale. Constant columns map to zero.
+    """Column-wise standardize or min-max scale. Constant columns map to zero,
+    and a column whose fitted center or scale overflows is refused.
 
     The fitted parameters are stored on the returned Dataset so held-out data
     can be pushed through ``transform_params.apply`` without refitting.
@@ -265,18 +265,24 @@ def apply_transform(ds: Dataset, kind: str) -> Dataset:
     if ds.transform != "none":
         raise DataError(f"dataset already transformed ({ds.transform!r})")
     X = ds.features
-    span = np.ptp(X, axis=0)
-    if kind == "standardized":
-        center = X.mean(axis=0)
-        scale = X.std(axis=0, ddof=1) if X.shape[0] > 1 else np.zeros(X.shape[1])
-        scale = np.where(span == 0, 0.0, scale)
-    elif kind == "minmax":
-        center = X.min(axis=0)
-        scale = span
-    elif kind == "none":
-        return ds
-    else:
-        raise DataError(f"unknown transform {kind!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        span = np.ptp(X, axis=0)
+        if kind == "standardized":
+            center = X.mean(axis=0)
+            scale = X.std(axis=0, ddof=1) if X.shape[0] > 1 else np.zeros(X.shape[1])
+            scale = np.where(span == 0, 0.0, scale)
+        elif kind == "minmax":
+            center = X.min(axis=0)
+            scale = span
+        elif kind == "none":
+            return ds
+        else:
+            raise DataError(f"unknown transform {kind!r}")
+    bad = np.flatnonzero(~(np.isfinite(center) & np.isfinite(scale)))
+    if bad.size:
+        j = bad[0]
+        raise DataError(f"{kind} transform overflows: feature column {j} has center "
+                        f"{center[j]:g} and scale {scale[j]:g}")
     params = ColumnTransform(kind, center, scale)
     return replace(ds, features=params.apply(X), transform=kind, transform_params=params)
 

@@ -66,7 +66,8 @@ def save_model(path, model: OVOModel, transform: ColumnTransform | None = None) 
         "transform": _transform_doc(transform),
         "pairs": [_pair_doc(pair) for pair in model.pairs],
     }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    # allow_nan=False: never write a file that load_model refuses
+    Path(path).write_text(json.dumps(doc, allow_nan=False), encoding="utf-8")
 
 
 _JSON_NAMES = {dict: "object", list: "list", str: "string", int: "integer", float: "number"}

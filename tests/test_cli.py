@@ -379,6 +379,21 @@ class TestErrors:
                                     "which leaves none to cross-validate"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    @pytest.mark.parametrize("kind", ["standardized", "minmax"])
+    def test_transform_that_overflows(self, tmp_path, capsys, command, kind):
+        data = tmp_path / "big.csv"
+        data.write_text("f1,f2,label\n" + "1e308,1,a\n-1e308,2,a\n1e308,3,b\n-1e308,4,b\n" * 2)
+        out = tmp_path / "out.json"
+        flags = ["--grid", "0", "--folds", "2"] if command == "cv" else []
+        rc, stdout, err = run_cli(capsys, command, "--data", str(data), "--transform", kind,
+                                  *flags, "--output", str(out))
+        assert rc == 1 and stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {kind} transform overflows: feature column 0 ")
+        assert not out.exists()
+
     def test_cv_class_held_out_whole_by_a_fold(self, tmp_path, capsys):
         """Its one sample in the CV data sits in one fold's validation rows."""
         rng = np.random.default_rng(0)

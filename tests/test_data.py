@@ -112,6 +112,32 @@ class TestLoadFeaturesCsv:
             load_labeled_csv(path)
 
 
+
+class TestOnePassReader:
+    """Rows are parsed as they are read: one copy of the features, and the
+    first fault in the file is the one reported."""
+
+    def test_load_holds_one_copy_of_the_features(self, tmp_path, traced_peak):
+        X = np.random.default_rng(5).standard_normal((400, 250))
+        lines = [",".join([f"f{j}" for j in range(250)] + ["label"])]
+        lines += [",".join([*map(repr, row.tolist()), "ab"[i % 2]]) for i, row in enumerate(X)]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        (feats, labels), peak = traced_peak(load_labeled_csv, path, "label")
+        assert feats.tobytes() == X.tobytes() and len(labels) == 400
+        assert peak <= 1.5 * X.nbytes
+
+    def test_bad_cell_named_before_a_later_non_utf8_byte(self, tmp_path):
+        # the bad byte lies past the first 8 KiB block the text is decoded in
+        path = tmp_path / "b.csv"
+        path.write_bytes(b"f1,label\n1.0,a\nabc,b\n" + b"1.0,a\n" * 2000 + b"\xff,b\n")
+        with pytest.raises(DataError, match="cannot parse 'abc' as a number at row 2, column 0"):
+            load_labeled_csv(path, "label")
+
+    def test_unknown_label_column_named_in_a_header_only_file(self, tmp_path):
+        path = write(tmp_path, "f1,f2\n")
+        with pytest.raises(DataError, match="label column 'label' not found"):
+            load_labeled_csv(path, "label")
+
 # Cells a CSV loader meets: numbers, non-finite spellings, blanks, words and
 # arbitrary short text (quotes, separators and line breaks included).
 CSV_CELLS = st.one_of(
@@ -194,6 +220,15 @@ class TestTransforms:
         assert replayed[0, 0] > 1.0
         assert replayed[0, 2] < 0.0
         np.testing.assert_allclose(ds.transform_params.apply(X), ds.features)
+
+    @pytest.mark.parametrize("kind,center", [("standardized", "0"), ("minmax", "-1e+308")])
+    def test_fit_that_overflows_refused(self, kind, center):
+        X = np.array([[1e308, 1.0], [-1e308, 2.0], [1e308, 3.0], [-1e308, 4.0]])
+        ds = Dataset(X, np.array([0, 1, 0, 1]), ("a", "b"))
+        with pytest.raises(DataError) as err:
+            apply_transform(ds, kind)
+        assert str(err.value) == (f"{kind} transform overflows: feature column 0 "
+                                  f"has center {center} and scale inf")
 
     @pytest.mark.parametrize("kind", ["standardized", "minmax"])
     def test_apply_holds_one_copy_of_the_features(self, rng, traced_peak, kind):

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,6 +94,14 @@ class TestFormatValidation:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="too large"):
             load_model(path)
+
+    def test_non_finite_number_never_written(self, rng, tmp_path):
+        ds = apply_transform(blob_dataset(rng, n_per=8, classes=2), "standardized")
+        params = replace(ds.transform_params, scale=np.full(4, np.inf))
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_model(path, train_ovo(ds, SparsityConstraint(k=1, p=4)), transform=params)
+        assert not path.exists()
 
     def test_format_marker_written(self, rng, tmp_path):
         ds = blob_dataset(rng, n_per=8, classes=2)

@@ -15,15 +15,17 @@ thread count. One line per output, with its work counters where it has them:
   returned coefficients;
 - ``c08.cv``: the criterion-08 CV table (synthetic-corr 1000x500, 10 folds),
   as CSV without timings;
-- ``spiral<seed>.<solver>.{model,report,trace}``: on ``sparsesvm gen
-  --family spiral --seed <seed>`` for seeds 0-2, the model file of ``train
-  --kernel gaussian --gamma 1 --dual-sparsity 0.5``, its report without
-  ``wall_time``, and the CSV of ``trace`` with the same flags;
+- ``spiral<seed>.<solver>.{model,report,trace,predict}``: on ``sparsesvm
+  gen --family spiral --seed <seed>`` for seeds 0-2, the model file of
+  ``train --kernel gaussian --gamma 1 --dual-sparsity 0.5``, its report
+  without ``wall_time``, the CSV of ``trace`` with the same flags, and the
+  predictions file and stdout of ``predict --model <model> --data <file>
+  --label-column label``;
 - ``planted.<solver>.trace``: the CSV of ``trace --keep 5`` on ``gen --family
   gaussian-causal --n 200 --p 100 --k0 5 --seed 0``;
 - ``spiral0.cv``: the kernel ``cv`` table on seed 0's file, 3 folds.
 
-Takes about 7 seconds on a 2-core x86 VM.
+Takes about 10 seconds on a 2-core x86 VM.
 """
 
 import os
@@ -139,6 +141,10 @@ def spiral(workdir: Path) -> None:
             show(f"{tag}.model", model.read_bytes())
             show(f"{tag}.report", json.dumps(drop_wall_time(json.loads(report)), sort_keys=True))
             show(f"{tag}.trace", trace(workdir, flags))
+            predictions = workdir / "predictions.csv"
+            stdout = run_cli(["predict", "--model", model, "--data", data,
+                              "--label-column", "label", "--output", predictions])
+            show(f"{tag}.predict", predictions.read_bytes(), stdout)
     table = run_cli(["cv", "--data", workdir / "spiral0.csv", "--kernel", "gaussian",
                      "--gamma", 1, "--grid", "0,0.5", "--folds", 3, "--format", "csv"])
     show("spiral0.cv", table)
