@@ -112,7 +112,6 @@ class TestLoadFeaturesCsv:
             load_labeled_csv(path)
 
 
-
 class TestOnePassReader:
     """Rows are parsed as they are read: one copy of the features, and the
     first fault in the file is the one reported."""
@@ -137,6 +136,7 @@ class TestOnePassReader:
         path = write(tmp_path, "f1,f2\n")
         with pytest.raises(DataError, match="label column 'label' not found"):
             load_labeled_csv(path, "label")
+
 
 # Cells a CSV loader meets: numbers, non-finite spellings, blanks, words and
 # arbitrary short text (quotes, separators and line breaks included).
