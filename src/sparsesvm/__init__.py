@@ -13,7 +13,7 @@ from .crossval import (CVRow, CVTable, SelectionMetrics, accuracy_pct,
 from .data import (ColumnTransform, DataError, Dataset, DesignMatrix, FoldPlan,
                    ThinSVD, apply_transform, binarize, load_csv, make_folds,
                    thin_svd)
-from .kernel import KernelModel, gram_matrix, kernel_predict, median_bandwidth
+from .kernel import KernelModel, gram_matrix, kernel_predict
 from .model_io import MODEL_FORMAT, SavedModel, load_model, save_model
 from .multiclass import (GaussianKernelSpec, OVOModel, PairClassifier,
                          PairProblem, init_heuristic, predict_ovo, train_ovo)

@@ -45,14 +45,22 @@ class ColumnTransform:
     scale: np.ndarray
 
     def apply(self, features: np.ndarray) -> np.ndarray:
+        """The transformed features; a value that is not finite after the map is
+        refused, naming its row (numbered from 1) and feature column."""
         X = np.asarray(features, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.center.size:
             raise DataError(
                 f"expected {self.center.size} feature columns, got shape {X.shape}"
             )
-        out = X - self.center
-        out /= np.where(self.scale != 0, self.scale, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            out = X - self.center
+            out /= np.where(self.scale != 0, self.scale, 1.0)
         out[:, self.scale == 0] = 0.0
+        finite = np.isfinite(out)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise DataError(f"{self.kind} transform of row {i + 1}, feature column {j}: "
+                            f"{X[i, j]:g} maps to {out[i, j]:g}")
         return out
 
 
@@ -125,11 +133,6 @@ class DesignMatrix:
             raise DataError("last design column must be the intercept (all ones)")
         if not np.all(np.abs(y) == 1.0):
             raise DataError("labels must be +/-1")
-
-    @classmethod
-    def from_features(cls, features: np.ndarray, y: np.ndarray) -> "DesignMatrix":
-        features = np.asarray(features, dtype=float)
-        return cls(np.hstack([features, np.ones((features.shape[0], 1))]), y)
 
     @property
     def n(self) -> int:
@@ -287,8 +290,8 @@ def apply_transform(ds: Dataset, kind: str) -> Dataset:
     return replace(ds, features=params.apply(X), transform=kind, transform_params=params)
 
 
-# feature cells ``binarize`` copies per block of rows: the gather's temporary
-# is one block, not a second copy of the design
+# cells per block of rows that ``binarize`` gathers and ``kernel.gram_matrix``
+# symmetrizes: the temporary is one block, not a second copy of the array
 GATHER_BLOCK = 1 << 15
 
 

@@ -13,35 +13,59 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KernelModel", "gram_matrix", "kernel_predict", "median_bandwidth"]
+from .data import GATHER_BLOCK, DataError
+
+__all__ = ["KernelModel", "gram_matrix", "kernel_predict"]
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    a2 = np.sum(A * A, axis=1)
-    b2 = np.sum(B * B, axis=1)
-    d2 = a2[:, None] + b2[None, :] - 2.0 * (A @ B.T)
-    return np.maximum(d2, 0.0)
+def _sq_norms(A: np.ndarray) -> np.ndarray:
+    """The rows' squared norms; a row past a quarter of the largest float, where
+    its distances could overflow, is refused."""
+    with np.errstate(over="ignore"):  # refused below
+        a2 = np.sum(A * A, axis=1)
+    big = np.flatnonzero(~(a2 <= np.finfo(float).max / 4))
+    if big.size:
+        raise DataError(f"row {big[0] + 1} is too large for the Gaussian kernel: its "
+                        f"squared norm is {a2[big[0]]:g}")
+    return a2
 
 
-def gram_matrix(features: np.ndarray, gamma: float) -> np.ndarray:
-    """K_ij = exp(-gamma ||x_i - x_j||^2), symmetric with unit diagonal."""
+def _sq_dists(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
+    d2 = np.add(_sq_norms(A)[:, None], _sq_norms(B)[None, :], out=out)
+    d2 -= 2.0 * (A @ B.T)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _median_upper(d2: np.ndarray) -> float:
+    """``np.median``'s bits over the entries above the diagonal (1 if none, or if 0)."""
+    d = d2[np.less.outer(np.arange(d2.shape[0]), np.arange(d2.shape[0]))]
+    if not d.size:
+        return 1.0
+    h = d.size // 2
+    d.partition((h - 1, h))
+    return float(d[h] if d.size % 2 else (d[h - 1] + d[h]) / 2) or 1.0
+
+
+def gram_matrix(features: np.ndarray, gamma: float | None, out=None) -> tuple[np.ndarray, float]:
+    """``(K, gamma)``, K_ij = exp(-gamma ||x_i - x_j||^2) with unit diagonal, written into
+    ``out`` (n x n, any strides) if given and symmetrized there a band of rows at a time;
+    ``gamma`` None is 1 / (p m), m the median squared distance over the pairs i < j."""
+    X = np.asarray(features, dtype=float)
+    n, p = X.shape
+    K = _sq_dists(X, X, out)
+    gamma = 1.0 / (p * _median_upper(K)) if gamma is None else gamma
     if not 0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    X = np.asarray(features, dtype=float)
-    K = np.exp(-gamma * _sq_dists(X, X))
-    K = 0.5 * (K + K.T)
+    with np.errstate(over="ignore"):  # -inf past the float range, whose exp is 0
+        K *= -gamma
+    np.exp(K, out=K)
+    step = max(1, GATHER_BLOCK // n)
+    for a in range(0, n, step):  # a band and its mirror are read before either is written
+        band = 0.5 * (K[a:a + step, a:] + K[a:, a:a + step].T)
+        K[a:a + step, a:] = band
+        K[a:, a:a + step] = band.T
     np.fill_diagonal(K, 1.0)
-    return K
-
-
-def median_bandwidth(features: np.ndarray) -> float:
-    """Default bandwidth 1 / (p * median pairwise squared distance)."""
-    X = np.asarray(features, dtype=float)
-    iu = np.triu_indices(X.shape[0], k=1)
-    med = float(np.median(_sq_dists(X, X)[iu])) if iu[0].size else 1.0
-    if med <= 0.0:
-        med = 1.0
-    return 1.0 / (X.shape[1] * med)
+    return K, gamma
 
 
 @dataclass(frozen=True)
@@ -78,6 +102,7 @@ def kernel_predict(model: KernelModel, x) -> float | np.ndarray:
     """
     arr = np.asarray(x, dtype=float)
     X = np.atleast_2d(arr)
-    G = np.exp(-model.gamma * _sq_dists(X, model.train_features))
+    with np.errstate(over="ignore"):  # -inf past the float range, whose exp is 0
+        G = np.exp(-model.gamma * _sq_dists(X, model.train_features))
     scores = G @ (model.train_labels * model.alpha[:-1]) + model.alpha[-1]
     return scores if arr.ndim == 2 else float(scores[0])

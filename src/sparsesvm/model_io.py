@@ -39,8 +39,8 @@ def _transform_doc(transform: ColumnTransform | None) -> dict:
         return {"kind": "none"}
     return {
         "kind": transform.kind,
-        "center": [float(v) for v in transform.center],
-        "scale": [float(v) for v in transform.scale],
+        "center": transform.center.tolist(),
+        "scale": transform.scale.tolist(),
     }
 
 
@@ -50,12 +50,12 @@ def _pair_doc(pair: PairClassifier) -> dict:
         km = pair.kernel
         doc["kernel"] = {
             "gamma": float(km.gamma),
-            "alpha": [float(v) for v in km.alpha],
-            "train_features": [[float(v) for v in row] for row in km.train_features],
-            "train_labels": [float(v) for v in km.train_labels],
+            "alpha": km.alpha.tolist(),
+            "train_features": km.train_features.tolist(),
+            "train_labels": km.train_labels.tolist(),
         }
     else:
-        doc["coef"] = [float(v) for v in pair.coef]
+        doc["coef"] = pair.coef.tolist()
     return doc
 
 

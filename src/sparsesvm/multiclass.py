@@ -11,8 +11,8 @@ import numpy as np
 from .anneal import FitError, prox_dist_fit
 from .config import AnnealSchedule, FitReport, SolverConfig
 from .data import DataError, Dataset, DesignMatrix, binarize
-from .kernel import KernelModel, gram_matrix, kernel_predict, median_bandwidth
-from .solvers import make_workspace
+from .kernel import KernelModel, gram_matrix, kernel_predict
+from .solvers import KernelMMWorkspace, make_workspace
 from .sparsity import SparsityConstraint
 
 __all__ = ["GaussianKernelSpec", "PairClassifier", "OVOModel", "PairProblem",
@@ -74,8 +74,15 @@ class PairClassifier:
         if X.ndim != 2 or X.shape[1] != self.width:
             raise DataError(f"expected {self.width} feature columns, got shape {X.shape}")
         if self.kernel is not None:
-            return np.atleast_1d(kernel_predict(self.kernel, X))
-        return X @ self.coef[:-1] + self.coef[-1]
+            scores = np.atleast_1d(kernel_predict(self.kernel, X))
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                scores = X @ self.coef[:-1] + self.coef[-1]
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if bad.size:
+            i = bad[0]
+            raise DataError(f"row {i + 1} scores {scores[i]:g}: its features overflow the model")
+        return scores
 
 
 @dataclass
@@ -124,15 +131,17 @@ class PairProblem:
     def build(cls, ds: Dataset, pos: int, neg: int,
               kernel: GaussianKernelSpec | None = None, solver: str = "mm",
               rows=None) -> "PairProblem":
-        """The pair's problem on ``ds``, or on its rows ``rows`` (see ``binarize``)."""
+        """The pair's problem on ``ds``, or on its rows ``rows`` (see ``binarize``); a
+        kernel pair's K is written into its ``[K | 1]``, which ``mm`` (any case) factors."""
         design = binarize(ds, pos, neg, rows)
-        kernel_rows = None
-        if kernel is not None:
-            feats = np.ascontiguousarray(design.X[:, :-1])
-            gamma = kernel.gamma if kernel.gamma is not None else median_bandwidth(feats)
-            kernel_rows = (feats, gamma)
-            design = DesignMatrix.from_features(gram_matrix(feats, gamma), design.y)
-        return cls(pos, neg, design, make_workspace(design, solver), kernel_rows)
+        if kernel is None:
+            return cls(pos, neg, design, make_workspace(design, solver))
+        feats = np.ascontiguousarray(design.X[:, :-1])
+        design = DesignMatrix(np.ones((design.n, design.n + 1)), design.y)
+        _, gamma = gram_matrix(feats, kernel.gamma, out=design.X[:, :-1])
+        workspace = (KernelMMWorkspace.from_design(design) if solver.lower() == "mm"
+                     else make_workspace(design, solver))
+        return cls(pos, neg, design, workspace, (feats, gamma))
 
     def constraint(self, sparsity) -> SparsityConstraint:
         """A SparsityConstraint for this design's p, or a fraction of it."""

@@ -10,11 +10,10 @@ wide) at about half the cost of LAPACK's SVD. Squaring the design squares its
 condition number, and the factors lose orthogonality in step, so that route is
 guarded: a design whose gram eigenvalues span ``data.GRAM_SPAN (n + p)`` or
 more, a rank-deficient one among them, is factored by LAPACK's SVD instead.
-For a design [F | 1] whose feature block F is square and exactly symmetric,
-as a kernel pair's [K | 1] is, it is an eigendecomposition of F, with the
-intercept column solved by a one-dimensional Schur complement.
+For a kernel pair's design [K | 1] it is an eigendecomposition of K, with
+the intercept column solved by a one-dimensional Schur complement.
 Each solver is its workspace type (``SOLVERS``), whose ``step`` is its update;
-``make_workspace`` picks the gram form of ``mm`` for such a design.
+``make_workspace`` picks one by name, ``multiclass.PairProblem.build`` the gram form.
 
 The ``mm`` loop runs in the factorization's coordinates: each point carries
 its coordinates in the factor basis (``V' beta``, or ``Q' beta_a`` for the
@@ -344,18 +343,11 @@ SOLVERS = {"mm": MMWorkspace, "sd": SDWorkspace}
 
 
 def make_workspace(design: DesignMatrix, solver: str):
-    """The workspace of ``solver`` (a key of ``SOLVERS``, any case) for ``design``.
-
-    ``mm`` factors a design whose feature block ``X[:, :-1]`` is square and
-    exactly symmetric, as a kernel pair's [K | 1] is, by ``KernelMMWorkspace``,
-    and any other design by a thin SVD.
-    """
+    """The workspace of ``solver`` (a key of ``SOLVERS``, any case) for ``design``,
+    whatever the design; a kernel pair's gram form is ``PairProblem.build``'s."""
     kind = SOLVERS.get(solver.lower())
     if kind is None:
         raise ValueError(f"unknown solver {solver!r}; expected one of {tuple(SOLVERS)}")
-    F = design.X[:, :-1]
-    if kind is MMWorkspace and F.shape[0] == F.shape[1] and np.array_equal(F, F.T):
-        return KernelMMWorkspace.from_design(design)
     return kind.from_design(design)
 
 

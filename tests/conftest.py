@@ -44,11 +44,17 @@ def traced_peak():
     return peak
 
 
+def with_intercept(features, y) -> DesignMatrix:
+    """The design ``[features | 1]`` with labels ``y``."""
+    features = np.asarray(features, dtype=float)
+    return DesignMatrix(np.hstack([features, np.ones((features.shape[0], 1))]), y)
+
+
 def random_problem(rng, n, p, k, rho=1.0):
     """Random design with +/-1 labels and matching penalty weights."""
     X = rng.standard_normal((n, p))
     y = np.where(rng.standard_normal(n) > 0, 1.0, -1.0)
-    design = DesignMatrix.from_features(X, y)
+    design = with_intercept(X, y)
     constraint = SparsityConstraint(k=k, p=p)
     weights = PenaltyWeights.for_problem(n, constraint, rho)
     return design, constraint, weights

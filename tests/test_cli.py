@@ -9,11 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import sparsesvm
-from sparsesvm.cli import main
+from sparsesvm.cli import _stratified_split, main
 from sparsesvm.model_io import load_model
 
 
@@ -637,20 +637,21 @@ def fuzz_model(tmp_path_factory):
     return model
 
 
+# near the ends of the float range: overflowing magnitudes, the smallest normal
+# number and subnormals
+EXTREME_CELLS = ["1e308", "-1e308", "1e-308", "-1e-308", "5e-324", "-2.5e-310"]
 FEATURE_CELLS = st.one_of(st.sampled_from(["1", "-0.5", "2e1", " 3 ", "nan", "inf", "", "x"]),
-                          st.text(max_size=3))
+                          st.sampled_from(EXTREME_CELLS), st.text(max_size=3))
 FEATURE_ROWS = st.one_of(st.lists(FEATURE_CELLS, min_size=3, max_size=3),
                          st.lists(FEATURE_CELLS, min_size=1, max_size=5))
 
 
-@given(rows=st.lists(FEATURE_ROWS, min_size=1, max_size=4), header=st.booleans())
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_predict_fuzzed_feature_csv(tmp_path, capsys, fuzz_model, rows, header):
-    """Any feature file gives predictions, one per row, or exit 1 with one error line."""
+def check_fuzzed_predict(tmp_path, capsys, model, rows, header):
+    """Predictions, one per row, and nothing on stderr; or exit 1 with one error
+    line. Either way no warning is raised."""
     feats = tmp_path / "fuzz.csv"
     feats.write_text("\n".join(",".join(r) for r in rows), encoding="utf-8")
-    argv = ["predict", "--model", str(fuzz_model), "--data", str(feats)]
+    argv = ["predict", "--model", str(model), "--data", str(feats)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, out, err = run_cli(capsys, *argv, *([] if header else ["--no-header"]))
@@ -664,6 +665,85 @@ def test_predict_fuzzed_feature_csv(tmp_path, capsys, fuzz_model, rows, header):
     else:
         assert rc == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@given(rows=st.lists(FEATURE_ROWS, min_size=1, max_size=4), header=st.booleans())
+@example(rows=[["1", "1", "1e308"]], header=False)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_predict_fuzzed_feature_csv(tmp_path, capsys, fuzz_model, rows, header):
+    """Any feature file gives predictions, one per row, or exit 1 with one error line."""
+    check_fuzzed_predict(tmp_path, capsys, fuzz_model, rows, header)
+
+
+SMALL_FEATURES = ["f1,f2,f3,label"] + [
+    f"{1e-3 * (1 + i % 5):g},{1e-3 * (1 + (i * 7) % 3):g},{1e-3 * (1 + i % 2):g},{'ab'[i % 2]}"
+    for i in range(20)]
+FUZZ_FLAGS = {"standardized": ["--transform", "standardized", "--keep", "2"],
+              "minmax": ["--transform", "minmax", "--keep", "2"],
+              "gaussian": ["--kernel", "gaussian", "--dual-sparsity", "0.5"]}
+
+
+@pytest.fixture(scope="module")
+def fuzz_models(tmp_path_factory):
+    """Per kind, a model trained once on 3 features near 1e-3 for the predict
+    fuzzing: linear under each transform, and a Gaussian kernel at the default
+    bandwidth."""
+    root = tmp_path_factory.mktemp("fuzz-small")
+    data = root / "d.csv"
+    data.write_text("\n".join(SMALL_FEATURES) + "\n")
+    models = {}
+    for kind, flags in FUZZ_FLAGS.items():
+        models[kind] = root / f"{kind}.json"
+        assert main(["train", "--data", str(data), *flags,
+                     "--output", str(models[kind])]) == 0
+    return models
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_FLAGS))
+@given(rows=st.lists(FEATURE_ROWS, min_size=1, max_size=4), header=st.booleans())
+@example(rows=[["1e-3", "1e308", "1e-3"]], header=False)
+@example(rows=[["1e-3", "-2.5e-310", "5e-324"], ["1e-308", "1e-3", "1e-3"]], header=False)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_predict_fuzzed_feature_csv_on_scaled_and_kernel_models(tmp_path, capsys, fuzz_models,
+                                                                kind, rows, header):
+    """As above, for models whose transform or kernel a row can overflow."""
+    check_fuzzed_predict(tmp_path, capsys, fuzz_models[kind], rows, header)
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_FLAGS))
+def test_predict_row_that_overflows_the_model_is_named(tmp_path, capsys, fuzz_models, kind):
+    feats = tmp_path / "f.csv"
+    feats.write_text("f1,f2,f3\n1e-3,1e-3,1e-3\n1e-3,1e308,1e-3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(capsys, "predict", "--model", str(fuzz_models[kind]),
+                               "--data", str(feats))
+    want = {"standardized": "standardized transform of row 2, feature column 1: 1e+308 maps to inf",
+            "minmax": "minmax transform of row 2, feature column 1: 1e+308 maps to inf",
+            "gaussian": "row 2 is too large for the Gaussian kernel: its squared norm is inf"}
+    assert (rc, out) == (1, "")
+    assert err.splitlines() == [f"error: {want[kind]}"]
+
+
+@pytest.mark.parametrize("flags", [["--transform", "standardized"], ["--kernel", "gaussian"]],
+                         ids=["standardized", "gaussian"])
+def test_cv_holdout_row_that_overflows_is_refused(tmp_path, capsys, flags):
+    """A held-out row holding 1e308 ends cv with one error line: through the
+    transform fitted on the rows near 1e-3, or through the kernel."""
+    rows = [r.split(",") for r in SMALL_FEATURES[1:] * 2]
+    held, _ = _stratified_split(np.array([r[-1] == "b" for r in rows], dtype=int), 0.2, 0)
+    rows[held[0]][1] = "1e308"
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join([SMALL_FEATURES[0]] + [",".join(r) for r in rows]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(capsys, "cv", "--data", str(data), "--grid", "0,0.5",
+                               "--folds", "3", *flags)
+    assert (rc, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "row" in err and ("1e+308" in err or "inf" in err)
 
 
 def _load_toml(path):

@@ -1,12 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsesvm.data import DataError, DesignMatrix
-from sparsesvm.kernel import KernelModel, gram_matrix, kernel_predict, median_bandwidth
+from sparsesvm.data import DataError, DesignMatrix, binarize
+from sparsesvm.kernel import KernelModel, gram_matrix, kernel_predict
+from sparsesvm.multiclass import GaussianKernelSpec, PairProblem
+from sparsesvm.simdata import gen_spiral
+from sparsesvm.solvers import KernelMMWorkspace, SDWorkspace
+
+from conftest import with_intercept
 
 
 def naive_gram(X, gamma):
@@ -22,12 +28,13 @@ def naive_gram(X, gamma):
 class TestGramMatrix:
     def test_matches_elementwise_loop(self, rng):
         X = rng.standard_normal((13, 4))
-        np.testing.assert_allclose(gram_matrix(X, 0.7), naive_gram(X, 0.7),
-                                   rtol=0, atol=1e-12)
+        K, gamma = gram_matrix(X, 0.7)
+        assert gamma == 0.7
+        np.testing.assert_allclose(K, naive_gram(X, 0.7), rtol=0, atol=1e-12)
 
     def test_symmetric_unit_diagonal(self, rng):
         X = 100.0 * rng.standard_normal((20, 3))
-        K = gram_matrix(X, 2.0)
+        K, _ = gram_matrix(X, 2.0)
         np.testing.assert_array_equal(K, K.T)
         np.testing.assert_array_equal(np.diag(K), np.ones(20))
         # distant pairs may underflow to exactly zero
@@ -35,7 +42,7 @@ class TestGramMatrix:
 
     def test_duplicate_points_give_unit_entry(self):
         X = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 0.0]])
-        K = gram_matrix(X, 1.0)
+        K, _ = gram_matrix(X, 1.0)
         assert K[0, 1] == 1.0
 
     def test_gamma_must_be_positive(self, rng):
@@ -43,41 +50,128 @@ class TestGramMatrix:
             gram_matrix(rng.standard_normal((4, 2)), 0.0)
 
 
+    @pytest.mark.parametrize("gamma", [0.7, None])
+    def test_writes_into_out(self, rng, gamma):
+        """K lands in the block ``out`` of a wider array, as in a kernel pair's
+        [K | 1], with the same bits as in an array of its own."""
+        X = rng.standard_normal((9, 2))
+        buf = np.full((9, 10), 7.0)
+        K, got = gram_matrix(X, gamma, out=buf[:, :-1])
+        want, want_gamma = gram_matrix(X, gamma)
+        assert np.shares_memory(K, buf) and got == want_gamma
+        assert buf[:, :-1].tobytes() == np.ascontiguousarray(want).tobytes()
+        np.testing.assert_array_equal(buf[:, -1], np.full(9, 7.0))
+
+    def test_overflowing_row_is_refused_without_a_warning(self):
+        X = np.array([[0.0, 1.0], [1e308, 1.0], [1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="row 2 is too large"):
+                gram_matrix(X, 1.0)
+
+
 class TestMedianBandwidth:
+    """``gram_matrix(X, None)`` takes the median-distance bandwidth."""
+
+    @staticmethod
+    def bandwidth(X):
+        return gram_matrix(X, None)[1]
+
     def test_two_points_closed_form(self):
         X = np.array([[0.0, 0.0], [3.0, 4.0]])
-        assert median_bandwidth(X) == pytest.approx(1.0 / (2 * 25.0))
+        assert self.bandwidth(X) == pytest.approx(1.0 / (2 * 25.0))
 
     def test_degenerate_cloud_falls_back(self):
         X = np.zeros((5, 3))
-        assert median_bandwidth(X) == pytest.approx(1.0 / 3.0)
+        assert self.bandwidth(X) == pytest.approx(1.0 / 3.0)
 
     def test_single_point(self):
-        assert median_bandwidth(np.zeros((1, 4))) == pytest.approx(0.25)
+        assert self.bandwidth(np.zeros((1, 4))) == pytest.approx(0.25)
 
     def test_scaling_shrinks_bandwidth(self, rng):
         X = rng.standard_normal((30, 5))
-        assert median_bandwidth(10.0 * X) == pytest.approx(
-            median_bandwidth(X) / 100.0, rel=1e-12)
+        assert self.bandwidth(10.0 * X) == pytest.approx(self.bandwidth(X) / 100.0,
+                                                         rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 12, 13])
+    def test_median_has_np_median_bits(self, rng, n):
+        """Odd and even pair counts, with ties among the distances."""
+        X = np.round(rng.standard_normal((n, 2)), 1)
+        iu = np.triu_indices(n, k=1)
+        med = float(np.median(old_sq_dists(X, X)[iu]))
+        assert self.bandwidth(X) == 1.0 / (2 * med)
+
+
+def old_sq_dists(A, B):
+    a2 = np.sum(A * A, axis=1)
+    b2 = np.sum(B * B, axis=1)
+    return np.maximum(a2[:, None] + b2[None, :] - 2.0 * (A @ B.T), 0.0)
+
+
+def old_pair_design(feats, y, gamma):
+    """The kernel pair's design and gamma as built before ``gram_matrix`` wrote
+    into the pair's [K | 1]: a median bandwidth from a distance pass of its
+    own, then a gram matrix from another, then the design around a copy of it."""
+    if gamma is None:
+        iu = np.triu_indices(feats.shape[0], k=1)
+        med = float(np.median(old_sq_dists(feats, feats)[iu])) if iu[0].size else 1.0
+        gamma = 1.0 / (feats.shape[1] * (med if med > 0.0 else 1.0))
+    K = np.exp(-gamma * old_sq_dists(feats, feats))
+    K = 0.5 * (K + K.T)
+    np.fill_diagonal(K, 1.0)
+    return with_intercept(K, y), gamma
+
+
+class TestPairBuild:
+    """``PairProblem.build`` forms a kernel pair's [K | 1] in one place."""
+
+    @pytest.mark.parametrize("gamma", [1.0, None], ids=["gamma1", "median"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_design_and_gamma_match_the_old_route_bit_for_bit(self, seed, gamma):
+        ds = gen_spiral(120, 90, 40, seed=seed)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            prob = PairProblem.build(ds, i, j, GaussianKernelSpec(gamma), "sd")
+            feats, got_gamma = prob.kernel_rows
+            want, want_gamma = old_pair_design(feats, prob.design.y, gamma)
+            assert got_gamma == want_gamma
+            assert prob.design.X.tobytes() == want.X.tobytes()
+
+    def test_default_bandwidth_build_peaks_under_three_gram_matrices(self, traced_peak):
+        """One [K | 1] buffer, one distance pass and the bandwidth's median from
+        its upper triangle: the build's traced peak stays under 2.7 n x n arrays
+        (two distance passes and a second copy of K reached 3.0)."""
+        ds = gen_spiral(200, 160, 40, seed=0)
+        np.median(np.ones(3))  # numpy.ma, which np.median loads, is not the build's
+        prob, peak = traced_peak(PairProblem.build, ds, 0, 1, GaussianKernelSpec(), "mm")
+        n = prob.design.n
+        assert n == 360
+        assert peak <= 2.7 * 8 * n * n
+
+    @pytest.mark.parametrize("solver", ["mm", "MM", "sd"])
+    def test_workspace_follows_the_solver_name(self, solver):
+        prob = PairProblem.build(gen_spiral(30, 20, 10, seed=0), 0, 1,
+                                 GaussianKernelSpec(1.0), solver)
+        kind = SDWorkspace if solver == "sd" else KernelMMWorkspace
+        assert type(prob.workspace) is kind
 
 
 class TestKernelDesign:
-    """A kernel pair's design is ``DesignMatrix.from_features(K, y)``."""
+    """A kernel pair's design is ``[K | 1]`` over the gram matrix K of its rows."""
 
-    def test_columns_are_kernel_values(self, rng):
-        X = rng.standard_normal((8, 3))
-        y = np.where(rng.standard_normal(8) > 0, 1.0, -1.0)
-        K = gram_matrix(X, 0.5)
-        design = DesignMatrix.from_features(K, y)
-        assert design.X.shape == (8, 9)
-        np.testing.assert_array_equal(design.X[:, -1], np.ones(8))
-        np.testing.assert_array_equal(design.X[:, :-1], K)
-        np.testing.assert_array_equal(design.y, y)
+    def test_columns_are_kernel_values(self):
+        ds = gen_spiral(5, 3, 2, seed=1)
+        prob = PairProblem.build(ds, 0, 1, GaussianKernelSpec(0.5), "sd")
+        feats, _ = prob.kernel_rows
+        K, _ = gram_matrix(feats, 0.5)
+        assert prob.design.X.shape == (8, 9)
+        np.testing.assert_array_equal(prob.design.X[:, -1], np.ones(8))
+        np.testing.assert_array_equal(prob.design.X[:, :-1], K)
+        np.testing.assert_array_equal(prob.design.y, binarize(ds, 0, 1).y)
 
     def test_shape_mismatch_rejected(self, rng):
-        K = gram_matrix(rng.standard_normal((5, 2)), 1.0)
+        K, _ = gram_matrix(rng.standard_normal((5, 2)), 1.0)
         with pytest.raises(DataError, match="label vector length"):
-            DesignMatrix.from_features(K, np.ones(4))
+            with_intercept(K, np.ones(4))
 
 
 class TestKernelModel:
@@ -85,7 +179,7 @@ class TestKernelModel:
         X = rng.standard_normal((10, 2))
         y = np.where(rng.standard_normal(10) > 0, 1.0, -1.0)
         gamma = 0.8
-        design = DesignMatrix.from_features(gram_matrix(X, gamma), y)
+        design = with_intercept(gram_matrix(X, gamma)[0], y)
         alpha = rng.standard_normal(11)
         model = KernelModel(alpha, gamma, X, y)
         # the design's coefficients are the signed weights y alpha and the intercept
@@ -130,5 +224,5 @@ class TestKernelModel:
     def test_gram_entries_bounded(self, gamma):
         hyp = np.random.default_rng(3)
         X = hyp.standard_normal((7, 2))
-        K = gram_matrix(X, gamma)
+        K, _ = gram_matrix(X, gamma)
         assert np.all((K > 0.0) & (K <= 1.0))

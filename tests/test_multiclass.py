@@ -12,6 +12,8 @@ from sparsesvm.multiclass import (GaussianKernelSpec, OVOModel, PairClassifier,
 from sparsesvm.solvers import SOLVERS, KernelMMWorkspace, SDWorkspace
 from sparsesvm.sparsity import SparsityConstraint
 
+from conftest import with_intercept
+
 
 def blob_dataset(rng, n_per=30, classes=3, p=4, sep=4.0, sigma=0.5):
     feats, labels = [], []
@@ -37,7 +39,7 @@ class TestInitHeuristic:
     def test_slopes_match_per_column_least_squares(self, rng):
         X = rng.standard_normal((40, 6))
         y = np.where(rng.standard_normal(40) > 0, 1.0, -1.0)
-        design = DesignMatrix.from_features(X, y)
+        design = with_intercept(X, y)
         beta = init_heuristic(design)
         for j in range(6):
             slope = np.polyfit(X[:, j], y, 1)[0]
@@ -48,13 +50,13 @@ class TestInitHeuristic:
         X = rng.standard_normal((20, 3))
         X[:, 1] = 7.0
         y = np.where(rng.standard_normal(20) > 0, 1.0, -1.0)
-        beta = init_heuristic(DesignMatrix.from_features(X, y))
+        beta = init_heuristic(with_intercept(X, y))
         assert beta[1] == 0.0
         assert np.isfinite(beta).all()
 
     def test_adds_at_most_one_feature_block(self, rng, traced_peak):
         n, p = 1200, 300
-        design = DesignMatrix.from_features(rng.standard_normal((n, p)),
+        design = with_intercept(rng.standard_normal((n, p)),
                                             np.where(rng.random(n) < 0.5, 1.0, -1.0))
         _, peak = traced_peak(init_heuristic, design)
         # the centred copy; squaring it out of place would add a second one

@@ -14,7 +14,7 @@ from sparsesvm.objective import (ObjectiveState, PenaltyWeights, _rows_dot, grad
 from sparsesvm.solvers import KernelMMWorkspace, MMWorkspace
 from sparsesvm.sparsity import SparsityConstraint, project, sq_distance
 
-from conftest import random_problem
+from conftest import random_problem, with_intercept
 
 
 def design_with_margins(margins):
@@ -317,7 +317,7 @@ def test_reweigh_in_place_keeps_weight_free_pieces(rng, basis):
     if basis == "gram":
         features = rng.standard_normal((n, 2))
         y = np.where(features[:, 0] * features[:, 1] > 0, 1.0, -1.0)
-        design = DesignMatrix.from_features(gram_matrix(features, 0.5), y)
+        design = with_intercept(gram_matrix(features, 0.5)[0], y)
         constraint = SparsityConstraint(k=10, p=n)
         ws = KernelMMWorkspace.from_design(design)
     else:

@@ -15,7 +15,7 @@ from sparsesvm.solvers import (WARMUP, KernelMMWorkspace, MMWorkspace, SDWorkspa
                                step_size)
 from sparsesvm.sparsity import SparsityConstraint, project, sq_distance
 
-from conftest import random_problem
+from conftest import random_problem, with_intercept
 
 
 def mm_workspace(design):
@@ -141,9 +141,9 @@ class TestMMUpdate:
 
 def kernel_problem(rng, n, gamma):
     """The kernel design [K | 1] of random 2-d points and random labels."""
-    K = gram_matrix(rng.standard_normal((n, 2)), gamma)
+    K, _ = gram_matrix(rng.standard_normal((n, 2)), gamma)
     y = np.where(rng.standard_normal(n) > 0, 1.0, -1.0)
-    return DesignMatrix.from_features(K, y)
+    return with_intercept(K, y)
 
 
 def step_at(ws, beta, design, constraint, weights):
@@ -203,16 +203,28 @@ class TestKernelMMWorkspace:
         with pytest.raises(ValueError, match="positive distance weight"):
             KernelMMWorkspace.from_design(design).coefficients(weights)
 
-    def test_chosen_by_make_workspace_for_mm_on_a_symmetric_block(self, rng):
+    def test_make_workspace_picks_by_solver_name_only(self, rng):
+        """``make_workspace`` never inspects the design: a square, exactly
+        symmetric feature block takes the thin SVD under ``mm`` like any other;
+        the gram form is the kernel pair builder's."""
         design = kernel_problem(rng, 20, 0.5)
-        assert isinstance(make_workspace(design, "mm"), KernelMMWorkspace)
-        assert isinstance(make_workspace(design, "sd"), SDWorkspace)
-        # a square block off symmetry in one entry, and a tall block, take the thin SVD
-        X = design.X.copy()
-        X[0, 1] += 1e-12
-        assert isinstance(make_workspace(DesignMatrix(X, design.y), "mm"), MMWorkspace)
-        assert isinstance(make_workspace(DesignMatrix(design.X[:, 10:], design.y), "mm"),
-                          MMWorkspace)
+        assert type(make_workspace(design, "mm")) is MMWorkspace
+        assert type(make_workspace(design, "MM")) is MMWorkspace
+        assert type(make_workspace(design, "sd")) is SDWorkspace
+
+    def test_symmetric_linear_design_fits_mm_at_rho_zero(self, rng):
+        """Without a distance penalty, the ``mm`` update on a square, exactly
+        symmetric linear design is the pseudoinverse solution for its working
+        response, as on any other linear design."""
+        A = rng.standard_normal((12, 12))
+        y = np.where(rng.standard_normal(12) > 0, 1.0, -1.0)
+        design = with_intercept(A + A.T, y)
+        constraint = SparsityConstraint(k=4, p=12)
+        weights = PenaltyWeights.for_problem(12, constraint, 0.0)
+        beta = rng.standard_normal(13)
+        got = mm_update(beta, make_workspace(design, "mm"), design, constraint, weights)
+        want = np.linalg.pinv(design.X) @ working_response(beta, design)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
 
     def test_mm_entry_points_accept_it(self, rng):
         design = kernel_problem(rng, 20, 0.5)
@@ -246,7 +258,7 @@ def test_coordinate_grad_sq_matches_gradient(kind, rows, flip, kf, rho, gamma, s
     p = {"tall": lambda: int(rng.integers(1, max(2, n - 1))),
          "wide": lambda: int(rng.integers(n, 60)), "gram": lambda: n}[kind]()
     if kind == "gram":
-        K = gram_matrix(rng.standard_normal((n, 2)), gamma)
+        K, _ = gram_matrix(rng.standard_normal((n, 2)), gamma)
         # signed dual weights, then the intercept: scores K alpha + alpha0
         alpha = rng.standard_normal(n + 1)
         scores = K @ alpha[:-1] + alpha[-1]
@@ -266,13 +278,12 @@ def test_coordinate_grad_sq_matches_gradient(kind, rows, flip, kf, rho, gamma, s
         if rows == "mixed":
             y = np.where(rng.random(n) < flip, -y, y)
     if kind == "gram":
-        design, beta = DesignMatrix.from_features(K, y), alpha
-        ws = make_workspace(design, "mm")
+        design, beta = with_intercept(K, y), alpha
+        ws = KernelMMWorkspace.from_design(design)
         cut = ws.lam.size < n
     else:
-        # a 1 x 1 feature block is symmetric, so make_workspace would take the gram form
         design, beta = DesignMatrix(X, y), alpha
-        ws = MMWorkspace.from_design(design)
+        ws = make_workspace(design, "mm")
         cut = ws.svd.s.size < min(X.shape)
     constraint = SparsityConstraint(k=int(round(kf * p)), p=p)
     weights = PenaltyWeights.for_problem(n, constraint, rho)
@@ -628,8 +639,7 @@ class TestMatchesReferenceLoop:
             design = kernel_problem(rng, n, gamma)
             constraint = SparsityConstraint(k=int(rng.integers(0, n + 1)), p=n)
             weights = PenaltyWeights.for_problem(n, constraint, rho)
-            ws = make_workspace(design, "mm")
-            assert isinstance(ws, KernelMMWorkspace)
+            ws = KernelMMWorkspace.from_design(design)
             self.check(mm_solve, rng.standard_normal(n + 1), ws, design, constraint, weights,
                        cfg, lambda beta, scores, grad: normal_equation_oracle(
                            beta, design, constraint, weights), GRAM_REF_TOL)

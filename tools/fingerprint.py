@@ -1,13 +1,15 @@
 """SHA-256 fingerprints of the outputs that a pure speed change must leave
 bit-identical.
 
-Run from the root of a checkout (the package is imported from its ``src/``):
+Run from the root of a checkout:
 
-    python3 tools/fingerprint.py
+    python3 tools/fingerprint.py [ROOT]
 
-and compare the output of two checkouts line by line. BLAS is pinned to one
-thread before numpy loads: outputs are byte-identical only at a fixed BLAS
-thread count. One line per output, with its work counters where it has them:
+The package is imported from ``ROOT/src``, by default from this script's own
+checkout, so one version of the script can fingerprint two checkouts; compare
+their outputs line by line. BLAS is pinned to one thread before numpy loads:
+outputs are byte-identical only at a fixed BLAS thread count. One line per
+output, with its work counters where it has them:
 
 - ``c07.<solver>``: the 20 criterion-07 fits (gaussian-causal 200x100, k=5,
   simdata seeds 0-19): every level's trace record (rho, inner iterations,
@@ -18,9 +20,13 @@ thread count. One line per output, with its work counters where it has them:
 - ``spiral<seed>.<solver>.{model,report,trace,predict}``: on ``sparsesvm
   gen --family spiral --seed <seed>`` for seeds 0-2, the model file of
   ``train --kernel gaussian --gamma 1 --dual-sparsity 0.5``, its report
-  without ``wall_time``, the CSV of ``trace`` with the same flags, and the
-  predictions file and stdout of ``predict --model <model> --data <file>
-  --label-column label``;
+  without ``wall_time``, the CSV of ``trace`` with the same flags, and on the
+  next seed's file (seed 0's after seed 2's) the predictions file and stdout
+  of ``predict --model <model> --data <file> --label-column label`` with
+  the bytes of every pair's decision scores, which ``predict_ovo`` votes on;
+- ``spiral<seed>.median.{train,predict}``: the same at the default median
+  bandwidth with ``mm``, the model file and report of ``train --kernel
+  gaussian --dual-sparsity 0.5`` in one line, and its predictions;
 - ``planted.<solver>.trace``: the CSV of ``trace --keep 5`` on ``gen --family
   gaussian-causal --n 200 --p 100 --k0 5 --seed 0``;
 - ``spiral0.cv``: the kernel ``cv`` table on seed 0's file, 3 folds.
@@ -42,14 +48,16 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
 from sparsesvm import cli
 from sparsesvm.anneal import prox_dist_fit
 from sparsesvm.crossval import cross_validate
-from sparsesvm.data import apply_transform, binarize, make_folds
+from sparsesvm.data import apply_transform, binarize, load_labeled_csv, make_folds
+from sparsesvm.model_io import load_model
 from sparsesvm.multiclass import init_heuristic
 from sparsesvm.simdata import gen_gaussian_causal, gen_synthetic_corr
 from sparsesvm.sparsity import SparsityConstraint
@@ -129,10 +137,27 @@ def planted(workdir: Path) -> None:
              trace(workdir, ["--data", data, "--keep", 5, "--algorithm", solver]))
 
 
+def predict(model: Path, data: Path, workdir: Path):
+    """The predictions file and stdout of ``predict`` on ``data``, and the bytes
+    of every pair's decision scores there, which ``predict_ovo`` votes on."""
+    predictions = workdir / "predictions.csv"
+    stdout = run_cli(["predict", "--model", model, "--data", data, "--label-column", "label",
+                      "--output", predictions])
+    saved = load_model(model)
+    feats, _ = load_labeled_csv(data, "label")
+    if saved.transform is not None:
+        feats = saved.transform.apply(feats)
+    scores = np.stack([pair.scores(feats) for pair in saved.ovo.pairs])
+    return predictions.read_bytes(), stdout, scores.tobytes()
+
+
 def spiral(workdir: Path) -> None:
-    for seed in range(3):
-        data = workdir / f"spiral{seed}.csv"
+    files = [workdir / f"spiral{seed}.csv" for seed in range(3)]
+    for seed, data in enumerate(files):
         run_cli(["gen", "--family", "spiral", "--seed", seed, "--output", data])
+    for seed, data in enumerate(files):
+        # each model predicts another seed's file, so its scores are not its own fit's
+        other = files[(seed + 1) % len(files)]
         for solver in SOLVERS:
             tag, model = f"spiral{seed}.{solver}", workdir / f"model-{seed}-{solver}.json"
             flags = ["--data", data, "--kernel", "gaussian", "--gamma", 1,
@@ -141,11 +166,14 @@ def spiral(workdir: Path) -> None:
             show(f"{tag}.model", model.read_bytes())
             show(f"{tag}.report", json.dumps(drop_wall_time(json.loads(report)), sort_keys=True))
             show(f"{tag}.trace", trace(workdir, flags))
-            predictions = workdir / "predictions.csv"
-            stdout = run_cli(["predict", "--model", model, "--data", data,
-                              "--label-column", "label", "--output", predictions])
-            show(f"{tag}.predict", predictions.read_bytes(), stdout)
-    table = run_cli(["cv", "--data", workdir / "spiral0.csv", "--kernel", "gaussian",
+            show(f"{tag}.predict", *predict(model, other, workdir))
+        tag, model = f"spiral{seed}.median", workdir / f"model-{seed}-median.json"
+        report = run_cli(["train", "--data", data, "--kernel", "gaussian", "--dual-sparsity", 0.5,
+                          "--threads", 1, "--output", model])
+        show(f"{tag}.train", model.read_bytes(),
+             json.dumps(drop_wall_time(json.loads(report)), sort_keys=True))
+        show(f"{tag}.predict", *predict(model, other, workdir))
+    table = run_cli(["cv", "--data", files[0], "--kernel", "gaussian",
                      "--gamma", 1, "--grid", "0,0.5", "--folds", 3, "--format", "csv"])
     show("spiral0.cv", table)
 

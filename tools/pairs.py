@@ -17,8 +17,8 @@ of BENCHMARK.json the report holds each side's runs, median and quartiles
 won, its median against the parent's, the verdict against the metric's bound
 and the gain rule: the change won at least nine tenths of the pairs and its
 median is better than the parent's by more than the parent's interquartile
-distance. It then runs ``tools/fingerprint.py`` on both sides and records
-whether every line matches. With ``--trace`` each side also runs
+distance. It then runs this checkout's ``tools/fingerprint.py`` on both
+sides and records whether every line matches. With ``--trace`` each side also runs
 
     python3 perfbench/run.py --workload W --seed S --trace 1
 
@@ -107,13 +107,13 @@ def compare(parent, change, better: str, bound: float) -> dict:
 
 
 def fingerprint(root: Path):
-    """The output lines of ``tools/fingerprint.py`` run from ``root``, or None
-    if that checkout has no such script."""
-    script = root / "tools" / "fingerprint.py"
+    """The output lines of this checkout's ``tools/fingerprint.py`` on the
+    package of ``root``, or None if this checkout has no such script."""
+    script = ROOT / "tools" / "fingerprint.py"
     if not script.is_file():
         return None
-    res = subprocess.run([sys.executable, str(script)], cwd=root, capture_output=True,
-                         text=True, timeout=RUN_TIMEOUT)
+    res = subprocess.run([sys.executable, str(script), str(root)], cwd=root,
+                         capture_output=True, text=True, timeout=RUN_TIMEOUT)
     if res.returncode != 0:
         raise RuntimeError(f"{script} exited {res.returncode}:\n{res.stderr[-2000:]}")
     return res.stdout.splitlines()
@@ -122,7 +122,7 @@ def fingerprint(root: Path):
 def fingerprints(parent: Path, change: Path) -> dict:
     a, b = fingerprint(parent), fingerprint(change)
     if a is None or b is None:
-        return {"equal": None, "note": "a side has no tools/fingerprint.py"}
+        return {"equal": None, "note": "this checkout has no tools/fingerprint.py"}
     names = [line.split()[0] for line in b[1:] if line.strip()]
     differ = sorted({line.split()[0] for line in set(a[1:]) ^ set(b[1:]) if line.strip()})
     return {"lines": len(names), "equal": a == b, "differ": differ, "change": b}
