@@ -143,11 +143,8 @@ def predict(model: Path, data: Path, workdir: Path):
     predictions = workdir / "predictions.csv"
     stdout = run_cli(["predict", "--model", model, "--data", data, "--label-column", "label",
                       "--output", predictions])
-    saved = load_model(model)
-    feats, _ = load_labeled_csv(data, "label")
-    if saved.transform is not None:
-        feats = saved.transform.apply(feats)
-    scores = np.stack([pair.scores(feats) for pair in saved.ovo.pairs])
+    feats, _ = load_labeled_csv(data, "label")  # the spiral models have no transform
+    scores = np.stack([pair.scores(feats) for pair in load_model(model).ovo.pairs])
     return predictions.read_bytes(), stdout, scores.tobytes()
 
 

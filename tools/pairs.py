@@ -108,10 +108,8 @@ def compare(parent, change, better: str, bound: float) -> dict:
 
 def fingerprint(root: Path):
     """The output lines of this checkout's ``tools/fingerprint.py`` on the
-    package of ``root``, or None if this checkout has no such script."""
+    package of ``root``."""
     script = ROOT / "tools" / "fingerprint.py"
-    if not script.is_file():
-        return None
     res = subprocess.run([sys.executable, str(script), str(root)], cwd=root,
                          capture_output=True, text=True, timeout=RUN_TIMEOUT)
     if res.returncode != 0:
@@ -121,8 +119,6 @@ def fingerprint(root: Path):
 
 def fingerprints(parent: Path, change: Path) -> dict:
     a, b = fingerprint(parent), fingerprint(change)
-    if a is None or b is None:
-        return {"equal": None, "note": "this checkout has no tools/fingerprint.py"}
     names = [line.split()[0] for line in b[1:] if line.strip()]
     differ = sorted({line.split()[0] for line in set(a[1:]) ^ set(b[1:]) if line.strip()})
     return {"lines": len(names), "equal": a == b, "differ": differ, "change": b}
