@@ -171,6 +171,7 @@ def _run_fold(ds, folds, fold, grid, solver, sched, cfg, holdout, kernel):
                 for i, j in class_pairs(len(ds.class_names))]
     rows = []
     fitted = []   # (row, model) of each level fitted, for the Train column
+    valid = None  # the validation rows, gathered once the first fit's temporaries are freed
     # the densest fit roots the warm-start chain even when 0 is not on the grid
     work_grid = grid if grid[0] == 0.0 else [0.0] + grid
     for s in work_grid:
@@ -185,6 +186,8 @@ def _run_fold(ds, folds, fold, grid, solver, sched, cfg, holdout, kernel):
         if s not in grid:
             continue
         model = OVOModel(pairs=pairs, class_names=ds.class_names)
+        if valid is None:
+            valid = ds.features[va_idx], ds.labels[va_idx]
         reports = [pair.report for pair in pairs]
         test_pct = (accuracy_pct(model, holdout.features, holdout.labels)
                     if holdout is not None else float("nan"))
@@ -196,7 +199,7 @@ def _run_fold(ds, folds, fold, grid, solver, sched, cfg, holdout, kernel):
             time_s=elapsed,
             objective=float(np.mean([rep.objective for rep in reports])),
             sq_dist=float(np.mean([rep.distance for rep in reports])),
-            valid_pct=accuracy_pct(model, ds.features[va_idx], ds.labels[va_idx]),
+            valid_pct=accuracy_pct(model, *valid),
             test_pct=test_pct,
             sv=float(np.mean([rep.sv_count for rep in reports])),
             stop_reason="/".join(rep.stop_reason for rep in reports),

@@ -290,9 +290,12 @@ def apply_transform(ds: Dataset, kind: str) -> Dataset:
     return replace(ds, features=params.apply(X), transform=kind, transform_params=params)
 
 
-# cells per block of rows that ``binarize`` gathers and ``kernel.gram_matrix``
-# symmetrizes: the temporary is one block, not a second copy of the array
+# cells per block of rows that ``binarize`` gathers: the temporary is one
+# block, not a second copy of the features
 GATHER_BLOCK = 1 << 15
+# a row whose squared norm passes this is refused, for its distances and the
+# products of its design could overflow
+MAX_SQ_NORM = np.finfo(float).max / 4
 
 
 def binarize(ds: Dataset, positive_class: int, negative_class: int,
@@ -303,7 +306,8 @@ def binarize(ds: Dataset, positive_class: int, negative_class: int,
     ``binarize(ds, i, j, rows=r)`` equals ``binarize(ds.take(r), i, j)`` bit
     for bit, without the copy of the features that ``take`` makes. The rows
     are gathered block by block straight into the design's ``[X | 1]`` array,
-    so that array is the only one of its size the call allocates.
+    so that array is the only one of its size the call allocates. A row whose
+    squared norm passes ``MAX_SQ_NORM`` is refused, numbered as in ``ds``.
     """
     pos, neg = int(positive_class), int(negative_class)
     if pos == neg:
@@ -324,7 +328,14 @@ def binarize(ds: Dataset, positive_class: int, negative_class: int,
     X[:, -1] = 1.0
     step = max(1, GATHER_BLOCK // ds.p)
     for start in range(0, sel.size, step):
-        X[start:start + step, :-1] = ds.features[sel[start:start + step]]
+        block = X[start:start + step, :-1]
+        block[...] = ds.features[sel[start:start + step]]
+        with np.errstate(over="ignore"):  # refused below
+            a2 = np.einsum("ij,ij->i", block, block)
+        big = np.flatnonzero(~(a2 <= MAX_SQ_NORM))
+        if big.size:
+            raise DataError(f"row {sel[start + big[0]] + 1} is too large: its squared norm "
+                            f"is {a2[big[0]]:g}")
     return DesignMatrix(X, y)
 
 

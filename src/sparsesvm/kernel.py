@@ -13,17 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GATHER_BLOCK, DataError
+from .data import MAX_SQ_NORM, DataError
 
 __all__ = ["KernelModel", "gram_matrix", "kernel_predict"]
 
 
 def _sq_norms(A: np.ndarray) -> np.ndarray:
-    """The rows' squared norms; a row past a quarter of the largest float, where
-    its distances could overflow, is refused."""
+    """The rows' squared norms; a row past ``MAX_SQ_NORM``, where its distances
+    could overflow, is refused."""
     with np.errstate(over="ignore"):  # refused below
         a2 = np.sum(A * A, axis=1)
-    big = np.flatnonzero(~(a2 <= np.finfo(float).max / 4))
+    big = np.flatnonzero(~(a2 <= MAX_SQ_NORM))
     if big.size:
         raise DataError(f"row {big[0] + 1} is too large for the Gaussian kernel: its "
                         f"squared norm is {a2[big[0]]:g}")
@@ -48,10 +48,12 @@ def _median_upper(d2: np.ndarray) -> float:
 
 def gram_matrix(features: np.ndarray, gamma: float | None, out=None) -> tuple[np.ndarray, float]:
     """``(K, gamma)``, K_ij = exp(-gamma ||x_i - x_j||^2) with unit diagonal, written into
-    ``out`` (n x n, any strides) if given and symmetrized there a band of rows at a time;
-    ``gamma`` None is 1 / (p m), m the median squared distance over the pairs i < j."""
-    X = np.asarray(features, dtype=float)
-    n, p = X.shape
+    ``out`` (n x n, any strides) if given; ``gamma`` None is 1 / (p m), m the median
+    squared distance over the pairs i < j. K is exactly symmetric: ``X @ X.T`` on one
+    contiguous buffer fills one triangle and copies it to the other, ``a2_i + a2_j``
+    commutes, and the clamp, the scaling and ``exp`` act on each entry alone."""
+    X = np.ascontiguousarray(features, dtype=float)
+    p = X.shape[1]
     K = _sq_dists(X, X, out)
     gamma = 1.0 / (p * _median_upper(K)) if gamma is None else gamma
     if not 0 < gamma < math.inf:
@@ -59,11 +61,6 @@ def gram_matrix(features: np.ndarray, gamma: float | None, out=None) -> tuple[np
     with np.errstate(over="ignore"):  # -inf past the float range, whose exp is 0
         K *= -gamma
     np.exp(K, out=K)
-    step = max(1, GATHER_BLOCK // n)
-    for a in range(0, n, step):  # a band and its mirror are read before either is written
-        band = 0.5 * (K[a:a + step, a:] + K[a:, a:a + step].T)
-        K[a:a + step, a:] = band
-        K[a:, a:a + step] = band.T
     np.fill_diagonal(K, 1.0)
     return K, gamma
 

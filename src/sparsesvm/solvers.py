@@ -190,8 +190,8 @@ class KernelMMWorkspace:
             raise DataError(f"eigendecomposition failed to converge: {exc}") from exc
         top = float(np.max(np.abs(lam))) if lam.size else 0.0
         keep = np.abs(lam) > RANK_TOL * top
-        Q = np.ascontiguousarray(Q[:, keep])
-        return cls(Q=Q, lam=lam[keep].copy(), q1=Q.sum(axis=0))
+        Q = np.take(Q, np.flatnonzero(keep), axis=1)  # one C-ordered copy
+        return cls(Q=Q, lam=lam[keep], q1=Q.sum(axis=0))
 
     def coefficients(self, weights: PenaltyWeights):
         """d = a2 lam^2 + b2, g = a2 lam q1 / d, and the intercept's Schur

@@ -394,6 +394,33 @@ class TestErrors:
         assert lines[0].startswith(f"error: {kind} transform overflows: feature column 0 ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "trace"])
+    def test_linear_row_that_overflows_is_refused(self, tmp_path, capsys, command):
+        """A training row whose squared norm overflows ends a linear fit in one
+        line naming its data row, before any factorization warns."""
+        data = tmp_path / "big.csv"
+        data.write_text("f1,f2,label\n1,2,a\n1e160,1,b\n3,1,c\n2,2,a\n0,1,b\n1,0,c\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, stdout, err = run_cli(capsys, command, "--data", str(data), "--keep", "1",
+                                      "--output", str(out))
+        assert (rc, stdout) == (1, "")
+        assert err.splitlines()[0].endswith("row 2 is too large: its squared norm is inf")
+        assert len(err.splitlines()) == 1 and not out.exists()
+
+    def test_kernel_row_that_overflows_is_named_by_its_data_row(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("f1,f2,label\n1,2,a\n0,1,b\n3,1,c\n1e200,2,c\n"
+                        "0,1.5,b\n1,0,a\n2,2,a\n0.5,1,b\n")
+        out = tmp_path / "m.json"
+        rc, stdout, err = run_cli(capsys, "train", "--data", str(data), "--kernel", "gaussian",
+                                  "--output", str(out))
+        assert (rc, stdout) == (1, "")
+        assert err.splitlines() == ["error: fit failed for class pair (a, c): row 4 is too "
+                                    "large: its squared norm is inf"]
+        assert not out.exists()
+
     def test_cv_class_held_out_whole_by_a_fold(self, tmp_path, capsys):
         """Its one sample in the CV data sits in one fold's validation rows."""
         rng = np.random.default_rng(0)

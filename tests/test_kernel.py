@@ -50,6 +50,17 @@ class TestGramMatrix:
             gram_matrix(rng.standard_normal((4, 2)), 0.0)
 
 
+    @pytest.mark.parametrize("gamma", [1.0, None], ids=["gamma1", "median"])
+    def test_exactly_symmetric_for_a_strided_view(self, rng, gamma):
+        """Features read through a strided view, as a design's ``X[:, :-1]``, give
+        an exactly symmetric K with a unit diagonal, the bits of a contiguous copy."""
+        X = rng.standard_normal((257, 8))[:, :-1]
+        K, got = gram_matrix(X, gamma)
+        want, want_gamma = gram_matrix(np.ascontiguousarray(X), gamma)
+        np.testing.assert_array_equal(K, K.T)
+        np.testing.assert_array_equal(np.diag(K), np.ones(257))
+        assert K.tobytes() == want.tobytes() and got == want_gamma
+
     @pytest.mark.parametrize("gamma", [0.7, None])
     def test_writes_into_out(self, rng, gamma):
         """K lands in the block ``out`` of a wider array, as in a kernel pair's
@@ -146,6 +157,24 @@ class TestPairBuild:
         n = prob.design.n
         assert n == 360
         assert peak <= 2.7 * 8 * n * n
+
+    @pytest.mark.parametrize("gamma", [1.0, None], ids=["gamma1", "median"])
+    def test_gram_block_exactly_symmetric(self, gamma):
+        ds = gen_spiral(120, 90, 40, seed=0)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            K = PairProblem.build(ds, i, j, GaussianKernelSpec(gamma), "sd").design.X[:, :-1]
+            np.testing.assert_array_equal(K, K.T)
+            np.testing.assert_array_equal(np.diag(K), np.ones(K.shape[0]))
+
+    def test_gamma_one_build_peaks_under_3_2_gram_matrices(self, traced_peak):
+        """At gamma 1 most eigenpairs are kept (319 of 360), and they are taken in
+        one C-ordered copy: the build's traced peak reads about 2.9 n x n arrays
+        (a boolean column selection and a contiguous copy of it reached 3.8)."""
+        ds = gen_spiral(200, 160, 40, seed=0)
+        prob, peak = traced_peak(PairProblem.build, ds, 0, 1, GaussianKernelSpec(1.0), "mm")
+        n = prob.design.n
+        assert n == 360 and prob.workspace.Q.shape[1] > 0.8 * n
+        assert peak <= 3.2 * 8 * n * n
 
     @pytest.mark.parametrize("solver", ["mm", "MM", "sd"])
     def test_workspace_follows_the_solver_name(self, solver):
