@@ -302,15 +302,17 @@ class TestBinarize:
     def test_overflowing_row_refused_as_the_dataset_numbers_it(self, rows):
         """A row past a quarter of the largest float in squared norm is refused
         without a warning, numbered in ``ds`` whichever rows are gathered."""
-        X = np.ones((6, 2))
-        X[3, 1] = 1e160
-        ds = Dataset(X, np.array([0, 1, 0, 1, 0, 1]), ("a", "b"))
+        def dataset(big):
+            X = np.ones((6, 2))
+            X[3, 1] = big
+            return Dataset(X, np.array([0, 1, 0, 1, 0, 1]), ("a", "b"))
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=r"^row 4 is too large: its squared norm is inf$"):
-                binarize(ds, 0, 1, rows=rows)
-            X[3, 1] = 1e150  # squared norm 1e300, under the bound
-            assert binarize(ds, 0, 1, rows=rows).n == 6
+                binarize(dataset(1e160), 0, 1, rows=rows)
+            # a squared norm of 1e300 is under the bound
+            assert binarize(dataset(1e150), 0, 1, rows=rows).n == 6
 
     @pytest.mark.parametrize("classes", [2, 3])
     @pytest.mark.parametrize("order", ["sorted", "unsorted", "repeated", "negative"])
