@@ -36,15 +36,11 @@ class AnnealSchedule:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Inner-solver tolerances and switches.
-
-    ``grad_tol`` bounds the squared gradient norm; a false ``accel`` (or
-    ``None``) turns extrapolation off.
-    """
+    """Inner-solver tolerances: ``grad_tol`` bounds the squared gradient norm,
+    ``max_inner`` the updates of one penalty level."""
 
     grad_tol: float = 1e-6
     max_inner: int = 10_000
-    accel: bool = True
 
     def __post_init__(self):
         if not 0 < self.grad_tol < math.inf:

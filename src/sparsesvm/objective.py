@@ -91,7 +91,7 @@ class ObjectiveState:
     Built from ``beta``, its scores ``X @ beta`` and its coordinates
     ``coords`` in the factor basis of its workspace ``basis`` (``V' beta`` for
     a thin SVD, see ``solvers``; empty without a basis), which ``at``
-    computes: the margins, slack, loss, projection ``pm`` and squared distance
+    computes: the slack, loss, projection ``pm`` and squared distance
     depend only on the point, and so do, with a basis, the coordinates of the
     loss residual ``y * slack`` and of ``pm``, each read from the nonzero rows
     of a factor. ``_weigh`` forms the pieces at ``weights``: ``penalty``,
@@ -110,8 +110,9 @@ class ObjectiveState:
         self.coords = coords
         self._design = design
         self._basis = basis
-        self.margins = design.y * scores
-        self.slack = slack = 1.0 - self.margins
+        # max(0, 1 - y * scores), formed in one array
+        self.slack = slack = design.y * scores
+        np.subtract(1.0, slack, out=slack)
         np.maximum(0.0, slack, out=slack)
         # the averaged squared hinge, as in hinge_loss
         self.loss = float(slack.dot(slack)) / (2.0 * slack.size)

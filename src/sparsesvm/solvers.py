@@ -379,7 +379,7 @@ class _Run(NamedTuple):
 
 
 def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
-                      history=None, pull_tol: float = 0.0):
+                      pull_tol: float = 0.0):
     """Iterate ``ws.step`` until the squared gradient norm drops below
     ``max(cfg.grad_tol, pull_tol**2 * ||b2 (beta - P(beta))||**2)`` or
     ``cfg.max_inner`` updates have been taken at this level.
@@ -406,11 +406,10 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
     that already meets the bound takes no update; the test reads the
     projection the gradient has already computed.
 
-    Each update steps from the kept point ``y_k`` to ``x_{k+1}``. Once
-    ``cfg.accel`` is on and more than ``WARMUP`` updates were taken in the
-    run, the loop keeps ``y_{k+1} = x_{k+1} + w (x_{k+1} - x_k)`` with ``w =
-    (j - 1) / (j + 2)``, except after the update that spends the level's
-    budget; else ``x_{k+1}``. One rule resets ``j`` to 1 (so this ``w = 0``),
+    Each update steps from the kept point ``y_k`` to ``x_{k+1}``. Once more
+    than ``WARMUP`` updates were taken in the run, the loop keeps ``y_{k+1}
+    = x_{k+1} + w (x_{k+1} - x_k)`` with ``w = (j - 1) / (j + 2)``, except
+    after the update that spends the level's budget; else ``x_{k+1}``. One rule resets ``j`` to 1 (so this ``w = 0``),
     counted as a restart: a step against the momentum, ``(y_k - x_{k+1}) .
     (x_{k+1} - x_k) > 0``, tested before the extrapolation (the gradient
     restart of O'Donoghue and Candes, read from the step). No objective is
@@ -451,7 +450,7 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
         cur._weigh(weights, scale)
     coefs = ws.coefficients(weights)
     step = ws.step
-    grad_tol, max_inner, accel = cfg.grad_tol, cfg.max_inner, cfg.accel
+    grad_tol, max_inner = cfg.grad_tol, cfg.max_inner
     pull_sq = (pull_tol * weights.b2) ** 2
 
     iters = restarts = 0
@@ -462,7 +461,7 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
         new = x = step(cur, design, weights, coefs)
         iters += 1
         updates += 1
-        if accel and WARMUP < updates and iters < max_inner:
+        if WARMUP < updates and iters < max_inner:
             move = new - last
             if (cur.beta - new[:p1]).dot(move[:p1]) > 0.0:
                 j = 1
@@ -474,12 +473,10 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
         last = new
         cur = ObjectiveState(x[:p1], x[p1:p1 + n], design, constraint, weights, x[p1 + n:],
                              basis, scale)
-        if history is not None:
-            history.append(cur.objective)
     return iters, restarts, _Run(cur, last, j, updates)
 
 
-def _report(ev: ObjectiveState, iters, constraint, weights, cfg, t0) -> FitReport:
+def _report(ev: ObjectiveState, iters, design, constraint, weights, cfg, t0) -> FitReport:
     return FitReport(
         outer_iters=0,
         rho=weights.rho,
@@ -487,29 +484,29 @@ def _report(ev: ObjectiveState, iters, constraint, weights, cfg, t0) -> FitRepor
         objective=ev.objective,
         grad_sq=ev.grad_sq,
         distance=ev.sq_dist / (constraint.p - constraint.k + 1),
-        sv_count=int(np.count_nonzero(ev.margins <= 1.0)),
+        sv_count=int(np.count_nonzero(design.y * ev.scores <= 1.0)),
         converged=bool(ev.grad_sq < cfg.grad_tol),
         wall_time=time.perf_counter() - t0,
     )
 
 
-def _solve(beta0, ws, design, constraint, weights, cfg, history):
+def _solve(beta0, ws, design, constraint, weights, cfg):
     constraint.require_p(design.p)
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
-    iters, _, run = _solve_subproblem(beta0, ws, design, constraint, weights, cfg, history)
+    iters, _, run = _solve_subproblem(beta0, ws, design, constraint, weights, cfg)
     ev = run.kept
-    return ev.beta, _report(ev, iters, constraint, weights, cfg, t0)
+    return ev.beta, _report(ev, iters, design, constraint, weights, cfg, t0)
 
 
 def mm_solve(beta0, ws: MMWorkspace | KernelMMWorkspace, design: DesignMatrix,
              constraint: SparsityConstraint, weights: PenaltyWeights,
-             cfg: SolverConfig | None = None, history=None):
+             cfg: SolverConfig | None = None):
     """Run the factorization update to stationarity at fixed weights."""
-    return _solve(beta0, _require(ws, *_MM_KINDS), design, constraint, weights, cfg, history)
+    return _solve(beta0, _require(ws, *_MM_KINDS), design, constraint, weights, cfg)
 
 
 def sd_solve(beta0, ws: SDWorkspace, design: DesignMatrix, constraint: SparsityConstraint,
-             weights: PenaltyWeights, cfg: SolverConfig | None = None, history=None):
+             weights: PenaltyWeights, cfg: SolverConfig | None = None):
     """Run guarded steepest descent to stationarity at fixed weights."""
-    return _solve(beta0, _require(ws, SDWorkspace), design, constraint, weights, cfg, history)
+    return _solve(beta0, _require(ws, SDWorkspace), design, constraint, weights, cfg)

@@ -27,7 +27,8 @@ from sparsesvm.sparsity import SparsityConstraint, project, sq_distance
 from conftest import random_problem
 from test_multiclass import blob_dataset
 from test_objective import magnitudes_clear_of_ties, margins_clear_of_kink
-from test_solvers import mm_workspace, normal_equation_oracle
+from test_solvers import (mm_workspace, normal_equation_oracle, plain_updates,
+                          record_objectives)
 from test_sparsity import brute_force_sq_distance
 
 
@@ -114,8 +115,9 @@ def test_criterion_04_exact_step_beats_dense_grid(rng):
         done += 1
 
 
-def test_criterion_05_descent_every_inner_iteration(rng):
-    cfg = SolverConfig(accel=None)
+def test_criterion_05_descent_every_inner_iteration(monkeypatch, rng):
+    plain_updates(monkeypatch)
+    cfg = SolverConfig()
     for _ in range(10):
         n = int(rng.integers(10, 40))
         p = int(rng.integers(3, 12))
@@ -125,8 +127,9 @@ def test_criterion_05_descent_every_inner_iteration(rng):
             weights = PenaltyWeights.for_problem(n, constraint, rho)
             for solver_fn, ws in ((mm_solve, mm_workspace(design)),
                                   (sd_solve, SDWorkspace.from_design(design))):
-                history = [penalized_objective(beta0, design, constraint, weights).objective]
-                solver_fn(beta0, ws, design, constraint, weights, cfg, history=history)
+                with monkeypatch.context() as patch:
+                    history = record_objectives(patch)
+                    solver_fn(beta0, ws, design, constraint, weights, cfg)
                 assert np.all(np.diff(history) <= 1e-12)
 
 

@@ -14,6 +14,7 @@ from sparsesvm.simdata import gen_gaussian_causal, gen_spiral, gen_synthetic_cor
 from sparsesvm.sparsity import SparsityConstraint, sq_distance
 
 from conftest import random_problem
+from test_solvers import plain_updates
 
 
 def stationary_sparse_instance():
@@ -373,10 +374,10 @@ class TestOneRunPerFit:
 
     @pytest.mark.parametrize("solver", ["mm", "sd"])
     def test_no_extrapolation_without_accel(self, monkeypatch, solver):
-        for accel in (None, False):
-            updates, records = self.fit(monkeypatch, solver, SolverConfig(accel=accel))
-            assert not any(x for _, x in updates)
-            assert all(rec.restarts == 0 for rec in records)
+        plain_updates(monkeypatch)
+        updates, records = self.fit(monkeypatch, solver, SolverConfig())
+        assert not any(x for _, x in updates)
+        assert all(rec.restarts == 0 for rec in records)
 
 
 class TestLinearScores:
@@ -430,7 +431,7 @@ class TestTestedPointsStayPut:
         """The steps, ``_past`` and the states write in place; with extrapolation
         on, no array of a point the loop has tested is written by a later
         update: each equals the copy taken when the point was weighed."""
-        names = ("beta", "scores", "coords", "margins", "slack", "pm")
+        names = ("beta", "scores", "coords", "slack", "pm")
         if solver == "mm":
             names += ("residual_coords", "pm_coords")
         seen = []
@@ -503,7 +504,7 @@ class TestStopReason:
             assert np.count_nonzero(beta[:p]) <= constraint.k
 
     @pytest.mark.parametrize("solver", ["mm", "sd"])
-    def test_restarts_per_level(self, rng, solver):
+    def test_restarts_per_level(self, monkeypatch, rng, solver):
         """A level's restarts are its momentum resets: none without
         extrapolation, some over ten cold starts at a tight tolerance, never
         more than the level's updates after the warm-up, and each record
@@ -514,13 +515,15 @@ class TestStopReason:
             design, constraint, weights = random_problem(rng, 25, 6, 3, rho=2.0)
             ws = solvers.make_workspace(design, solver)
             beta0 = rng.standard_normal(7)
+            cfg = SolverConfig(grad_tol=1e-14)
             for accel in (True, False):
-                cfg = SolverConfig(grad_tol=1e-14, accel=accel)
-                iters, restarts, _ = solvers._solve_subproblem(beta0, ws, design,
-                                                               constraint, weights, cfg)
+                with monkeypatch.context() as patch:
+                    if not accel:
+                        plain_updates(patch)
+                    iters, restarts, _ = solvers._solve_subproblem(beta0, ws, design,
+                                                                   constraint, weights, cfg)
                 assert restarts <= max(0, iters - solvers.WARMUP - 1)
                 totals[accel] += restarts
-            cfg = SolverConfig(grad_tol=1e-14)
             records = []
             prox_dist_fit(design, constraint, beta0, solver=ws, cfg=cfg,
                           sched=AnnealSchedule(rho0=weights.rho, max_outer=2),

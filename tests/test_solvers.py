@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sparsesvm import anneal
+from sparsesvm import anneal, solvers
 from sparsesvm.anneal import prox_dist_fit
 from sparsesvm.config import AnnealSchedule, SolverConfig
 from sparsesvm.data import RANK_TOL, DesignMatrix
@@ -430,10 +432,24 @@ def test_solve_rejects_start_of_another_length(rng, solve):
         solve(np.zeros(4), ws, design, constraint, weights)
 
 
-def run_history(solver_fn, ws, design, constraint, weights, beta0, cfg):
-    history = []
-    beta, report = solver_fn(beta0, ws, design, constraint, weights, cfg, history=history)
-    return beta, report, history
+def plain_updates(monkeypatch):
+    """Turn extrapolation off: the warm-up outlasts any budget."""
+    monkeypatch.setattr(solvers, "WARMUP", math.inf)
+
+
+def record_objectives(monkeypatch):
+    """The objective of each point the inner loop weighs, in order, its start
+    included: the loop builds its points through a subclass patched into
+    ``solvers``."""
+    objectives = []
+
+    class Recording(ObjectiveState):
+        def _weigh(self, weights, scale=None):
+            super()._weigh(weights, scale)
+            objectives.append(self.objective)
+
+    monkeypatch.setattr(solvers, "ObjectiveState", Recording)
+    return objectives
 
 
 class TestSolveLoops:
@@ -447,7 +463,7 @@ class TestSolveLoops:
         cfg = SolverConfig()
         for solver_fn, ws in ((mm_solve, mm_workspace(design)),
                               (sd_solve, SDWorkspace.from_design(design))):
-            beta, report, _ = run_history(solver_fn, ws, design, constraint, weights, beta0, cfg)
+            beta, report = solver_fn(beta0, ws, design, constraint, weights, cfg)
             assert report.total_inner_iters == 0
             np.testing.assert_array_equal(beta, beta0)
 
@@ -455,41 +471,41 @@ class TestSolveLoops:
         (mm_solve, mm_workspace),
         (sd_solve, SDWorkspace.from_design),
     ])
-    def test_descent_without_acceleration(self, rng, solver_fn, make_ws):
+    def test_descent_without_acceleration(self, monkeypatch, rng, solver_fn, make_ws):
+        plain_updates(monkeypatch)
         for _ in range(10):
             n = int(rng.integers(6, 30))
             p = int(rng.integers(2, 10))
             design, constraint, weights = random_problem(
                 rng, n, p, max(1, p // 2), rho=float(rng.uniform(0.1, 5)))
-            cfg = SolverConfig(accel=None, max_inner=300)
+            cfg = SolverConfig(max_inner=300)
             beta0 = rng.standard_normal(p + 1)
-            _, _, history = run_history(solver_fn, make_ws(design), design, constraint,
-                                        weights, beta0, cfg)
-            diffs = np.diff(np.asarray(history))
-            assert history, "solver took no steps on a random problem"
-            assert np.all(diffs <= 1e-12)
+            with monkeypatch.context() as patch:
+                history = record_objectives(patch)
+                solver_fn(beta0, make_ws(design), design, constraint, weights, cfg)
+            assert len(history) > 1, "solver took no steps on a random problem"
+            assert np.all(np.diff(history) <= 1e-12)
 
     def test_solvers_agree_at_tight_tolerance(self, rng):
         design, constraint, weights = random_problem(rng, 20, 5, 2, rho=1.0)
         cfg = SolverConfig(grad_tol=1e-14, max_inner=50_000)
         beta0 = np.zeros(6)
-        b_mm, _, _ = run_history(mm_solve, mm_workspace(design), design, constraint,
-                                 weights, beta0, cfg)
-        b_sd, _, _ = run_history(sd_solve, SDWorkspace.from_design(design), design,
-                                 constraint, weights, beta0, cfg)
+        b_mm, _ = mm_solve(beta0, mm_workspace(design), design, constraint, weights, cfg)
+        b_sd, _ = sd_solve(beta0, SDWorkspace.from_design(design), design, constraint,
+                           weights, cfg)
         o_mm = penalized_objective(b_mm, design, constraint, weights).objective
         o_sd = penalized_objective(b_sd, design, constraint, weights).objective
         assert abs(o_mm - o_sd) <= 1e-6
 
-    def test_acceleration_converges_to_same_objective(self, rng):
+    def test_acceleration_converges_to_same_objective(self, monkeypatch, rng):
         design, constraint, weights = random_problem(rng, 25, 6, 3, rho=2.0)
-        cfg_plain = SolverConfig(accel=None, grad_tol=1e-12, max_inner=20_000)
-        cfg_accel = SolverConfig(grad_tol=1e-12, max_inner=20_000)
+        cfg = SolverConfig(grad_tol=1e-12, max_inner=20_000)
         beta0 = rng.standard_normal(7)
-        b0, _, _ = run_history(mm_solve, mm_workspace(design), design, constraint,
-                               weights, beta0.copy(), cfg_plain)
-        b1, _, _ = run_history(mm_solve, mm_workspace(design), design, constraint,
-                               weights, beta0.copy(), cfg_accel)
+        with monkeypatch.context() as patch:
+            plain_updates(patch)
+            b0, _ = mm_solve(beta0.copy(), mm_workspace(design), design, constraint,
+                             weights, cfg)
+        b1, _ = mm_solve(beta0.copy(), mm_workspace(design), design, constraint, weights, cfg)
         o0 = penalized_objective(b0, design, constraint, weights).objective
         o1 = penalized_objective(b1, design, constraint, weights).objective
         assert abs(o0 - o1) <= 1e-8 * (1 + abs(o0))
@@ -498,8 +514,8 @@ class TestSolveLoops:
         """Polish a random problem to near-zero gradient, then check both maps."""
         design, constraint, weights = random_problem(rng, 20, 6, 3, rho=1.0)
         cfg = SolverConfig(grad_tol=1e-22, max_inner=200_000)
-        beta, report, _ = run_history(mm_solve, mm_workspace(design), design,
-                                      constraint, weights, np.zeros(7), cfg)
+        beta, report = mm_solve(np.zeros(7), mm_workspace(design), design, constraint,
+                                weights, cfg)
         assert report.grad_sq <= 1e-20
         moved_mm = mm_update(beta, mm_workspace(design), design, constraint, weights) - beta
         ws_sd = SDWorkspace.from_design(design)
@@ -557,8 +573,9 @@ def ref_step(solver, ws, design, constraint, weights):
 
 
 def ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, history, tau=0.0,
-                         run=None):
-    """``tau > 0`` adds the per-level stop of ``prox_dist_fit``: the squared
+                         run=None, accel=True):
+    """Append to ``history`` the objective of the start and of each kept point;
+    ``accel`` false takes plain updates only. ``tau > 0`` adds the per-level stop of ``prox_dist_fit``: the squared
     gradient below ``tau**2`` times the squared pull ``||b2 (beta - P(beta))||**2``,
     tested at every point from the start on. ``run`` continues the accelerated run
     of a previous level, from its kept point ``beta0``: the ``(x_k, j,
@@ -570,6 +587,7 @@ def ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, history,
     grad = ref_gradient_from_scores(beta, scores, design, constraint, weights)
     grad_sq = float(grad @ grad)
     objective = ref_objective_from_scores(beta, scores, design, constraint, weights)
+    history.append(objective)
 
     def tol(beta):
         return max(cfg.grad_tol, (tau * weights.b2) ** 2 * sq_distance(beta, constraint))
@@ -580,7 +598,7 @@ def ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, history,
         iters += 1
         updates += 1
         kept = beta_new
-        if cfg.accel and WARMUP < updates and iters < cfg.max_inner:
+        if accel and WARMUP < updates and iters < cfg.max_inner:
             # restart when the step turned against the momentum x_k -> x_{k+1}
             if (beta - beta_new) @ (beta_new - last) > 0.0:
                 j = 1
@@ -603,19 +621,20 @@ def make_ws(solver, design):
     return mm_workspace(design) if solver == "mm" else SDWorkspace.from_design(design)
 
 
+# each configuration and whether it extrapolates
 REFERENCE_CONFIGS = {
-    "default": SolverConfig(max_inner=400),
-    "no-accel": SolverConfig(accel=None, max_inner=400),
+    "default": (SolverConfig(max_inner=400), True),
+    "no-accel": (SolverConfig(max_inner=400), False),
     # the budget runs out while extrapolation is engaged
-    "small-budget": SolverConfig(max_inner=WARMUP + 7),
+    "small-budget": (SolverConfig(max_inner=WARMUP + 7), True),
 }
 
 
 class TestMatchesReferenceLoop:
     @pytest.mark.parametrize("cfg_name", sorted(REFERENCE_CONFIGS))
     @pytest.mark.parametrize("solver", ["mm", "sd"])
-    def test_subproblem_bit_identical(self, rng, solver, cfg_name):
-        cfg = REFERENCE_CONFIGS[cfg_name]
+    def test_subproblem_bit_identical(self, monkeypatch, rng, solver, cfg_name):
+        cfg, accel = REFERENCE_CONFIGS[cfg_name]
         solve = mm_solve if solver == "mm" else sd_solve
         for rho in (0.0, 0.5, 5.0, 50.0):
             n = int(rng.integers(6, 40))
@@ -625,33 +644,39 @@ class TestMatchesReferenceLoop:
             assert (weights.b2 == 0.0) == (rho == 0.0)
             beta0 = rng.standard_normal(p + 1)
             ws = make_ws(solver, design)
-            self.check(solve, beta0, ws, design, constraint, weights, cfg,
-                       ref_step(solver, ws, design, constraint, weights))
+            self.check(monkeypatch, solve, beta0, ws, design, constraint, weights, cfg,
+                       accel, ref_step(solver, ws, design, constraint, weights))
 
     @pytest.mark.parametrize("cfg_name", sorted(REFERENCE_CONFIGS))
-    def test_gram_subproblem_matches_normal_equations(self, rng, cfg_name):
+    def test_gram_subproblem_matches_normal_equations(self, monkeypatch, rng, cfg_name):
         """``mm`` in the gram form, on kernel designs [K | 1] (at gamma 0.01 part
         of K's spectrum falls under the rank cut), against the reference loop
         stepping by the dense normal-equation solve."""
-        cfg = REFERENCE_CONFIGS[cfg_name]
+        cfg, accel = REFERENCE_CONFIGS[cfg_name]
         for rho, gamma in ((0.5, 0.5), (5.0, 0.01), (50.0, 5.0)):
             n = int(rng.integers(6, 40))
             design = kernel_problem(rng, n, gamma)
             constraint = SparsityConstraint(k=int(rng.integers(0, n + 1)), p=n)
             weights = PenaltyWeights.for_problem(n, constraint, rho)
             ws = KernelMMWorkspace.from_design(design)
-            self.check(mm_solve, rng.standard_normal(n + 1), ws, design, constraint, weights,
-                       cfg, lambda beta, scores, grad: normal_equation_oracle(
+            self.check(monkeypatch, mm_solve, rng.standard_normal(n + 1), ws, design,
+                       constraint, weights, cfg, accel, lambda beta, scores, grad: normal_equation_oracle(
                            beta, design, constraint, weights), GRAM_REF_TOL)
 
     @staticmethod
-    def check(solve, beta0, ws, design, constraint, weights, cfg, step, tol=REF_TOL):
+    def check(monkeypatch, solve, beta0, ws, design, constraint, weights, cfg, accel, step,
+              tol=REF_TOL):
         """``solve`` from ``beta0`` takes as many updates as the reference loop
-        with ``step`` and agrees with it to within ``tol``."""
+        with ``step`` and agrees with it to within ``tol``, extrapolating as
+        ``accel`` says."""
         want_hist = []
-        want = ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, want_hist)
-        got_hist = []
-        beta, report = solve(beta0, ws, design, constraint, weights, cfg, history=got_hist)
+        want = ref_solve_subproblem(beta0, design, constraint, weights, cfg, step, want_hist,
+                                    accel=accel)
+        with monkeypatch.context() as patch:
+            if not accel:
+                plain_updates(patch)
+            got_hist = record_objectives(patch)
+            beta, report = solve(beta0, ws, design, constraint, weights, cfg)
         assert report.total_inner_iters == want[1]
         np.testing.assert_allclose(beta, want[0], **tol)
         np.testing.assert_allclose(got_hist, want_hist, **tol)
