@@ -66,10 +66,12 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
     fit, while the ``cfg.max_inner`` budget holds per level.
     The ladder halts when the normalized squared distance to the sparsity set
     falls to ``sched.dist_tol`` (``stop_reason`` ``distance``, ``converged``
-    true) or when ``sched.max_outer`` levels are spent (``budget``). The
-    returned coefficients are the projection of the last iterate, so they are
-    always feasible, though that iterate's squared gradient norm is usually
-    above ``cfg.grad_tol``. ``solver`` is a key of ``solvers.SOLVERS`` or a
+    true) or when ``sched.max_outer`` levels are spent (``budget``); either
+    way a last level that took all ``cfg.max_inner`` updates ends the fit
+    unsolved (``inner_budget``, ``converged`` false). The returned
+    coefficients are the projection of the last iterate, so they are always
+    feasible, though that iterate's squared gradient norm is usually above
+    ``cfg.grad_tol``. ``solver`` is a key of ``solvers.SOLVERS`` or a
     workspace built for ``design`` by ``solvers.make_workspace`` or ``PairProblem.build``,
     which holds only its factorization and may be shared by fits in one thread or several.
     """
@@ -106,6 +108,8 @@ def prox_dist_fit(design: DesignMatrix, constraint: SparsityConstraint, beta0,
             stop_reason = "distance"
             break
         rho *= sched.multiplier
+    if iters == cfg.max_inner:
+        stop_reason = "inner_budget"
 
     # the last level's projection is the hard-projected fit
     beta_final = ev.pm

@@ -319,8 +319,12 @@ def cmd_cv(args) -> int:
     if args.transform != "none":
         ds_cv = apply_transform(ds_cv, args.transform)
         if holdout is not None:
-            holdout = replace(holdout, features=ds_cv.transform_params.apply(holdout.features),
-                              transform=args.transform, transform_params=ds_cv.transform_params)
+            try:
+                feats = ds_cv.transform_params.apply(holdout.features)
+            except DataError as exc:
+                raise exc.renumbered(holdout.source()) from None
+            holdout = replace(holdout, features=feats, transform=args.transform,
+                              transform_params=ds_cv.transform_params)
 
     folds = make_folds(ds_cv.n, args.folds, args.seed, labels=ds_cv.labels)
     table = cross_validate(ds_cv, folds, grid, solver=args.algorithm, sched=_schedule(args),

@@ -163,6 +163,15 @@ class CVTable:
         return json.dumps(doc, allow_nan=True)
 
 
+def _accuracy(model: OVOModel, features, labels, rows) -> float:
+    """``accuracy_pct``, naming a row the model refuses by ``rows`` (see
+    ``Dataset.source``)."""
+    try:
+        return accuracy_pct(model, features, labels)
+    except DataError as exc:
+        raise exc.renumbered(rows) from None
+
+
 def _run_fold(ds, folds, fold, grid, solver, sched, cfg, holdout, kernel):
     tr_idx = folds.train_indices(fold)
     va_idx = folds.val_indices(fold)
@@ -187,9 +196,9 @@ def _run_fold(ds, folds, fold, grid, solver, sched, cfg, holdout, kernel):
             continue
         model = OVOModel(pairs=pairs, class_names=ds.class_names)
         if valid is None:
-            valid = ds.features[va_idx], ds.labels[va_idx]
+            valid = ds.features[va_idx], ds.labels[va_idx], ds.source()[va_idx]
         reports = [pair.report for pair in pairs]
-        test_pct = (accuracy_pct(model, holdout.features, holdout.labels)
+        test_pct = (_accuracy(model, holdout.features, holdout.labels, holdout.source())
                     if holdout is not None else float("nan"))
         rows.append(CVRow(
             fold=fold,
@@ -199,7 +208,7 @@ def _run_fold(ds, folds, fold, grid, solver, sched, cfg, holdout, kernel):
             time_s=elapsed,
             objective=float(np.mean([rep.objective for rep in reports])),
             sq_dist=float(np.mean([rep.distance for rep in reports])),
-            valid_pct=accuracy_pct(model, *valid),
+            valid_pct=_accuracy(model, *valid),
             test_pct=test_pct,
             sv=float(np.mean([rep.sv_count for rep in reports])),
             stop_reason="/".join(rep.stop_reason for rep in reports),

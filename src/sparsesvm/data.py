@@ -28,7 +28,24 @@ __all__ = [
 
 
 class DataError(ValueError):
-    """Malformed or inconsistent input data."""
+    """Malformed or inconsistent input data.
+
+    An error about one row of an array keeps the row's index there in ``row``,
+    and its message names the row, numbered from 1, where ``{row}`` stands;
+    ``renumbered`` names it as a larger set the array was taken from numbers it.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = None if row is None else int(row)
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return text if self.row is None else text.format(row=self.row + 1)
+
+    def renumbered(self, rows) -> "DataError":
+        """This error with its row named by ``rows[row]``; unchanged without a row."""
+        return self if self.row is None else DataError(self.args[0], rows[self.row])
 
 
 @dataclass(frozen=True)
@@ -59,21 +76,27 @@ class ColumnTransform:
         finite = np.isfinite(out)
         if not finite.all():
             i, j = np.argwhere(~finite)[0]
-            raise DataError(f"{self.kind} transform of row {i + 1}, feature column {j}: "
-                            f"{X[i, j]:g} maps to {out[i, j]:g}")
+            raise DataError(f"{self.kind} transform of row {{row}}, feature column {j}: "
+                            f"{X[i, j]:g} maps to {out[i, j]:g}", i)
         return out
 
 
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix with integer class ids indexing ``class_names``, of which
-    there are at least two; a class may have no rows (a holdout is only scored)."""
+    there are at least two; a class may have no rows (a holdout is only scored).
+
+    ``source_rows`` holds, for rows taken from another dataset (``take``), the
+    index of each in the dataset first taken from, which names a row a check
+    refuses; None for a dataset of its own rows.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     class_names: tuple[str, ...]
     transform: str = "none"
     transform_params: ColumnTransform | None = None
+    source_rows: np.ndarray | None = None
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=float)
@@ -100,10 +123,15 @@ class Dataset:
     def p(self) -> int:
         return self.features.shape[1]
 
+    def source(self) -> np.ndarray:
+        """The index of each row in the dataset first taken from (``source_rows``)."""
+        return np.arange(self.n) if self.source_rows is None else self.source_rows
+
     def take(self, indices) -> "Dataset":
         """Rows ``indices`` (integers, not a mask), sharing class names and transform metadata."""
         idx = _row_indices(indices)
-        return replace(self, features=self.features[idx], labels=self.labels[idx])
+        return replace(self, features=self.features[idx], labels=self.labels[idx],
+                       source_rows=self.source()[idx])
 
 
 def _row_indices(indices) -> np.ndarray:
@@ -293,8 +321,9 @@ def apply_transform(ds: Dataset, kind: str) -> Dataset:
 # cells per block of rows that ``binarize`` gathers: the temporary is one
 # block, not a second copy of the features
 GATHER_BLOCK = 1 << 15
-# a row whose squared norm passes this is refused, for its distances and the
-# products of its design could overflow
+# bound on the squared norm of a pair design's features (and of a row that a
+# kernel scores): under it no entry or partial sum of ``X'X`` or ``XX'``, and
+# no squared distance between two rows, can overflow
 MAX_SQ_NORM = np.finfo(float).max / 4
 
 
@@ -306,8 +335,9 @@ def binarize(ds: Dataset, positive_class: int, negative_class: int,
     ``binarize(ds, i, j, rows=r)`` equals ``binarize(ds.take(r), i, j)`` bit
     for bit, without the copy of the features that ``take`` makes. The rows
     are gathered block by block straight into the design's ``[X | 1]`` array,
-    so that array is the only one of its size the call allocates. A row whose
-    squared norm passes ``MAX_SQ_NORM`` is refused, numbered as in ``ds``.
+    so that array is the only one of its size the call allocates. Features
+    whose squared norm passes ``MAX_SQ_NORM`` are refused, naming the row,
+    as ``ds.source()`` numbers it, at which the gathered rows' total passes.
     """
     pos, neg = int(positive_class), int(negative_class)
     if pos == neg:
@@ -327,15 +357,21 @@ def binarize(ds: Dataset, positive_class: int, negative_class: int,
     X = np.empty((sel.size, ds.p + 1))
     X[:, -1] = 1.0
     step = max(1, GATHER_BLOCK // ds.p)
+    total = 0.0  # squared norm of the rows gathered so far
     for start in range(0, sel.size, step):
         block = X[start:start + step, :-1]
         block[...] = ds.features[sel[start:start + step]]
         with np.errstate(over="ignore"):  # refused below
             a2 = np.einsum("ij,ij->i", block, block)
-        big = np.flatnonzero(~(a2 <= MAX_SQ_NORM))
+            totals = np.cumsum(a2)
+            totals += total
+        big = np.flatnonzero(~(totals <= MAX_SQ_NORM))
         if big.size:
-            raise DataError(f"row {sel[start + big[0]] + 1} is too large: its squared norm "
-                            f"is {a2[big[0]]:g}")
+            i = big[0]
+            what = (f"its squared norm is {a2[i]:g}" if not a2[i] <= MAX_SQ_NORM else
+                    f"the pair's rows up to it have squared norm {totals[i]:g}")
+            raise DataError(f"row {{row}} is too large: {what}", ds.source()[sel[start + i]])
+        total = totals[-1]
     return DesignMatrix(X, y)
 
 

@@ -25,8 +25,8 @@ def _sq_norms(A: np.ndarray) -> np.ndarray:
         a2 = np.sum(A * A, axis=1)
     big = np.flatnonzero(~(a2 <= MAX_SQ_NORM))
     if big.size:
-        raise DataError(f"row {big[0] + 1} is too large for the Gaussian kernel: its "
-                        f"squared norm is {a2[big[0]]:g}")
+        raise DataError("row {row} is too large for the Gaussian kernel: its "
+                        f"squared norm is {a2[big[0]]:g}", big[0])
     return a2
 
 

@@ -81,7 +81,8 @@ class PairClassifier:
         bad = np.flatnonzero(~np.isfinite(scores))
         if bad.size:
             i = bad[0]
-            raise DataError(f"row {i + 1} scores {scores[i]:g}: its features overflow the model")
+            raise DataError(f"row {{row}} scores {scores[i]:g}: its features overflow the model",
+                            i)
         return scores
 
 

@@ -488,6 +488,29 @@ class TestStopReason:
         assert report.to_dict()["stop_reason"] == reason
 
     @pytest.mark.parametrize("solver", ["mm", "sd"])
+    @pytest.mark.parametrize("k,sched", [("p", AnnealSchedule()),
+                                         (4, AnnealSchedule(max_outer=3))],
+                             ids=["distance", "budget"])
+    def test_last_level_out_of_updates_has_not_converged(self, solver, k, sched):
+        """At k = p every point is on the sparsity set, so the distance test ends
+        the ladder after one level; at k = 4 the outer budget ends it. At one
+        update per level the last level ends by spending its budget, not by
+        meeting its gradient test, and the fit says so."""
+        design, _, beta0, _ = planted_level()
+        constraint = SparsityConstraint(k=design.p if k == "p" else k, p=design.p)
+        cfg = SolverConfig(max_inner=1)
+        records = []
+        _, report = prox_dist_fit(design, constraint, beta0, solver=solver, sched=sched,
+                                  cfg=cfg, trace_hook=records.append)
+        assert records[-1].inner_iters == cfg.max_inner
+        assert records[-1].grad_sq > cfg.grad_tol
+        if k == "p":
+            assert report.outer_iters == 1 and report.distance <= sched.dist_tol
+        else:
+            assert report.outer_iters == sched.max_outer
+        assert report.stop_reason == "inner_budget" and not report.converged
+
+    @pytest.mark.parametrize("solver", ["mm", "sd"])
     def test_random_designs_converge(self, solver):
         """With the default schedule a fit ends within the distance tolerance:
         on 20 random designs every fit stops on the distance test with at most

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import sparsesvm
 from sparsesvm.cli import _stratified_split, main
+from sparsesvm.data import make_folds
 from sparsesvm.model_io import load_model
 
 
@@ -421,6 +422,48 @@ class TestErrors:
                                     "large: its squared norm is inf"]
         assert not out.exists()
 
+    def test_design_whose_products_overflow_is_refused(self, tmp_path, capsys):
+        """Each row's squared norm, about 1e306, is under the bound, but 200 of
+        them overflow the first column's entry of X'X: the fit is refused at
+        the row where the pair's rows pass the bound, before any warning."""
+        data = tmp_path / "big.csv"
+        data.write_text("f1,f2,label\n" + "".join(f"1e153,{i % 7},{'ab'[i % 2]}\n"
+                                                  for i in range(200)))
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, stdout, err = run_cli(capsys, "train", "--data", str(data), "--keep", "1",
+                                      "--output", str(out))
+        assert (rc, stdout) == (1, "")
+        assert err.splitlines() == ["error: fit failed for class pair (a, b): row 45 is too "
+                                    "large: the pair's rows up to it have squared norm 4.5e+307"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        ((), "row {} is too large: its squared norm is inf"),
+        (("--kernel", "gaussian"),
+         "row {} is too large for the Gaussian kernel: its squared norm is inf"),
+    ], ids=["linear", "kernel"])
+    def test_cv_row_that_overflows_is_named_by_its_data_row(self, tmp_path, capsys, flags,
+                                                            message):
+        """A cross-validation row holding 1e160, in fold 0's validation rows, is
+        named by its data row in the file: a linear fold refuses it in the
+        first design that holds it, a kernel one when fold 0 scores it."""
+        labels = np.arange(30) % 2
+        held, rest = _stratified_split(labels, 0.2, 0)
+        row = int(rest[make_folds(rest.size, 3, 0, labels=labels[rest]).val_indices(0)[-1]])
+        feats = np.random.default_rng(0).standard_normal((30, 2))
+        feats[row, 0] = 1e160
+        data = tmp_path / "d.csv"
+        data.write_text("f1,f2,label\n" + "".join(f"{x0!r},{x1!r},{'ab'[c]}\n"
+                                                  for (x0, x1), c in zip(feats.tolist(), labels)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, stdout, err = run_cli(capsys, "cv", "--data", str(data), "--grid", "0,0.5",
+                                      "--folds", "3", *flags)
+        assert (rc, stdout) == (1, "")
+        assert err.splitlines() == ["error: " + message.format(row + 1)]
+
     def test_cv_class_held_out_whole_by_a_fold(self, tmp_path, capsys):
         """Its one sample in the CV data sits in one fold's validation rows."""
         rng = np.random.default_rng(0)
@@ -757,8 +800,9 @@ def test_predict_row_that_overflows_the_model_is_named(tmp_path, capsys, fuzz_mo
 @pytest.mark.parametrize("flags", [["--transform", "standardized"], ["--kernel", "gaussian"]],
                          ids=["standardized", "gaussian"])
 def test_cv_holdout_row_that_overflows_is_refused(tmp_path, capsys, flags):
-    """A held-out row holding 1e308 ends cv with one error line: through the
-    transform fitted on the rows near 1e-3, or through the kernel."""
+    """A held-out row holding 1e308 ends cv with one error line, naming its data
+    row in the file: through the transform fitted on the rows near 1e-3, or
+    through the kernel."""
     rows = [r.split(",") for r in SMALL_FEATURES[1:] * 2]
     held, _ = _stratified_split(np.array([r[-1] == "b" for r in rows], dtype=int), 0.2, 0)
     rows[held[0]][1] = "1e308"
@@ -768,9 +812,11 @@ def test_cv_holdout_row_that_overflows_is_refused(tmp_path, capsys, flags):
         warnings.simplefilter("error")
         rc, out, err = run_cli(capsys, "cv", "--data", str(data), "--grid", "0,0.5",
                                "--folds", "3", *flags)
+    want = {"standardized": "standardized transform of row {}, feature column 1: 1e+308 maps "
+                            "to inf",
+            "gaussian": "row {} is too large for the Gaussian kernel: its squared norm is inf"}
     assert (rc, out) == (1, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert "row" in err and ("1e+308" in err or "inf" in err)
+    assert err.splitlines() == ["error: " + want[flags[1]].format(held[0] + 1)]
 
 
 def _load_toml(path):
