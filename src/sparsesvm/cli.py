@@ -69,7 +69,8 @@ def _add_fit_flags(sp):
 
 def _add_run_flags(sp):
     sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads over folds/pairs, at least 1 (default 1)")
+                    help="threads over class pairs or folds, the calling thread included, "
+                         "at least 1 (default 1)")
     sp.add_argument("--format", choices=["json", "csv"], default="json",
                     help="format of train's stdout report or of cv's table")
 

@@ -253,6 +253,8 @@ def cross_validate(ds: Dataset, folds: FoldPlan, sparsity_grid, solver: str = "m
     with the best mean validation accuracy wins; ties go to the sparser model.
     ``holdout`` supplies the untouched test split reported per row. A class
     missing from some fold's training rows is a ``DataError`` before any fit.
+    The folds run on up to ``n_threads`` threads, the calling one included
+    (``ordered_map``); the table is the same for every thread count.
     """
     sched = sched or AnnealSchedule()
     cfg = cfg or SolverConfig()

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import numbers
+import queue
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .anneal import FitError, prox_dist_fit
-from .config import AnnealSchedule, FitReport, SolverConfig
+from .config import AnnealSchedule, FitReport, SolverConfig, _check_int
 from .data import DataError, Dataset, DesignMatrix, binarize
 from .kernel import KernelModel, gram_matrix, kernel_predict
 from .solvers import KernelMMWorkspace, make_workspace
@@ -97,14 +99,45 @@ class OVOModel:
 
 
 def ordered_map(func, items, n_threads: int = 1) -> list:
-    """``[func(x) for x in items]``, spread over up to ``n_threads`` worker threads."""
-    if n_threads < 1:
+    """``[func(x) for x in items]`` on up to ``n_threads`` threads, the calling one included.
+
+    The caller and ``min(n_threads, len(items)) - 1`` pool workers take item
+    indices from one shared queue, so each item runs once, on whichever thread
+    takes it. When items fail, the failure with the lowest index is raised once
+    every thread has stopped.
+    """
+    if isinstance(n_threads, numbers.Real) and n_threads < 1:
         raise ValueError(f"n_threads must be at least 1, got {n_threads}")
+    _check_int("n_threads", n_threads)
     items = list(items)
-    if n_threads > 1 and len(items) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return list(pool.map(func, items))
-    return [func(x) for x in items]
+    workers = min(n_threads, len(items)) - 1
+    if workers < 1:
+        return [func(x) for x in items]
+    todo = queue.SimpleQueue()
+    for i in range(len(items)):
+        todo.put(i)
+    results = [None] * len(items)
+    errors = {}
+
+    def drain():
+        while True:
+            try:
+                i = todo.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                results[i] = func(items[i])
+            except Exception as exc:
+                errors[i] = exc
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(drain) for _ in range(workers)]
+        drain()
+    for future in futures:
+        future.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 @dataclass
@@ -181,6 +214,8 @@ def train_ovo(ds: Dataset, sparsity, solver: str = "mm",
 
     ``sparsity`` is either a SparsityConstraint (linear case) or a fraction in
     [0, 1); with a kernel the fraction applies to each pair's own sample count.
+    The pairs run on up to ``n_threads`` threads, the calling one included
+    (``ordered_map``); the model is the same for every thread count.
     """
     def fit(pair):
         i, j = pair

@@ -441,3 +441,14 @@ def test_thread_count_below_one_rejected(n_threads):
         cross_validate(ds, folds, [0.0], n_threads=n_threads)
     with pytest.raises(ValueError, match="n_threads must be at least 1"):
         train_ovo(ds, 0.0, n_threads=n_threads)
+
+
+@pytest.mark.parametrize("n_threads", [True, 2.5])
+def test_thread_count_not_an_integer_rejected(n_threads):
+    ds = blob_dataset(np.random.default_rng(5), n_per=10)
+    folds = make_folds(ds.n, 2, seed=0, labels=ds.labels)
+    want = f"^n_threads must be an integer >= 1, got {n_threads!r}$"
+    with pytest.raises(ValueError, match=want):
+        cross_validate(ds, folds, [0.0], n_threads=n_threads)
+    with pytest.raises(ValueError, match=want):
+        train_ovo(ds, 0.0, n_threads=n_threads)

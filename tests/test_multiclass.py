@@ -1,4 +1,5 @@
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from sparsesvm import data
 from sparsesvm.data import DataError, Dataset, DesignMatrix, binarize
 from sparsesvm.multiclass import (GaussianKernelSpec, OVOModel, PairClassifier,
                                   PairProblem, class_pairs, init_heuristic,
-                                  predict_ovo, train_ovo)
+                                  ordered_map, predict_ovo, train_ovo)
 from sparsesvm.solvers import SOLVERS, KernelMMWorkspace, SDWorkspace
 from sparsesvm.sparsity import SparsityConstraint
 
@@ -165,6 +166,87 @@ class TestTrainOVO:
         ds = blob_dataset(rng, classes=2, n_per=12)
         model = train_ovo(ds, 0.0, kernel=GaussianKernelSpec())
         assert model.pairs[0].kernel.gamma > 0
+
+
+class TestOrderedMap:
+    """The pool behind ``train_ovo``'s pairs and ``cross_validate``'s folds."""
+
+    WAIT = 10.0  # seconds one thread waits on another before the test gives up
+
+    @pytest.mark.parametrize("n_threads", [2, 3, 8])
+    @pytest.mark.parametrize("more", [False, True], ids=["fewer-items", "more-items"])
+    def test_each_item_once_in_order_and_the_caller_runs_one(self, n_threads, more):
+        n_items = 3 * n_threads + 1 if more else n_threads - 1
+        caller = threading.get_ident()
+        caller_ran = threading.Event()
+        lock = threading.Lock()
+        runs, threads, waited = [0] * n_items, set(), []
+
+        def func(x):
+            me = threading.get_ident()
+            with lock:
+                runs[x] += 1
+                threads.add(me)
+            if me == caller:
+                caller_ran.set()
+            else:
+                # a worker holds its item until the caller has taken one
+                waited.append(caller_ran.wait(self.WAIT))
+            return x * x
+
+        assert ordered_map(func, range(n_items), n_threads) == [x * x for x in range(n_items)]
+        assert runs == [1] * n_items
+        assert len(threads) <= n_threads
+        assert caller in threads
+        assert all(waited)
+
+    def test_lowest_index_failure_raised_after_the_threads_stop(self):
+        item2_failed = threading.Event()
+        done = []
+
+        def func(x):
+            if x == 0:
+                assert item2_failed.wait(self.WAIT)
+                raise ValueError("item 0")
+            if x == 2:
+                try:
+                    raise ValueError("item 2")
+                finally:
+                    item2_failed.set()
+            done.append(x)
+            return x
+
+        with pytest.raises(ValueError, match="^item 0$"):
+            ordered_map(func, range(6), n_threads=3)
+        assert sorted(done) == [1, 3, 4, 5]
+
+    def test_no_item_lost_or_repeated_under_fast_switching(self):
+        n_items, rounds = 200, 50
+        counts = [0] * n_items
+        lock = threading.Lock()
+        out = []
+
+        def func(x):
+            sum(range(50))  # a few bytecodes for the interpreter to switch within
+            with lock:
+                counts[x] += 1
+            return -x
+
+        def run():
+            for _ in range(rounds):
+                out.append(ordered_map(func, range(n_items), n_threads=8))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=run, daemon=True)
+            runner.start()
+            runner.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "ordered_map did not finish within 60 s"
+        assert out == [[-x for x in range(n_items)]] * rounds
+        assert counts == [rounds] * n_items
 
 
 class TestPairProblem:

@@ -4,9 +4,11 @@ Run from the root of a checkout:
 
     python3 tools/pairs.py --parent HEAD~1 --output BENCH_<n>.json
 
-The parent's committed files are exported with ``git archive`` into a
-temporary directory, removed at the end. Pair i runs seed ``--seed + i`` on
-both sides, each run
+Both sides run from ``git archive`` exports in one temporary directory,
+removed at the end, so neither runs from a git checkout: the parent's
+committed files, and this checkout's tracked files as they stand (``git stash
+create``, or ``HEAD`` when the tree is clean; files git does not track are
+left out). Pair i runs seed ``--seed + i`` on both sides, each run
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -17,8 +19,8 @@ of BENCHMARK.json the report holds each side's runs, median and quartiles
 won, its median against the parent's, the verdict against the metric's bound
 and the gain rule: the change won at least nine tenths of the pairs and its
 median is better than the parent's by more than the parent's interquartile
-distance. It then runs this checkout's ``tools/fingerprint.py`` on both
-sides and records whether every line matches. With ``--trace`` each side also runs
+distance. It then runs the change's ``tools/fingerprint.py`` on both
+exports and records whether every line matches. With ``--trace`` each side also runs
 
     python3 perfbench/run.py --workload W --seed S --trace 1
 
@@ -106,10 +108,9 @@ def compare(parent, change, better: str, bound: float) -> dict:
     }
 
 
-def fingerprint(root: Path):
-    """The output lines of this checkout's ``tools/fingerprint.py`` on the
+def fingerprint(script: Path, root: Path):
+    """The output lines of ``script`` (a ``tools/fingerprint.py``) on the
     package of ``root``."""
-    script = ROOT / "tools" / "fingerprint.py"
     res = subprocess.run([sys.executable, str(script), str(root)], cwd=root,
                          capture_output=True, text=True, timeout=RUN_TIMEOUT)
     if res.returncode != 0:
@@ -118,23 +119,24 @@ def fingerprint(root: Path):
 
 
 def fingerprints(parent: Path, change: Path) -> dict:
-    a, b = fingerprint(parent), fingerprint(change)
+    script = change / "tools" / "fingerprint.py"
+    a, b = fingerprint(script, parent), fingerprint(script, change)
     names = [line.split()[0] for line in b[1:] if line.strip()]
     differ = sorted({line.split()[0] for line in set(a[1:]) ^ set(b[1:]) if line.strip()})
     return {"lines": len(names), "equal": a == b, "differ": differ, "change": b}
 
 
-def pairs(parent_root: Path, workloads, seeds, seconds: float, better, bounds):
-    """Per workload, both sides' runs compared metric by metric; and the
-    metadata (host, versions) of this checkout's first run."""
+def pairs(roots: dict, workloads, seeds, seconds: float, better, bounds):
+    """Per workload, both sides' runs from ``roots`` (side name -> root)
+    compared metric by metric; and the metadata (host, versions) of the
+    change's first run."""
     out, host = {}, None
     for workload in workloads:
         runs = {"parent": [], "change": []}
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for name in order:
-                root = parent_root if name == "parent" else ROOT
-                runs[name].append(bench(root, workload, seed, seconds))
+                runs[name].append(bench(roots[name], workload, seed, seconds))
                 print(f"{workload} pair {i} seed {seed} {name}: "
                       f"{json.dumps(runs[name][-1]['metrics'])}", file=sys.stderr, flush=True)
         entry = {
@@ -153,12 +155,12 @@ def pairs(parent_root: Path, workloads, seeds, seconds: float, better, bounds):
     return out, host
 
 
-def counters(parent_root: Path, workloads, seed: int, seconds: float) -> dict:
+def counters(roots: dict, workloads, seed: int, seconds: float) -> dict:
     """Per workload, the ``COUNTERS`` of one traced run on each side."""
     out = {}
     for workload in workloads:
         entry = {"correct": {}}
-        for name, root in (("parent", parent_root), ("change", ROOT)):
+        for name, root in roots.items():
             run = bench(root, workload, seed, seconds, trace=1)
             entry[name] = {k: run["metrics"][k]["value"] for k in COUNTERS}
             entry["correct"][name] = run["correct"]
@@ -198,15 +200,17 @@ def main(argv=None) -> int:
     bounds = {m["name"]: m["bound"] for m in metrics}
     seeds = list(range(args.seed, args.seed + args.pairs))
     parent = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    # a commit of the tracked files as they stand; empty when the tree is clean
+    change = git("stash", "create") or git("rev-parse", "HEAD")
 
     workloads = args.workload or names
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        parent_root = Path(tmp) / "parent"
-        export(parent, parent_root)
-        results, host = pairs(parent_root, workloads, seeds, args.seconds, better, bounds)
-        prints = fingerprints(parent_root, ROOT)
-        traced = (counters(parent_root, workloads, args.seed, args.seconds)
-                  if args.trace else None)
+        roots = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        export(parent, roots["parent"])
+        export(change, roots["change"])
+        results, host = pairs(roots, workloads, seeds, args.seconds, better, bounds)
+        prints = fingerprints(roots["parent"], roots["change"])
+        traced = counters(roots, workloads, args.seed, args.seconds) if args.trace else None
 
     report = {
         "command": (f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}"
@@ -222,6 +226,7 @@ def main(argv=None) -> int:
         "parent_commit": parent,
         "change_commit": git("rev-parse", "HEAD"),
         "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "change_export": change,
         "host": host,
         "workloads": results,
         "fingerprint": prints,
