@@ -5,7 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import numbers
-import queue
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -102,9 +102,9 @@ def ordered_map(func, items, n_threads: int = 1) -> list:
     """``[func(x) for x in items]`` on up to ``n_threads`` threads, the calling one included.
 
     The caller and ``min(n_threads, len(items)) - 1`` pool workers take item
-    indices from one shared queue, so each item runs once, on whichever thread
-    takes it. When items fail, the failure with the lowest index is raised once
-    every thread has stopped.
+    indices from one shared iterator under a lock, so each item runs once, on
+    whichever thread takes it. When items fail, the failure with the lowest
+    index is raised once every thread has stopped.
     """
     if isinstance(n_threads, numbers.Real) and n_threads < 1:
         raise ValueError(f"n_threads must be at least 1, got {n_threads}")
@@ -113,17 +113,15 @@ def ordered_map(func, items, n_threads: int = 1) -> list:
     workers = min(n_threads, len(items)) - 1
     if workers < 1:
         return [func(x) for x in items]
-    todo = queue.SimpleQueue()
-    for i in range(len(items)):
-        todo.put(i)
+    indices, lock = iter(range(len(items))), threading.Lock()
     results = [None] * len(items)
     errors = {}
 
     def drain():
         while True:
-            try:
-                i = todo.get_nowait()
-            except queue.Empty:
+            with lock:
+                i = next(indices, None)
+            if i is None:
                 return
             try:
                 results[i] = func(items[i])

@@ -200,8 +200,10 @@ def main(argv=None) -> int:
     bounds = {m["name"]: m["bound"] for m in metrics}
     seeds = list(range(args.seed, args.seed + args.pairs))
     parent = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    head = git("rev-parse", "HEAD")
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     # a commit of the tracked files as they stand; empty when the tree is clean
-    change = git("stash", "create") or git("rev-parse", "HEAD")
+    change = git("stash", "create") or head
 
     workloads = args.workload or names
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
@@ -224,8 +226,8 @@ def main(argv=None) -> int:
         "gain_rule": "wins >= 0.9 pairs and the change's median better than the parent's "
                      "by more than the parent's interquartile distance",
         "parent_commit": parent,
-        "change_commit": git("rev-parse", "HEAD"),
-        "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "change_commit": head,
+        "change_dirty": dirty,
         "change_export": change,
         "host": host,
         "workloads": results,
