@@ -163,24 +163,26 @@ class CVTable:
         return json.dumps(doc, allow_nan=True)
 
 
-def _accuracy(model: OVOModel, features, labels, rows) -> float:
-    """``accuracy_pct``, naming a row the model refuses by ``rows`` (see
-    ``Dataset.source``)."""
+def _accuracy(model: OVOModel, part: Dataset) -> float:
+    """``accuracy_pct`` on ``part``, naming a row the model refuses by
+    ``part.source()``."""
     try:
-        return accuracy_pct(model, features, labels)
+        return accuracy_pct(model, part.features, part.labels)
     except DataError as exc:
-        raise exc.renumbered(rows) from None
+        raise exc.renumbered(part.source()) from None
 
 
 def _run_fold(ds, folds, fold, grid, solver, sched, cfg, holdout, kernel):
+    """One fold's CV rows: fit the grid with warm starts, then score each fitted
+    level on the held-out, validation and training rows, in that order. The
+    fold's rows are gathered once the designs and their factorizations are
+    freed, so that no copy of them is alive while a pair factors or fits."""
     tr_idx = folds.train_indices(fold)
-    va_idx = folds.val_indices(fold)
     # each pair gathers its own training rows of ds into its design
     problems = [PairProblem.build(ds, i, j, kernel, solver, rows=tr_idx)
                 for i, j in class_pairs(len(ds.class_names))]
     rows = []
-    fitted = []   # (row, model) of each level fitted, for the Train column
-    valid = None  # the validation rows, gathered once the first fit's temporaries are freed
+    fitted = []  # (row, model) of each grid level fitted
     # the densest fit roots the warm-start chain even when 0 is not on the grid
     work_grid = grid if grid[0] == 0.0 else [0.0] + grid
     for s in work_grid:
@@ -194,12 +196,7 @@ def _run_fold(ds, folds, fold, grid, solver, sched, cfg, holdout, kernel):
         elapsed = time.perf_counter() - t0
         if s not in grid:
             continue
-        model = OVOModel(pairs=pairs, class_names=ds.class_names)
-        if valid is None:
-            valid = ds.features[va_idx], ds.labels[va_idx], ds.source()[va_idx]
         reports = [pair.report for pair in pairs]
-        test_pct = (_accuracy(model, holdout.features, holdout.labels, holdout.source())
-                    if holdout is not None else float("nan"))
         rows.append(CVRow(
             fold=fold,
             s=s,
@@ -208,20 +205,18 @@ def _run_fold(ds, folds, fold, grid, solver, sched, cfg, holdout, kernel):
             time_s=elapsed,
             objective=float(np.mean([rep.objective for rep in reports])),
             sq_dist=float(np.mean([rep.distance for rep in reports])),
-            valid_pct=_accuracy(model, *valid),
-            test_pct=test_pct,
             sv=float(np.mean([rep.sv_count for rep in reports])),
             stop_reason="/".join(rep.stop_reason for rep in reports),
         ))
-        fitted.append((rows[-1], model))
-    # the training rows are gathered whole once, after the designs and their
-    # factorizations are freed, so that no copy of them is alive while a pair
-    # factors or fits
+        fitted.append((rows[-1], OVOModel(pairs=pairs, class_names=ds.class_names)))
     del problems
     if fitted:
-        train = ds.take(tr_idx)
+        valid, train = ds.take(folds.val_indices(fold)), ds.take(tr_idx)
         for row, model in fitted:
-            row.train_pct = accuracy_pct(model, train.features, train.labels)
+            if holdout is not None:
+                row.test_pct = _accuracy(model, holdout)
+            row.valid_pct = _accuracy(model, valid)
+            row.train_pct = _accuracy(model, train)
     return rows
 
 
@@ -253,6 +248,8 @@ def cross_validate(ds: Dataset, folds: FoldPlan, sparsity_grid, solver: str = "m
     with the best mean validation accuracy wins; ties go to the sparser model.
     ``holdout`` supplies the untouched test split reported per row. A class
     missing from some fold's training rows is a ``DataError`` before any fit.
+    A held-out, validation or training row that a fitted model cannot score
+    is a ``DataError`` naming the row by ``Dataset.source``.
     The folds run on up to ``n_threads`` threads, the calling one included
     (``ordered_map``); the table is the same for every thread count.
     """

@@ -295,20 +295,19 @@ def apply_transform(ds: Dataset, kind: str) -> Dataset:
     """
     if ds.transform != "none":
         raise DataError(f"dataset already transformed ({ds.transform!r})")
+    if kind == "none":
+        return ds
+    if kind not in ("standardized", "minmax"):
+        raise DataError(f"unknown transform {kind!r}")
     X = ds.features
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         span = np.ptp(X, axis=0)
-        if kind == "standardized":
+        if kind == "minmax":
+            center, scale = X.min(axis=0), span
+        else:
             center = X.mean(axis=0)
             scale = X.std(axis=0, ddof=1) if X.shape[0] > 1 else np.zeros(X.shape[1])
             scale = np.where(span == 0, 0.0, scale)
-        elif kind == "minmax":
-            center = X.min(axis=0)
-            scale = span
-        elif kind == "none":
-            return ds
-        else:
-            raise DataError(f"unknown transform {kind!r}")
     bad = np.flatnonzero(~(np.isfinite(center) & np.isfinite(scale)))
     if bad.size:
         j = bad[0]

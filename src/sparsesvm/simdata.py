@@ -46,8 +46,19 @@ class PlantedModel:
         object.__setattr__(self, "support", np.asarray(self.support, dtype=int))
 
 
-def _sign_labels(scores: np.ndarray) -> np.ndarray:
-    # class id 1 <-> label +1, id 0 <-> label -1
+def _planted_labels(X: np.ndarray, coef: np.ndarray, redraw) -> np.ndarray:
+    """Class ids of the signs of ``X @ coef``: id 1 <-> label +1, id 0 <-> -1.
+
+    A row that scores exactly 0 (a measure-zero event) is replaced in place by
+    ``redraw(count)``, a block of ``count`` new rows, until none does, so that
+    every label is well defined.
+    """
+    scores = X @ coef
+    zero = scores == 0.0
+    while np.any(zero):
+        X[zero] = redraw(int(zero.sum()))
+        scores = X @ coef
+        zero = scores == 0.0
     return (scores > 0).astype(int)
 
 
@@ -87,15 +98,8 @@ def gen_synthetic_corr(n: int, p: int, seed: int):
     beta_true = np.zeros(p + 1)
     beta_true[0] = 10.0
     beta_true[1] = -10.0
-    scores = X @ beta_true[:-1]
-    zero = scores == 0.0
-    while np.any(zero):
-        # measure-zero event: redraw those rows so sign labels are well defined
-        X[zero] = rng.standard_normal((int(zero.sum()), p)) @ chol.T
-        scores = X @ beta_true[:-1]
-        zero = scores == 0.0
-
-    ds = Dataset(X, _sign_labels(scores), BINARY_CLASS_NAMES)
+    labels = _planted_labels(X, beta_true[:-1], lambda m: rng.standard_normal((m, p)) @ chol.T)
+    ds = Dataset(X, labels, BINARY_CLASS_NAMES)
     return ds, PlantedModel(beta_true, np.array([0, 1]))
 
 
@@ -116,13 +120,8 @@ def gen_gaussian_causal(n: int, p: int, k0: int, seed: int):
     sign = 2 * rng.integers(0, 2, size=k0) - 1
     beta_true = np.zeros(p + 1)
     beta_true[support] = sign * magnitude
-    scores = X @ beta_true[:-1]
-    zero = scores == 0.0
-    while np.any(zero):
-        X[zero] = rng.standard_normal((int(zero.sum()), p))
-        scores = X @ beta_true[:-1]
-        zero = scores == 0.0
-    ds = Dataset(X, _sign_labels(scores), BINARY_CLASS_NAMES)
+    labels = _planted_labels(X, beta_true[:-1], lambda m: rng.standard_normal((m, p)))
+    ds = Dataset(X, labels, BINARY_CLASS_NAMES)
     return ds, PlantedModel(beta_true, support)
 
 

@@ -17,6 +17,8 @@ from sparsesvm.cli import _stratified_split, main
 from sparsesvm.data import make_folds
 from sparsesvm.model_io import load_model
 
+from test_crossval import overflowing_row_dataset
+
 
 def run_cli(capsys, *argv):
     rc = main(list(argv))
@@ -199,6 +201,17 @@ class TestCV:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_standardized_holdout_is_scored(self, tmp_path, capsys, causal_csv):
+        """The held-out rows pass through the transform fitted on the cv rows."""
+        out = tmp_path / "table.csv"
+        rc, _, err = run_cli(capsys, *self.cv_args(causal_csv, out, "--transform",
+                                                   "standardized"))
+        assert rc == 0, err
+        with out.open(newline="") as fh:
+            tests = [float(row["Test"]) for row in csv.DictReader(fh)]
+        assert len(tests) == 3 * 2 + 1
+        assert all(0.0 <= t <= 100.0 for t in tests)
+
     def test_json_format(self, tmp_path, capsys, causal_csv):
         out = tmp_path / "table.json"
         rc, _, _ = run_cli(capsys, "cv", "--data", str(causal_csv), "--grid",
@@ -307,6 +320,15 @@ class TestFitFlags:
             assert rc == 0
             assert json.loads(out.splitlines()[-1])["accuracy_pct"] >= 95.0
         assert inner["sd"] != inner["mm"]
+
+    def test_train_with_sparsity_fraction(self, tmp_path, capsys, causal_csv):
+        """--sparsity 0.5 keeps round(0.5 * 8) = 4 of the 8 features."""
+        model = tmp_path / "m.json"
+        rc, _, err = run_cli(capsys, "train", "--data", str(causal_csv), "--sparsity", "0.5",
+                             "--output", str(model))
+        assert rc == 0, err
+        pairs = json.loads(model.read_text())["pairs"]
+        assert [np.count_nonzero(pair["coef"][:-1]) for pair in pairs] == [4]
 
     def test_trace_with_steepest_descent(self, tmp_path, capsys, causal_csv):
         mm = self.trace_rows(tmp_path, capsys, causal_csv, "--keep", "2")
@@ -464,6 +486,23 @@ class TestErrors:
         assert (rc, stdout) == (1, "")
         assert err.splitlines() == ["error: " + message.format(row + 1)]
 
+    @pytest.mark.parametrize("fraction", ["0", "0.2"])
+    def test_cv_training_row_the_model_cannot_score_is_named_by_its_data_row(
+            self, tmp_path, capsys, fraction):
+        """Data row 28 at (1e150, 1e150), among fold 0's training rows, scores
+        -inf in the pair fitted on the rows near 1e-160."""
+        ds = overflowing_row_dataset()
+        data = tmp_path / "d.csv"
+        data.write_text("f1,f2,label\n" + "".join(f"{x0!r},{x1!r},{'abc'[c]}\n" for (x0, x1), c
+                                                  in zip(ds.features.tolist(), ds.labels)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, stdout, err = run_cli(capsys, "cv", "--data", str(data), "--grid", "0",
+                                      "--folds", "3", "--algorithm", "sd",
+                                      "--holdout-fraction", fraction)
+        assert (rc, stdout) == (1, "")
+        assert err.splitlines() == ["error: row 28 scores -inf: its features overflow the model"]
+
     def test_cv_class_held_out_whole_by_a_fold(self, tmp_path, capsys):
         """Its one sample in the CV data sits in one fold's validation rows."""
         rng = np.random.default_rng(0)
@@ -530,8 +569,16 @@ class TestErrors:
          "--threads must be at least 1, got 0"),
         (("cv", "--grid", "0,0.5", "--folds", "3", "--threads", "-3"),
          "--threads must be at least 1, got -3"),
+        (("train", "--keep", "9"), "--keep must lie in [0, 8], got 9"),
+        (("train", "--sparsity", "1"), "--sparsity must lie in [0, 1), got 1.0"),
+        (("train", "--kernel", "gaussian", "--dual-sparsity", "1"),
+         "--dual-sparsity must lie in [0, 1), got 1.0"),
+        (("cv", "--grid", "0", "--holdout-fraction", "1"),
+         "--holdout-fraction must lie in [0, 1), got 1.0"),
+        (("cv", "--grid", ","), "--grid is empty"),
     ], ids=["train-gamma", "trace-gamma", "cv-gamma", "train-threads-0", "train-threads-neg",
-            "cv-threads-0", "cv-threads-neg"])
+            "cv-threads-0", "cv-threads-neg", "keep-over-p", "sparsity-1", "dual-sparsity-1",
+            "holdout-fraction-1", "grid-empty"])
     def test_ignored_value_is_a_usage_error(self, tmp_path, capsys, causal_csv, argv, message):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as err:

@@ -417,6 +417,26 @@ def test_a_class_held_out_whole_by_a_fold_is_named_before_any_fit(monkeypatch):
                               f"fold {fold}, which leaves that fold none to train on")
 
 
+def overflowing_row_dataset():
+    """36 rows near 1e-160 in classes a, b and c of 12 each, but for data row 28
+    (class c) at (1e150, 1e150). The a-versus-b pair fitted on tiny rows
+    scores that row -inf, and fold 0 of ``make_folds(36, 3, 0, labels)``
+    trains on it as its 20th row."""
+    labels = np.repeat([0, 1, 2], 12)
+    centers = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    feats = (centers[labels] + 0.3 * np.random.default_rng(0).standard_normal((36, 2))) * 1e-160
+    feats[27] = 1e150
+    return Dataset(feats, labels, ("a", "b", "c"))
+
+
+@pytest.mark.parametrize("solver", ["mm", "sd"])
+def test_training_row_the_model_cannot_score_is_named_by_its_data_row(solver):
+    ds = overflowing_row_dataset()
+    with pytest.raises(DataError) as err:
+        cross_validate(ds, make_folds(36, 3, 0, ds.labels), [0.0], solver=solver)
+    assert str(err.value) == "row 28 scores -inf: its features overflow the model"
+
+
 def test_fold_keeps_one_copy_of_its_rows_at_a_time(traced_peak):
     """One fold of the correlated-pair CV (600 training rows, 500 features)
     peaks below 4.2 arrays of its training features' size: a pair design,

@@ -199,6 +199,16 @@ class TestTransforms:
         out = apply_transform(ds, kind)
         np.testing.assert_array_equal(out.features[:, 0], np.zeros(3))
 
+    def test_none_returns_the_dataset(self):
+        ds = Dataset(np.array([[1.0], [2.0]]), np.array([0, 1]), ("a", "b"))
+        assert apply_transform(ds, "none") is ds
+
+    def test_unknown_kind_rejected(self):
+        ds = Dataset(np.array([[1.0], [2.0]]), np.array([0, 1]), ("a", "b"))
+        with pytest.raises(DataError) as err:
+            apply_transform(ds, "x")
+        assert str(err.value) == "unknown transform 'x'"
+
     def test_double_transform_rejected(self):
         ds = Dataset(np.array([[1.0], [2.0]]), np.array([0, 1]), ("a", "b"))
         out = apply_transform(ds, "minmax")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsesvm.simdata import (BINARY_CLASS_NAMES, PlantedModel, SimSpec,
+from sparsesvm.simdata import (BINARY_CLASS_NAMES, PlantedModel, SimSpec, _planted_labels,
                                gen_gaussian_causal, gen_spiral,
                                gen_synthetic_corr)
 
@@ -119,6 +119,23 @@ class TestSpiral:
     def test_counts_validated(self):
         with pytest.raises(ValueError, match="at least one"):
             gen_spiral(10, 0, 5)
+
+
+def test_row_scoring_zero_is_redrawn_until_it_has_a_sign():
+    """Rows 0 and 2 score 0; the first redraw of both leaves row 2 at 0, the
+    second gives it a sign."""
+    X = np.array([[1.0, 1.0], [2.0, 0.0], [3.0, 3.0]])
+    blocks = iter([np.array([[0.0, 1.0], [5.0, 5.0]]), np.array([[4.0, 1.0]])])
+    counts = []
+
+    def redraw(count):
+        counts.append(count)
+        return next(blocks)
+
+    labels = _planted_labels(X, np.array([1.0, -1.0]), redraw)
+    assert counts == [2, 1]
+    np.testing.assert_array_equal(X, [[0.0, 1.0], [2.0, 0.0], [4.0, 1.0]])
+    np.testing.assert_array_equal(labels, [0, 1, 1])
 
 
 class TestRecords:
