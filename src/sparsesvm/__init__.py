@@ -18,11 +18,11 @@ from .model_io import MODEL_FORMAT, SavedModel, load_model, save_model
 from .multiclass import (GaussianKernelSpec, OVOModel, PairClassifier,
                          PairProblem, init_heuristic, predict_ovo, train_ovo)
 from .objective import (ObjectiveState, PenaltyWeights, gradient, hinge_loss,
-                        penalized_objective, surrogate_value, working_response)
+                        penalized_objective)
 from .simdata import (PlantedModel, SimSpec, gen_gaussian_causal, gen_spiral,
                       gen_synthetic_corr)
 from .solvers import (KernelMMWorkspace, MMWorkspace, SDWorkspace, mm_solve, mm_update,
-                      sd_solve, sd_update, step_size)
-from .sparsity import SparsityConstraint, project, sq_distance
+                      sd_solve, sd_update)
+from .sparsity import SparsityConstraint, project
 
 __version__ = "0.1.0"

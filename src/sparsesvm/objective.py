@@ -1,9 +1,8 @@
-"""Squared-hinge loss, its distance-penalized form, and the quadratic majorizer."""
+"""Squared-hinge loss and its distance-penalized form."""
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,10 +14,8 @@ __all__ = [
     "PenaltyWeights",
     "ObjectiveState",
     "hinge_loss",
-    "working_response",
     "gradient",
     "penalized_objective",
-    "surrogate_value",
 ]
 
 
@@ -157,12 +154,6 @@ def hinge_loss(beta: np.ndarray, design: DesignMatrix) -> float:
     return float(slack.dot(slack)) / (2.0 * slack.size)
 
 
-def working_response(beta: np.ndarray, design: DesignMatrix) -> np.ndarray:
-    """Surrogate targets: the fitted score where the margin is met, else the label."""
-    scores = design.X.dot(beta)
-    return np.where(design.y * scores >= 1.0, scores, design.y)
-
-
 def gradient(beta, design: DesignMatrix, constraint: SparsityConstraint, weights: PenaltyWeights) -> np.ndarray:
     """Gradient of the penalized objective, defined wherever the projection is unique."""
     return ObjectiveState.at(beta, design, constraint, weights).grad
@@ -171,36 +162,3 @@ def gradient(beta, design: DesignMatrix, constraint: SparsityConstraint, weights
 def penalized_objective(beta, design, constraint, weights) -> ObjectiveState:
     """The state at ``beta`` with its objective and gradient already evaluated."""
     return ObjectiveState.at(beta, design, constraint, weights)
-
-
-# The anchor's working response and projection at the last surrogate_value
-# call, with what they were formed from: (anchor shape and bytes, a weak
-# reference to the design, constraint, z, pm). A line search evaluates many
-# points against one anchor. The design is not kept alive, and a dead
-# reference never resolves to a new object; the entry is replaced as one
-# tuple, so a thread reads either the old or the new entry whole.
-_anchor_memo = None
-
-
-def surrogate_value(beta, anchor, design, constraint, weights) -> float:
-    """Anchored majorizer: 0.5 a2 ||z - X beta||^2 + 0.5 b2 ||p_m - beta||^2.
-
-    z and p_m are the working response and projection at ``anchor``. Touches
-    the true objective at the anchor and dominates it everywhere else. They
-    are kept from the previous call while its anchor (compared by value), its
-    design (the same object) and its constraint stay the same.
-    """
-    global _anchor_memo
-    beta = np.asarray(beta, dtype=float)
-    anchor = np.asarray(anchor, dtype=float)
-    key = (anchor.shape, anchor.tobytes())
-    memo = _anchor_memo
-    if memo is None or memo[0] != key or memo[1]() is not design or memo[2] != constraint:
-        memo = (key, weakref.ref(design), constraint, working_response(anchor, design),
-                project(anchor, constraint))
-        _anchor_memo = memo
-    z, pm = memo[3], memo[4]
-    r_loss = z - design.X.dot(beta)
-    r_pen = pm - beta
-    return (0.5 * weights.a2 * float(r_loss.dot(r_loss))
-            + 0.5 * weights.b2 * float(r_pen.dot(r_pen)))

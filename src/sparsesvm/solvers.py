@@ -43,7 +43,6 @@ __all__ = [
     "make_workspace",
     "mm_update",
     "mm_solve",
-    "step_size",
     "sd_update",
     "sd_solve",
 ]
@@ -289,13 +288,9 @@ def mm_update(beta, ws: MMWorkspace | KernelMMWorkspace, design: DesignMatrix,
 
 
 def _exact_step(gsq: float, Xg: np.ndarray, weights: PenaltyWeights, guard: float) -> float:
+    """Exact minimizer of the majorizer along -grad, guarded against 0/0:
+    ``gsq`` is ``||grad||^2`` and ``Xg`` is ``X @ grad``."""
     return gsq / (weights.a2 * float(Xg.dot(Xg)) + weights.b2 * gsq + guard)
-
-
-def step_size(grad, design: DesignMatrix, weights: PenaltyWeights, guard: float) -> float:
-    """Exact minimizer of the majorizer along -grad, guarded against 0/0."""
-    grad = np.asarray(grad, dtype=float)
-    return _exact_step(float(grad.dot(grad)), design.X.dot(grad), weights, guard)
 
 
 @dataclass(frozen=True)

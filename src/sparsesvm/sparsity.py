@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import _check_int
 
-__all__ = ["SparsityConstraint", "project", "sq_distance"]
+__all__ = ["SparsityConstraint", "project"]
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,3 @@ def project(beta: np.ndarray, constraint: SparsityConstraint) -> np.ndarray:
             drop[(mag == cut).nonzero()[0][:left]] = False
         np.putmask(out[:p], drop, 0.0)
     return out
-
-
-def sq_distance(beta: np.ndarray, constraint: SparsityConstraint) -> float:
-    """Squared Euclidean distance from ``beta`` to the constraint set."""
-    beta = np.asarray(beta, dtype=float)
-    diff = beta - project(beta, constraint)
-    return float(diff @ diff)

@@ -16,15 +16,13 @@ from sparsesvm.data import apply_transform, binarize, make_folds
 from sparsesvm.anneal import prox_dist_fit
 from sparsesvm.multiclass import (GaussianKernelSpec, init_heuristic,
                                   train_ovo)
-from sparsesvm.objective import (PenaltyWeights, gradient, penalized_objective,
-                                 surrogate_value)
+from sparsesvm.objective import PenaltyWeights, gradient, penalized_objective
 from sparsesvm.simdata import (gen_gaussian_causal, gen_spiral,
                                gen_synthetic_corr)
-from sparsesvm.solvers import (SDWorkspace, mm_solve, mm_update, sd_solve,
-                               sd_update, step_size)
-from sparsesvm.sparsity import SparsityConstraint, project, sq_distance
+from sparsesvm.solvers import SDWorkspace, mm_solve, mm_update, sd_solve, sd_update
+from sparsesvm.sparsity import SparsityConstraint, project
 
-from conftest import random_problem
+from conftest import random_problem, sq_distance, step_size, surrogate_value
 from test_multiclass import blob_dataset
 from test_objective import magnitudes_clear_of_ties, margins_clear_of_kink
 from test_solvers import (mm_workspace, normal_equation_oracle, plain_updates,

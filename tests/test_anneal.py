@@ -11,9 +11,9 @@ from sparsesvm.data import DesignMatrix, ThinSVD, binarize
 from sparsesvm.multiclass import GaussianKernelSpec, PairProblem, init_heuristic
 from sparsesvm.objective import PenaltyWeights, gradient
 from sparsesvm.simdata import gen_gaussian_causal, gen_spiral, gen_synthetic_corr
-from sparsesvm.sparsity import SparsityConstraint, sq_distance
+from sparsesvm.sparsity import SparsityConstraint
 
-from conftest import random_problem
+from conftest import random_problem, sq_distance
 from test_solvers import plain_updates
 
 

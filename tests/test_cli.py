@@ -17,6 +17,7 @@ from sparsesvm.cli import _stratified_split, main
 from sparsesvm.data import make_folds
 from sparsesvm.model_io import load_model
 
+from conftest import no_convergence
 from test_crossval import overflowing_row_dataset
 
 
@@ -69,6 +70,17 @@ class TestGen:
             run_cli(capsys, "gen", "--family", "synthetic-corr", "--n", "30",
                     "--p", "5", "--seed", "11", "--output", str(path))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_covariance_failure_ends_in_one_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(np.linalg, "cholesky", no_convergence)
+        out = tmp_path / "corr.csv"
+        rc, stdout, err = run_cli(capsys, "gen", "--family", "synthetic-corr", "--n", "30",
+                                  "--p", "5", "--seed", "1", "--output", str(out))
+        assert (rc, stdout) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: covariance repair failed (minimum eigenvalue ")
+        assert err.endswith("): forced\n")
+        assert not out.exists()
 
     def test_json_output_rejected_before_writing(self, tmp_path, capsys):
         """The sidecar of ``x.json`` is ``x.json`` itself, which would replace the CSV."""
@@ -442,6 +454,17 @@ class TestErrors:
         assert (rc, stdout) == (1, "")
         assert err.splitlines() == ["error: fit failed for class pair (a, c): row 4 is too "
                                     "large: its squared norm is inf"]
+        assert not out.exists()
+
+    def test_kernel_eigendecomposition_failure_ends_in_one_line(self, tmp_path, capsys,
+                                                                  spiral_csv, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        out = tmp_path / "m.json"
+        rc, stdout, err = run_cli(capsys, "train", "--data", str(spiral_csv), "--kernel",
+                                  "gaussian", "--gamma", "1", "--output", str(out))
+        assert (rc, stdout) == (1, "")
+        assert err.splitlines() == ["error: fit failed for class pair (A, B): "
+                                    "eigendecomposition failed to converge: forced"]
         assert not out.exists()
 
     def test_design_whose_products_overflow_is_refused(self, tmp_path, capsys):

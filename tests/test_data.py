@@ -12,6 +12,8 @@ from sparsesvm.data import (GRAM_SPAN, RANK_TOL, DataError, Dataset, DesignMatri
                             make_folds, thin_svd)
 from sparsesvm.simdata import gen_gaussian_causal, gen_synthetic_corr
 
+from conftest import no_convergence
+
 EPS = np.finfo(float).eps
 
 
@@ -500,6 +502,29 @@ class TestThinSvd:
         assert svd.s.size == r
         for got, ref in zip((svd.U, svd.s, svd.V), want):
             np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("X", [np.zeros((3, 2)), np.empty((0, 3))], ids=["zero", "empty"])
+    def test_zero_or_empty_design_has_rank_zero(self, X):
+        svd = thin_svd(X)
+        n, p = X.shape
+        assert (svd.U.shape, svd.s.shape, svd.V.shape) == ((n, 0), (0,), (p, 0))
+
+    def test_eigh_failure_falls_back_to_lapack(self, rng, monkeypatch, lapack_svd_calls):
+        X = rng.standard_normal((30, 8))
+        gram = thin_svd(X)
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        del lapack_svd_calls[:]
+        svd = thin_svd(X)
+        assert lapack_svd_calls == [X.shape]
+        np.testing.assert_allclose(svd.s, gram.s, rtol=1e-13, atol=0)
+        # the same column span: the orthogonal projectors agree
+        np.testing.assert_allclose(svd.U @ svd.U.T, gram.U @ gram.U.T, rtol=0, atol=1e-13)
+
+    def test_svd_failure_is_a_data_error(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(DataError, match=r"^SVD failed to converge: forced$"):
+            thin_svd(np.eye(3))
 
     def test_corr_cv_fold_design_takes_the_gram_route(self, no_lapack_svd):
         raw, _ = gen_synthetic_corr(800, 500, seed=1)

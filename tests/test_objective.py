@@ -1,6 +1,3 @@
-import gc
-import weakref
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +6,12 @@ from hypothesis import strategies as st
 from sparsesvm.data import DesignMatrix
 from sparsesvm.kernel import gram_matrix
 from sparsesvm.objective import (ObjectiveState, PenaltyWeights, _rows_dot, gradient, hinge_loss,
-                                 penalized_objective, surrogate_value,
-                                 working_response)
+                                 penalized_objective)
 from sparsesvm.solvers import KernelMMWorkspace, MMWorkspace
-from sparsesvm.sparsity import SparsityConstraint, project, sq_distance
+from sparsesvm.sparsity import SparsityConstraint, project
 
-from conftest import random_problem, with_intercept
+from conftest import (random_problem, sq_distance, surrogate_value, with_intercept,
+                      working_response)
 
 
 def design_with_margins(margins):
@@ -268,44 +265,6 @@ class TestSurrogate:
                         + weights.b2 * (beta - pm))
             np.testing.assert_allclose(sur_grad, gradient(beta, design, constraint, weights),
                                        atol=1e-10)
-
-    def test_anchor_pieces_reused_only_for_the_same_anchor(self, rng):
-        """A repeated anchor gives the bits a fresh computation gives; another
-        anchor, the same anchor array changed in place, another design object
-        or another constraint is computed anew."""
-
-        def fresh(beta, anchor, design, constraint, weights):
-            r_loss = working_response(anchor, design) - design.X @ beta
-            r_pen = project(anchor, constraint) - beta
-            return (0.5 * weights.a2 * float(r_loss @ r_loss)
-                    + 0.5 * weights.b2 * float(r_pen @ r_pen))
-
-        design, constraint, weights = random_problem(rng, 15, 6, 2, rho=1.5)
-        anchor = rng.standard_normal(7)
-        cases = []
-        for _ in range(3):
-            cases.append((rng.standard_normal(7), anchor, design, constraint))
-        cases.append((rng.standard_normal(7), rng.standard_normal(7), design, constraint))
-        cases.append((rng.standard_normal(7), anchor, design, SparsityConstraint(k=4, p=6)))
-        other, _, _ = random_problem(rng, 15, 6, 2)
-        cases.append((rng.standard_normal(7), anchor, other, constraint))
-        for beta, anc, des, con in cases:
-            assert surrogate_value(beta, anc, des, con, weights) == fresh(beta, anc, des, con,
-                                                                          weights)
-        beta = rng.standard_normal(7)
-        surrogate_value(beta, anchor, design, constraint, weights)
-        anchor[:3] *= -2.0
-        assert surrogate_value(beta, anchor, design, constraint, weights) == fresh(
-            beta, anchor, design, constraint, weights)
-
-    def test_design_freed_after_its_last_reference(self, rng):
-        design, constraint, weights = random_problem(rng, 15, 6, 2)
-        beta = rng.standard_normal(7)
-        surrogate_value(beta, beta, design, constraint, weights)
-        ref = weakref.ref(design)
-        del design
-        gc.collect()
-        assert ref() is None
 
 
 @pytest.mark.parametrize("basis", ["thin_svd", "gram", "none"])

@@ -5,6 +5,8 @@ from sparsesvm.simdata import (BINARY_CLASS_NAMES, PlantedModel, SimSpec, _plant
                                gen_gaussian_causal, gen_spiral,
                                gen_synthetic_corr)
 
+from conftest import no_convergence
+
 
 class TestSyntheticCorr:
     def test_shapes_and_truth(self):
@@ -42,6 +44,12 @@ class TestSyntheticCorr:
     def test_small_p_rejected(self):
         with pytest.raises(ValueError, match="p"):
             gen_synthetic_corr(10, 1, seed=0)
+
+    def test_cholesky_failure_names_the_covariance(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "cholesky", no_convergence)
+        with pytest.raises(ValueError,
+                           match=r"^covariance repair failed \(minimum eigenvalue \S+\): forced$"):
+            gen_synthetic_corr(50, 6, seed=0)
 
     def test_eigenvectors_only_for_a_repair(self, monkeypatch):
         """The positive-definiteness check reads eigenvalues alone. Made to

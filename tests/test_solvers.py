@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 from sparsesvm import anneal, solvers
 from sparsesvm.anneal import prox_dist_fit
 from sparsesvm.config import AnnealSchedule, SolverConfig
-from sparsesvm.data import RANK_TOL, DesignMatrix
+from sparsesvm.data import RANK_TOL, DataError, DesignMatrix
 from sparsesvm.kernel import gram_matrix
-from sparsesvm.objective import (ObjectiveState, PenaltyWeights, gradient, penalized_objective,
-                                 surrogate_value, working_response)
+from sparsesvm.objective import ObjectiveState, PenaltyWeights, gradient, penalized_objective
 from sparsesvm.solvers import (WARMUP, KernelMMWorkspace, MMWorkspace, SDWorkspace,
-                               make_workspace, mm_solve, mm_update, sd_solve, sd_update,
-                               step_size)
-from sparsesvm.sparsity import SparsityConstraint, project, sq_distance
+                               make_workspace, mm_solve, mm_update, sd_solve, sd_update)
+from sparsesvm.sparsity import SparsityConstraint, project
 
-from conftest import random_problem, with_intercept
+from conftest import (no_convergence, random_problem, sq_distance, step_size, surrogate_value,
+                      with_intercept, working_response)
 
 
 def mm_workspace(design):
@@ -197,6 +196,12 @@ class TestKernelMMWorkspace:
                           weights)[0]
             want = step_at(MMWorkspace.from_design(design), beta, design, constraint, weights)[0]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+
+    def test_eigh_failure_is_a_data_error(self, rng, monkeypatch):
+        design = kernel_problem(rng, 10, 0.5)
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(DataError, match=r"^eigendecomposition failed to converge: forced$"):
+            KernelMMWorkspace.from_design(design)
 
     def test_zero_distance_weight_rejected(self, rng):
         design = kernel_problem(rng, 20, 0.5)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsesvm.sparsity import SparsityConstraint, project, sq_distance
+from sparsesvm.sparsity import SparsityConstraint, project
+
+from conftest import sq_distance
 
 
 def brute_force_sq_distance(beta, k, p):
