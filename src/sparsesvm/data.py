@@ -130,8 +130,8 @@ class Dataset:
     def take(self, indices) -> "Dataset":
         """Rows ``indices`` (integers, not a mask), sharing class names and transform metadata."""
         idx = _row_indices(indices)
-        return replace(self, features=self.features[idx], labels=self.labels[idx],
-                       source_rows=self.source()[idx])
+        return replace(self, features=self.features.take(idx, axis=0),
+                       labels=self.labels[idx], source_rows=self.source()[idx])
 
 
 def _row_indices(indices) -> np.ndarray:
@@ -359,7 +359,7 @@ def binarize(ds: Dataset, positive_class: int, negative_class: int,
     total = 0.0  # squared norm of the rows gathered so far
     for start in range(0, sel.size, step):
         block = X[start:start + step, :-1]
-        block[...] = ds.features[sel[start:start + step]]
+        block[...] = ds.features.take(sel[start:start + step], axis=0)
         with np.errstate(over="ignore"):  # refused below
             a2 = np.einsum("ij,ij->i", block, block)
             totals = np.cumsum(a2)

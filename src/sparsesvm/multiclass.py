@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import numbers
 import threading
@@ -101,10 +100,12 @@ class OVOModel:
 def ordered_map(func, items, n_threads: int = 1) -> list:
     """``[func(x) for x in items]`` on up to ``n_threads`` threads, the calling one included.
 
-    The caller and ``min(n_threads, len(items)) - 1`` pool workers take item
-    indices from one shared iterator under a lock, so each item runs once, on
-    whichever thread takes it. When items fail, the failure with the lowest
-    index is raised once every thread has stopped.
+    The caller and ``min(n_threads, len(items)) - 1`` plain worker threads take
+    item indices from one shared iterator under a lock, so each item runs
+    once, on whichever thread takes it. The caller joins the workers before
+    anything propagates, an interrupt of its own included. Then an item's
+    failure that is not an ``Exception`` (``SystemExit``, say) is re-raised
+    first; otherwise, when items fail, the failure with the lowest index.
     """
     if isinstance(n_threads, numbers.Real) and n_threads < 1:
         raise ValueError(f"n_threads must be at least 1, got {n_threads}")
@@ -115,7 +116,7 @@ def ordered_map(func, items, n_threads: int = 1) -> list:
         return [func(x) for x in items]
     indices, lock = iter(range(len(items))), threading.Lock()
     results = [None] * len(items)
-    errors = {}
+    errors, fatal = {}, []
 
     def drain():
         while True:
@@ -127,12 +128,22 @@ def ordered_map(func, items, n_threads: int = 1) -> list:
                 results[i] = func(items[i])
             except Exception as exc:
                 errors[i] = exc
+            except BaseException as exc:  # this thread stops; the others drain the rest
+                fatal.append(exc)
+                return
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(drain) for _ in range(workers)]
+    started = []
+    try:
+        for _ in range(workers):
+            thread = threading.Thread(target=drain)
+            thread.start()
+            started.append(thread)
         drain()
-    for future in futures:
-        future.result()
+    finally:
+        for thread in started:
+            thread.join()
+    if fatal:
+        raise fatal[0]
     if errors:
         raise errors[min(errors)]
     return results

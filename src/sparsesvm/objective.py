@@ -72,13 +72,14 @@ def _rows_dot(v: np.ndarray, A: np.ndarray) -> np.ndarray:
     three reads in place, so the rows are gathered only when the entries a
     dense product would read beyond three per gathered row outnumber
     ``_GATHER_COST``: never on small matrices, nor once a third of the rows
-    are nonzero.
+    are nonzero. ``take`` copies the rows with the interpreter lock released,
+    which fancy indexing does not, so fold threads gather in parallel.
     """
     width = A.shape[1]
     if v.size * width > _GATHER_COST:
         rows = v.nonzero()[0]
         if (v.size - 3 * rows.size) * width > _GATHER_COST:
-            return v[rows].dot(A[rows])
+            return v[rows].dot(A.take(rows, axis=0))
     return v.dot(A)
 
 

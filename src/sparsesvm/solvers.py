@@ -383,7 +383,7 @@ def _solve_subproblem(start, ws, design, constraint, weights, cfg: SolverConfig,
     gradient's scale every point's gradient reads (``-a2 s``, ``-a2 lam`` or
     ``-a2 y``, see ``objective._loss_scale``) are formed once, before its
     first update; the workspace holds nothing per level, so one workspace
-    serves concurrent fits.
+    serves fits that run at the same time.
 
     ``start`` is a coefficient vector, for a fresh run (one entry per design
     column, else ``ValueError``), or the ``_Run`` the previous penalty level

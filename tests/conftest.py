@@ -81,18 +81,30 @@ def working_response(beta, design: DesignMatrix) -> np.ndarray:
     return np.where(design.y * scores >= 1.0, scores, design.y)
 
 
+def anchored_majorizer(anchor, design, constraint, weights):
+    """``beta -> surrogate_value(beta, anchor, ...)``, with the anchor's working
+    response and projection formed once, for the many points of one anchor."""
+    anchor = np.asarray(anchor, dtype=float)
+    z = working_response(anchor, design)
+    pm = project(anchor, constraint)
+
+    def value(beta) -> float:
+        beta = np.asarray(beta, dtype=float)
+        r_loss = z - design.X.dot(beta)
+        r_pen = pm - beta
+        return (0.5 * weights.a2 * float(r_loss.dot(r_loss))
+                + 0.5 * weights.b2 * float(r_pen.dot(r_pen)))
+
+    return value
+
+
 def surrogate_value(beta, anchor, design, constraint, weights) -> float:
     """Anchored majorizer: 0.5 a2 ||z - X beta||^2 + 0.5 b2 ||p_m - beta||^2.
 
     z and p_m are the working response and projection at ``anchor``. Touches
     the true objective at the anchor and dominates it everywhere else.
     """
-    beta = np.asarray(beta, dtype=float)
-    anchor = np.asarray(anchor, dtype=float)
-    r_loss = working_response(anchor, design) - design.X.dot(beta)
-    r_pen = project(anchor, constraint) - beta
-    return (0.5 * weights.a2 * float(r_loss.dot(r_loss))
-            + 0.5 * weights.b2 * float(r_pen.dot(r_pen)))
+    return anchored_majorizer(anchor, design, constraint, weights)(beta)
 
 
 def step_size(grad, design: DesignMatrix, weights: PenaltyWeights, guard: float) -> float:

@@ -22,7 +22,8 @@ from sparsesvm.simdata import (gen_gaussian_causal, gen_spiral,
 from sparsesvm.solvers import SDWorkspace, mm_solve, mm_update, sd_solve, sd_update
 from sparsesvm.sparsity import SparsityConstraint, project
 
-from conftest import random_problem, sq_distance, step_size, surrogate_value
+from conftest import (anchored_majorizer, random_problem, sq_distance, step_size,
+                      surrogate_value)
 from test_multiclass import blob_dataset
 from test_objective import magnitudes_clear_of_ties, margins_clear_of_kink
 from test_solvers import (mm_workspace, normal_equation_oracle, plain_updates,
@@ -106,7 +107,8 @@ def test_criterion_04_exact_step_beats_dense_grid(rng):
         if float(np.linalg.norm(g)) < 1e-12:
             continue
         t_star = step_size(g, design, weights, ws.guard)
-        phi = lambda t: surrogate_value(beta - t * g, beta, design, constraint, weights)
+        majorizer = anchored_majorizer(beta, design, constraint, weights)
+        phi = lambda t: majorizer(beta - t * g)
         grid = np.linspace(0.0, 4.0 * t_star if t_star > 0 else 1.0, 10_000)
         best_grid = min(phi(t) for t in grid)
         assert phi(t_star) <= best_grid + 1e-12 * (1 + abs(best_grid))

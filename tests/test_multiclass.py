@@ -1,5 +1,7 @@
+import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -247,6 +249,67 @@ class TestOrderedMap:
         assert not runner.is_alive(), "ordered_map did not finish within 60 s"
         assert out == [[-x for x in range(n_items)]] * rounds
         assert counts == [rounds] * n_items
+
+    def test_a_workers_system_exit_raised_after_the_threads_stop(self):
+        n_items = 12
+        caller = threading.get_ident()
+        lock = threading.Lock()
+        worker_exited = threading.Event()
+        runs, finished, seen, exited = [0] * n_items, [], set(), []
+
+        def func(x):
+            if x == 0:
+                raise ValueError("item 0")
+            with lock:
+                runs[x] += 1
+                seen.add(threading.current_thread())
+                leave = threading.get_ident() != caller and not exited
+                if leave:
+                    exited.append(x)
+            if leave:
+                worker_exited.set()
+                raise SystemExit(3)
+            if threading.get_ident() == caller:
+                assert worker_exited.wait(self.WAIT)
+            time.sleep(0.01)  # an item still running when the pool raised would show
+            finished.append(x)
+            return x
+
+        with pytest.raises(SystemExit) as info:
+            ordered_map(func, range(n_items), n_threads=3)
+        # raised ahead of item 0's ValueError, once no worker runs an item
+        assert info.value.code == 3
+        assert not any(t.is_alive() for t in seen if t.ident != caller)
+        assert runs == [0] + [1] * (n_items - 1)
+        assert sorted(finished + exited) == list(range(1, n_items))
+
+    def test_an_interrupt_in_the_caller_raised_after_the_worker_stops(self):
+        n_items = 8
+        caller = threading.get_ident()
+        worker_busy = threading.Event()
+        finished = []
+
+        def func(x):
+            if threading.get_ident() == caller:
+                assert worker_busy.wait(self.WAIT)
+                raise KeyboardInterrupt
+            worker_busy.set()
+            time.sleep(0.01)
+            finished.append(x)
+            return x
+
+        with pytest.raises(KeyboardInterrupt):
+            ordered_map(func, range(n_items), n_threads=2)
+        # the worker drained every other item before the interrupt reached the caller
+        assert len(set(finished)) == len(finished) == n_items - 1
+
+    def test_importing_the_package_loads_no_executor_or_logging(self):
+        # a fresh interpreter: this one has loaded whatever the test run needed
+        code = ("import sys, sparsesvm; "
+                "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestPairProblem:
